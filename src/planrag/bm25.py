@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 FORMAT_VERSION = 1
@@ -58,7 +58,6 @@ class PassageIndex:
     avg_doc_length: float
     k1: float
     b: float
-    id_to_ordinal: dict[str, int] = field(default_factory=dict)
 
     @property
     def doc_count(self) -> int:
@@ -120,12 +119,12 @@ def build_index(
     passages: list[Passage] = []
     postings: dict[str, dict[int, int]] = {}
     doc_lengths: list[int] = []
-    id_to_ordinal: dict[str, int] = {}
+    seen_ids: set[str] = set()
     for passage in corpus:
-        if passage.id in id_to_ordinal:
+        if passage.id in seen_ids:
             raise DuplicateIdError(f"duplicate passage id: {passage.id}")
         ordinal = len(passages)
-        id_to_ordinal[passage.id] = ordinal
+        seen_ids.add(passage.id)
         passages.append(passage)
         terms = tokenize(passage.title + " " + passage.text)
         doc_lengths.append(len(terms))
@@ -142,7 +141,6 @@ def build_index(
         avg_doc_length=avg_len,
         k1=k1,
         b=b,
-        id_to_ordinal=id_to_ordinal,
     )
 
 
@@ -191,8 +189,13 @@ def load_index(path: str) -> PassageIndex:
             f"{path}: expected format_version {FORMAT_VERSION}, "
             f"got {payload.get('format_version') if isinstance(payload, dict) else type(payload).__name__}"
         )
-    passages = [
-        Passage(id=p["id"], title=p.get("title", ""), text=p["text"])
-        for p in payload["passages"]
-    ]
-    return build_index(passages, k1=payload["k1"], b=payload["b"])
+    entries, k1, b = payload.get("passages"), payload.get("k1"), payload.get("b")
+    if not isinstance(entries, list) or not all(isinstance(v, (int, float)) for v in (k1, b)):
+        raise IndexFormatError(f"{path}: needs a passages list and numeric k1 and b")
+    passages = []
+    for n, p in enumerate(entries):
+        fields = [p.get("id"), p.get("title", ""), p.get("text")] if isinstance(p, dict) else [None]
+        if not all(isinstance(f, str) for f in fields):
+            raise IndexFormatError(f"{path}: passage {n} needs string id, title and text")
+        passages.append(Passage(*fields))
+    return build_index(passages, k1=k1, b=b)

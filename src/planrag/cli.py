@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import operator
 import os
-import random
 import re
 import sys
 
@@ -42,7 +42,6 @@ DEFAULTS = {
     "top_k": 3,
     "normalization": "squad",
     "parallelism": 1,
-    "seed": 0,
     "fallback": "append",
     "attempts": 3,
     "split": "sft",
@@ -111,11 +110,17 @@ def _generator_factory(rows: list[dict], args, config):
         if missing:
             raise CliError(f"no replay script for ids: {', '.join(missing[:5])}")
         return lambda i: ReplayGenerator(scripts[rows[i]["id"]])
-    endpoint = config.get("endpoint")
-    model = config.get("model")
+    shared = _chat_generator(args, config)
+    return lambda i: shared
+
+
+def _chat_generator(args, config, role: str = "") -> HttpChatGenerator:
+    """Chat backend from the config; role "teacher_" prefers teacher_endpoint/model."""
+    endpoint = config.get(role + "endpoint", config.get("endpoint"))
+    model = config.get(role + "model", config.get("model"))
     if not endpoint or not model:
         raise CliError("need --scripts for replay, or endpoint+model in --config")
-    shared = HttpChatGenerator(
+    return HttpChatGenerator(
         GeneratorSettings(
             endpoint=endpoint,
             model=model,
@@ -124,7 +129,18 @@ def _generator_factory(rows: list[dict], args, config):
             auth_env=str(_resolve(args, config, "auth_env")),
         )
     )
-    return lambda i: shared
+
+
+def _run_setup(args, config):
+    """What a run and every budget of a sweep share: rows, index, generator, config."""
+    rows = records.load_dataset(args.dataset)
+    idx = bm25.load_index(args.index) if args.index else None
+    cfg = _planner_config(args, config)
+    mode = _mode(args, config)
+    factory = _generator_factory(rows, args, config)
+    name = args.name or os.path.splitext(os.path.basename(args.dataset))[0]
+    parallelism = int(_resolve(args, config, "parallelism"))
+    return rows, idx, factory, cfg, mode, name, parallelism
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -204,14 +220,7 @@ def cmd_index(args) -> int:
 
 def cmd_run(args) -> int:
     config = _load_config(args.config)
-    random.seed(int(_resolve(args, config, "seed")))
-    rows = records.load_dataset(args.dataset)
-    idx = bm25.load_index(args.index) if args.index else None
-    cfg = _planner_config(args, config)
-    mode = _mode(args, config)
-    factory = _generator_factory(rows, args, config)
-    name = args.name or os.path.splitext(os.path.basename(args.dataset))[0]
-    parallelism = int(_resolve(args, config, "parallelism"))
+    rows, idx, factory, cfg, mode, name, parallelism = _run_setup(args, config)
     episodes, _, table = _run_once(
         rows, idx, factory, cfg, mode, name, parallelism, args.out_dir, args.timings
     )
@@ -225,29 +234,18 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    random.seed(int(_resolve(args, config, "seed")))
     try:
         budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
     except ValueError:
         raise CliError(f"bad budget list: {args.budgets}") from None
     if not budgets:
         raise CliError("at least one budget is required")
-    rows = records.load_dataset(args.dataset)
-    idx = bm25.load_index(args.index) if args.index else None
-    mode = _mode(args, config)
-    name = args.name or os.path.splitext(os.path.basename(args.dataset))[0]
-    parallelism = int(_resolve(args, config, "parallelism"))
-    base_cfg = _planner_config(args, config)
+    rows, idx, factory, base_cfg, mode, name, parallelism = _run_setup(args, config)
     os.makedirs(args.out_dir, exist_ok=True)
     sweep_rows = []
     exit_code = 0
     for budget in budgets:
-        cfg = PlannerConfig(
-            max_rounds=budget,
-            top_k=base_cfg.top_k,
-            fallback_policy=base_cfg.fallback_policy,
-        )
-        factory = _generator_factory(rows, args, config)
+        cfg = dataclasses.replace(base_cfg, max_rounds=budget)
         sub_dir = os.path.join(args.out_dir, f"b{budget}")
         episodes, report_dict, _ = _run_once(
             rows, idx, factory, cfg, mode, name, parallelism, sub_dir, args.timings
@@ -313,12 +311,28 @@ def _subset_match(atoms, rounds_a: int, rounds_b: int) -> bool:
     return all(_OPS[op](values[var], n) for var, op, n in atoms)
 
 
+def _read_transcripts(path: str) -> dict:
+    """Transcript records by id, each checked for the fields compare reads."""
+    side = {}
+    for n, rec in enumerate(records.read_jsonl(path), 1):
+        qid = rec.get("id") if isinstance(rec, dict) else None
+        if qid is None or not (
+            isinstance(rec.get("rounds_used"), int) and isinstance(rec.get("final_answer"), str)
+        ):
+            raise CliError(
+                f"{path}: transcript {n} (id {qid}) needs an id, integer rounds_used "
+                "and string final_answer"
+            )
+        side[qid] = rec
+    return side
+
+
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
     mode = _mode(args, config)
     atoms = parse_subset_spec(args.subset)
-    side_a = {r["id"]: r for r in records.read_jsonl(args.a)}
-    side_b = {r["id"]: r for r in records.read_jsonl(args.b)}
+    side_a = _read_transcripts(args.a)
+    side_b = _read_transcripts(args.b)
     if set(side_a) != set(side_b):
         only_a = sorted(set(side_a) - set(side_b))[:5]
         only_b = sorted(set(side_b) - set(side_a))[:5]
@@ -376,7 +390,6 @@ def _probe_scripts(path: str | None, rows: list[dict]) -> dict | None:
 
 def cmd_supervise(args) -> int:
     config = _load_config(args.config)
-    random.seed(int(_resolve(args, config, "seed")))
     rows = records.load_dataset(args.questions)
     idx = bm25.load_index(args.index) if args.index else None
     mode = _mode(args, config)
@@ -386,15 +399,8 @@ def cmd_supervise(args) -> int:
     scripts = _probe_scripts(_resolve(args, config, "scripts"), rows)
     shared_gen = shared_teacher = None
     if scripts is None:
-        endpoint, model = config.get("endpoint"), config.get("model")
-        if not endpoint or not model:
-            raise CliError("need --scripts for replay, or endpoint+model in --config")
-        shared_gen = HttpChatGenerator(GeneratorSettings(endpoint=endpoint, model=model))
-        t_endpoint = config.get("teacher_endpoint", endpoint)
-        t_model = config.get("teacher_model", model)
-        shared_teacher = HttpChatGenerator(
-            GeneratorSettings(endpoint=t_endpoint, model=t_model)
-        )
+        shared_gen = _chat_generator(args, config)
+        shared_teacher = _chat_generator(args, config, "teacher_")
     samples = []
     skipped = []
     for row in rows:
@@ -529,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--normalization", choices=["squad", "minimal"])
-        p.add_argument("--seed", type=int)
 
     p = sub.add_parser("index", help="build and save a passage index")
     p.add_argument("--corpus", required=True)

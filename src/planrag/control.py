@@ -100,7 +100,6 @@ class ScannerState:
     """Carry-over between chunks: the longest tail that may still become a token."""
 
     pending: str = ""
-    emitted: int = 0
 
 
 def _token_prefix_suffix(text: str) -> int:
@@ -135,7 +134,7 @@ def scan_stream(
     if len(tail) > keep:
         events.append(TextRun(tail[: len(tail) - keep]))
     pending = tail[len(tail) - keep :] if keep else ""
-    return events, ScannerState(pending=pending, emitted=state.emitted + len(events))
+    return events, ScannerState(pending=pending)
 
 
 def coalesce_events(events: list[StreamEvent]) -> list[StreamEvent]:
@@ -150,6 +149,73 @@ def coalesce_events(events: list[StreamEvent]) -> list[StreamEvent]:
                 continue
         out.append(ev)
     return out
+
+
+# --- grammar -----------------------------------------------------------------
+
+# Expectation states: what the grammar accepts next.
+OPEN = "open"  # a new branch: Intermediary or Answer
+AWAIT_RETRIEVE = "retrieve"  # the Retrieve that closes an intermediary branch
+AWAIT_SOLVED = "solved"  # the Solved that closes an answer branch
+END = "end"  # nothing more
+
+_NO_RETRIEVE = "Intermediary not followed by Retrieve"
+_NO_SOLVED = "Answer not followed by Solved"
+_NO_ANSWER = "Solved without Answer"
+
+# The grammar, written once: (state, marker) -> (next state, breach or None).
+# After a breach, reading goes on from the next state given here. Breach
+# messages live in the table so that each step is a single lookup.
+TRANSITIONS: dict[tuple[str, ControlToken], tuple[str, str | None]] = {
+    (OPEN, ControlToken.INTERMEDIARY): (AWAIT_RETRIEVE, None),
+    (OPEN, ControlToken.RETRIEVE): (OPEN, "Retrieve without Intermediary"),
+    (OPEN, ControlToken.ANSWER): (AWAIT_SOLVED, None),
+    (OPEN, ControlToken.SOLVED): (OPEN, _NO_ANSWER),
+    (AWAIT_RETRIEVE, ControlToken.INTERMEDIARY): (AWAIT_RETRIEVE, _NO_RETRIEVE),
+    (AWAIT_RETRIEVE, ControlToken.RETRIEVE): (OPEN, None),
+    (AWAIT_RETRIEVE, ControlToken.ANSWER): (AWAIT_SOLVED, _NO_RETRIEVE),
+    (AWAIT_RETRIEVE, ControlToken.SOLVED): (AWAIT_RETRIEVE, _NO_ANSWER),
+    (AWAIT_SOLVED, ControlToken.INTERMEDIARY): (AWAIT_SOLVED, _NO_SOLVED),
+    (AWAIT_SOLVED, ControlToken.RETRIEVE): (AWAIT_SOLVED, _NO_SOLVED),
+    (AWAIT_SOLVED, ControlToken.ANSWER): (AWAIT_SOLVED, _NO_SOLVED),
+    (AWAIT_SOLVED, ControlToken.SOLVED): (END, None),
+    **{(END, t): (END, f"content after Solved ({t.name})") for t in ControlToken},
+}
+# The breach of a trajectory that stops in each state; END is the only final one.
+END_BREACH: dict[str, str | None] = {
+    OPEN: "no Answer emitted",
+    AWAIT_RETRIEVE: _NO_RETRIEVE,
+    AWAIT_SOLVED: "Answer without Solved",
+    END: None,
+}
+
+
+def closed_branch(segments: tuple[Segment, ...]) -> tuple[Segment, Segment] | None:
+    """The first two segments as one complete branch, or None if they are not one.
+
+    A branch opens with a marker the open state accepts and closes with the
+    marker that leads back to it (a retrieval query, kept) or to the end (the
+    text after Solved, dropped).
+    """
+    if len(segments) < 2 or segments[0].marker is None:
+        return None
+    closer = segments[1]
+    state, breach = TRANSITIONS[OPEN, segments[0].marker]
+    if not breach:
+        state, breach = TRANSITIONS[state, closer.marker]
+    if breach:
+        return None
+    if state == END:
+        closer = Segment(closer.marker, "")
+    return segments[0], closer
+
+
+def last_answer(t: Trajectory) -> str | None:
+    """Text of the last answer segment; None when no answer was emitted."""
+    for seg in reversed(t.segments):
+        if seg.marker is ControlToken.ANSWER:
+            return seg.text
+    return None
 
 
 # --- validation --------------------------------------------------------------
@@ -176,56 +242,23 @@ def validate(t: Trajectory, max_rounds: int) -> ValidationReport:
     """
     violations: list[str] = []
     retrieve_count = 0
-    # expectation states: "open" (I or A next), "retrieve" (R next),
-    # "solved" (S next), "end" (nothing more)
-    expect = "open"
+    state = OPEN
     for seg in t.segments:
         if seg.marker is None:
             if seg.text.strip():
                 violations.append("plain text before first control token")
             continue
-        kind = seg.marker
-        if expect == "end":
-            violations.append(f"content after Solved ({kind.name})")
-            continue
-        if kind is ControlToken.INTERMEDIARY:
-            if expect == "open":
-                expect = "retrieve"
-            elif expect == "retrieve":
-                violations.append("Intermediary not followed by Retrieve")
-            else:
-                violations.append("Answer not followed by Solved")
-        elif kind is ControlToken.RETRIEVE:
+        if seg.marker is ControlToken.RETRIEVE and state != END:
             retrieve_count += 1
             if not seg.text.strip():
                 violations.append("Retrieve with empty query")
-            if expect == "retrieve":
-                expect = "open"
-            elif expect == "open":
-                violations.append("Retrieve without Intermediary")
-            else:
-                violations.append("Answer not followed by Solved")
-        elif kind is ControlToken.ANSWER:
-            if expect == "open":
-                expect = "solved"
-            elif expect == "retrieve":
-                violations.append("Intermediary not followed by Retrieve")
-                expect = "solved"
-            else:
-                violations.append("Answer not followed by Solved")
-        elif kind is ControlToken.SOLVED:
-            if expect == "solved":
-                if seg.text.strip():
-                    violations.append("text after Solved")
-                expect = "end"
-            else:
-                violations.append("Solved without Answer")
-    if expect == "open":
-        violations.append("no Answer emitted")
-    elif expect == "retrieve":
-        violations.append("Intermediary not followed by Retrieve")
-    elif expect == "solved":
-        violations.append("Answer without Solved")
+        state, breach = TRANSITIONS[state, seg.marker]
+        if breach:
+            violations.append(breach)
+        elif state == END and seg.text.strip():
+            violations.append("text after Solved")
+    if END_BREACH[state]:
+        violations.append(END_BREACH[state])
     if retrieve_count > max_rounds:
         violations.append(
             f"retrieve count {retrieve_count} exceeds max rounds {max_rounds}"

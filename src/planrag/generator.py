@@ -11,7 +11,7 @@ from typing import Callable
 import requests
 
 from .bm25 import Passage
-from .control import ControlToken, Segment, parse_trajectory, render_segments
+from .control import Segment, closed_branch, parse_trajectory, render_segments
 
 DEFAULT_PREAMBLE = (
     "You answer questions by planning retrieval with control tokens. "
@@ -97,15 +97,10 @@ def truncate_at_branch(text: str) -> str:
     Text with no complete branch is returned unchanged.
     """
     segs = parse_trajectory(text).segments
-    for i, seg in enumerate(segs):
-        nxt = segs[i + 1] if i + 1 < len(segs) else None
-        if seg.marker is ControlToken.ANSWER and nxt and nxt.marker is ControlToken.SOLVED:
-            kept = list(segs[: i + 1]) + [Segment(ControlToken.SOLVED, "")]
-            return render_segments(kept)
-        if seg.marker is ControlToken.INTERMEDIARY and nxt and nxt.marker is ControlToken.RETRIEVE:
-            if i + 2 < len(segs):
-                return render_segments(list(segs[: i + 2]))
-            return text
+    for i in range(len(segs) - 1):
+        branch = closed_branch(segs[i : i + 2])
+        if branch:
+            return render_segments(segs[:i] + branch)
     return text
 
 
@@ -140,8 +135,6 @@ class GeneratorSettings:
     max_attempts: int = 3
     backoff_base: float = 0.5
     timeout: float = 60.0
-    declare_stop: bool = False
-    client_truncate: bool = True
 
 
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
@@ -179,7 +172,7 @@ class HttpChatGenerator:
         return headers
 
     def _payload(self, ctx: GenerationContext) -> dict:
-        payload = {
+        return {
             "model": self.settings.model,
             "messages": [
                 {"role": "system", "content": ctx.system_preamble},
@@ -188,11 +181,6 @@ class HttpChatGenerator:
             "temperature": self.settings.temperature,
             "max_tokens": self.settings.max_tokens,
         }
-        if self.settings.declare_stop:
-            # [SOLVED] is the only token after which no content is ever needed;
-            # the other boundaries are handled by client-side truncation.
-            payload["stop"] = [ControlToken.SOLVED.surface]
-        return payload
 
     def _request(self, payload: dict) -> dict:
         last_error = "unknown transport failure"
@@ -227,17 +215,8 @@ class HttpChatGenerator:
         stop_reason = StopReason.END_OF_TURN
         if finish == "length":
             stop_reason = StopReason.LENGTH_LIMIT
-        if (
-            self.settings.declare_stop
-            and ControlToken.ANSWER.surface in text
-            and ControlToken.SOLVED.surface not in text
-        ):
-            # the backend swallowed the declared stop sequence
-            text += ControlToken.SOLVED.surface
+        truncated = truncate_at_branch(text)
+        if truncated != text:
+            text = truncated
             stop_reason = StopReason.CONTROL_BOUNDARY
-        if self.settings.client_truncate:
-            truncated = truncate_at_branch(text)
-            if truncated != text:
-                text = truncated
-                stop_reason = StopReason.CONTROL_BOUNDARY
         return GeneratorEmission(text=text, stop_reason=stop_reason)

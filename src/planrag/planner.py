@@ -17,11 +17,16 @@ from enum import Enum
 
 from .bm25 import PassageIndex, RetrievedPassage
 from .control import (
-    ControlToken,
+    AWAIT_SOLVED,
+    END_BREACH,
+    OPEN,
+    TRANSITIONS,
     Segment,
     Trajectory,
+    closed_branch,
     control_sequence,
     parse_trajectory,
+    render_segments,
 )
 from .generator import (
     DEFAULT_PREAMBLE,
@@ -41,13 +46,6 @@ FALLBACK_MESSAGE = (
 class FallbackPolicy(Enum):
     APPEND_FALLBACK_MESSAGE = "append_fallback_message"
     FORCE_FINALIZE = "force_finalize"
-
-
-class Phase(Enum):
-    DECIDING = "deciding"
-    RETRIEVING = "retrieving"
-    FINALIZING = "finalizing"
-    DONE = "done"
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -93,7 +91,6 @@ class EpisodeState:
     memory: list[RetrievalRound] = field(default_factory=list)
     segments: list[Segment] = field(default_factory=list)
     rounds_used: int = 0
-    phase: Phase = Phase.DECIDING
 
     @property
     def transcript(self) -> Trajectory:
@@ -107,7 +104,6 @@ class PlanStep:
     emission: GeneratorEmission
     action: str
     query: str | None = None
-    retrieved_ids: list[str] = field(default_factory=list)
     note: str | None = None
     duration_s: float = 0.0
 
@@ -151,50 +147,43 @@ class TurnReading:
 
 
 def read_turn(text: str) -> TurnReading:
-    """Classify one emission against the two branch patterns."""
+    """Classify one emission by the first branch it opens.
+
+    Which marker may follow which is read from the grammar's transition
+    table. An answer branch ends the episode even when it is not closed.
+    """
     segs = parse_trajectory(text).segments
     lead = segs[:1] if segs and segs[0].marker is None else ()
     marked = segs[len(lead) :]
     if not marked:
         return TurnReading(kind="plain", consumed=segs)
     first = marked[0]
-    if first.marker is ControlToken.SOLVED:
-        return TurnReading(kind="malformed", consumed=segs, reason="Solved without Answer")
-    if first.marker is ControlToken.RETRIEVE:
-        return TurnReading(
-            kind="malformed", consumed=segs, reason="Retrieve without Intermediary"
-        )
-    if first.marker is ControlToken.ANSWER:
-        nxt = marked[1] if len(marked) > 1 else None
-        if nxt is not None and nxt.marker is ControlToken.SOLVED:
-            consumed = tuple(lead) + (first, Segment(ControlToken.SOLVED, ""))
-            extra = len(marked) > 2 or bool(nxt.text.strip())
+    state, breach = TRANSITIONS[OPEN, first.marker]
+    if breach:
+        return TurnReading(kind="malformed", consumed=segs, reason=breach)
+    branch = closed_branch(marked)
+    answering = state == AWAIT_SOLVED
+    if branch or answering:
+        consumed = lead + (branch or (first,))
+        truncated = bool(text[len(render_segments(consumed)) :].strip())
+        if answering:
             return TurnReading(
                 kind="answer",
                 consumed=consumed,
                 answer=first.text,
-                has_solved=True,
-                truncated=extra,
+                has_solved=branch is not None,
+                truncated=truncated,
             )
         return TurnReading(
-            kind="answer",
-            consumed=tuple(lead) + (first,),
-            answer=first.text,
-            has_solved=False,
-            truncated=nxt is not None,
+            kind="retrieve", consumed=consumed, query=branch[1].text, truncated=truncated
         )
-    # first marker is INTERMEDIARY
-    nxt = marked[1] if len(marked) > 1 else None
-    if nxt is not None and nxt.marker is ControlToken.RETRIEVE:
-        return TurnReading(
-            kind="retrieve",
-            consumed=tuple(lead) + (first, nxt),
-            query=nxt.text,
-            truncated=len(marked) > 2,
-        )
-    if nxt is not None and nxt.marker is ControlToken.SOLVED:
-        return TurnReading(kind="malformed", consumed=segs, reason="Solved without Answer")
-    return TurnReading(kind="bare_intermediary", consumed=tuple(lead) + (first,))
+    # An intermediary branch left open. A next marker that only leaves it open
+    # (the breach of ending the turn here) makes it bare; any other is a breach.
+    nxt = marked[1].marker if len(marked) > 1 else None
+    breach = TRANSITIONS[state, nxt][1] if nxt else END_BREACH[state]
+    if breach != END_BREACH[state]:
+        return TurnReading(kind="malformed", consumed=segs, reason=breach)
+    return TurnReading(kind="bare_intermediary", consumed=lead + (first,))
 
 
 # --- operations ---------------------------------------------------------------
@@ -231,7 +220,6 @@ def handle_retrieve(
         raise EmptyQueryError("retrieval query is empty")
     if idx is None:
         raise MissingIndexError("generator requested retrieval but no index is configured")
-    state.phase = Phase.RETRIEVING
     state.memory.append(RetrievalRound(query=query, results=idx.search(query, top_k)))
     state.rounds_used += 1
     return state
@@ -243,7 +231,6 @@ def force_finalize(state: EpisodeState, cfg: PlannerConfig) -> GenerationContext
         raise NotAtBudgetError(
             f"{state.rounds_used} of {state.max_rounds} rounds used; not at budget"
         )
-    state.phase = Phase.FINALIZING
     return build_context(state, cfg, finalize_required=True)
 
 
@@ -275,7 +262,6 @@ def run_episode(
         if at_budget:
             ctx = force_finalize(state, cfg)
         else:
-            state.phase = Phase.FINALIZING if finalize else Phase.DECIDING
             ctx = build_context(state, cfg, finalize_required=finalize)
         started = time.perf_counter()
         emission = gen.emit_turn(ctx)
@@ -296,7 +282,6 @@ def run_episode(
             elif reading.truncated:
                 step.note = "turn truncated after Solved"
             steps.append(step)
-            state.phase = Phase.DONE
             return Episode(
                 state=state,
                 steps=steps,
@@ -310,7 +295,6 @@ def run_episode(
                 if cfg.max_rounds == 0:
                     step.note = "retrieve emitted in zero-budget mode"
                     steps.append(step)
-                    state.phase = Phase.DONE
                     return Episode(
                         state=state,
                         steps=steps,
@@ -321,7 +305,6 @@ def run_episode(
                 step.note = "retrieve emitted after budget exhaustion"
                 steps.append(step)
                 if repair_used:
-                    state.phase = Phase.DONE
                     return Episode(
                         state=state,
                         steps=steps,
@@ -340,7 +323,6 @@ def run_episode(
                     finalize_forced = True
                     continue
                 if repair_used:
-                    state.phase = Phase.DONE
                     return Episode(
                         state=state,
                         steps=steps,
@@ -358,7 +340,6 @@ def run_episode(
             state.segments.extend(consumed)
             handle_retrieve(state, query, idx, cfg.top_k)
             step.query = query
-            step.retrieved_ids = [h.passage.id for h in state.memory[-1].results]
             if reading.truncated:
                 step.note = "turn truncated after retrieval query"
             steps.append(step)
@@ -377,7 +358,6 @@ def run_episode(
             finalize_forced = True
             continue
         if repair_used:
-            state.phase = Phase.DONE
             return Episode(
                 state=state,
                 steps=steps,

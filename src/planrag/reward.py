@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .control import ControlToken, Trajectory, control_sequence, validate
+from .control import Trajectory, control_sequence, last_answer, validate
 from .metrics import bleu
 from .supervision import SupervisionSample
 
@@ -52,8 +52,7 @@ def control_accuracy(
 
 def final_answer_text(t: Trajectory) -> str:
     """Text of the last answer segment; empty when none was emitted."""
-    answers = [s.text for s in t.segments if s.marker is ControlToken.ANSWER]
-    return answers[-1].strip() if answers else ""
+    return (last_answer(t) or "").strip()
 
 
 def total_reward(

@@ -18,6 +18,7 @@ from .control import (
     Segment,
     Trajectory,
     control_sequence,
+    last_answer,
     parse_trajectory,
 )
 from .generator import EvidenceBlock, GenerationContext, GeneratorError
@@ -86,9 +87,8 @@ class SupervisionSample:
 
 def _extract_answer(text: str) -> str:
     """Answer-segment text when present, otherwise the whole emission."""
-    segs = parse_trajectory(text).segments
-    answers = [s.text for s in segs if s.marker is ControlToken.ANSWER]
-    return (answers[-1] if answers else text).strip()
+    answer = last_answer(parse_trajectory(text))
+    return (text if answer is None else answer).strip()
 
 
 def _attempt(answer: str, refs: list[str], mode: NormalizationMode) -> ProbeAttempt:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from planrag.cli import main, parse_subset_spec, CliError
+from planrag.generator import GeneratorEmission
 
 CORPUS = [
     {"id": "p1", "title": "Eiffel Tower", "text": "The Eiffel Tower was completed in 1889 in Paris"},
@@ -337,6 +338,29 @@ class TestSuperviseCmd:
         _, out2 = self.run_supervise(tmp_path, SUPERVISE_SCRIPTS, "supB")
         assert (out1 / "sft.jsonl").read_bytes() == (out2 / "sft.jsonl").read_bytes()
 
+    def test_chat_settings_reach_model_and_teacher(self, tmp_path, monkeypatch):
+        built = []
+
+        class FakeChat:
+            def __init__(self, settings):
+                built.append(settings)
+
+            def emit_turn(self, ctx):
+                return GeneratorEmission(text="[ANSWER] paris [SOLVED]")
+
+        monkeypatch.setattr("planrag.cli.HttpChatGenerator", FakeChat)
+        config = tmp_path / "chat.json"
+        config.write_text(json.dumps(
+            {"endpoint": "http://backend/v1/chat", "model": "m", "teacher_model": "t",
+             "temperature": 0.7, "max_tokens": 64}
+        ))
+        questions = write_jsonl(tmp_path / "questions.jsonl", SUPERVISE_QUESTIONS)
+        code = main(["supervise", "--questions", questions, "--config", str(config),
+                     "--out-dir", str(tmp_path / "chat")])
+        assert code == 0
+        assert [s.model for s in built] == ["m", "t"]
+        assert all(s.temperature == 0.7 and s.max_tokens == 64 for s in built)
+
 
 class TestRewardCmd:
     def make_samples(self, tmp_path):
@@ -405,3 +429,34 @@ class TestScoreCmd:
         dataset = write_jsonl(tmp_path / "refs.jsonl", DATASET)
         preds = write_jsonl(tmp_path / "preds.jsonl", [{"id": "q1", "prediction": "x"}])
         assert main(["score", "--predictions", preds, "--dataset", dataset]) == 1
+
+
+def _index_file(tmp_path, payload):
+    path = tmp_path / "bad_index.json"
+    path.write_text(json.dumps({"format_version": 1, "k1": 1.2, "b": 0.75, **payload}))
+    return ["run", "--dataset", str(tmp_path / "dataset.jsonl"), "--index", str(path),
+            "--scripts", str(tmp_path / "scripts.jsonl"), "--out-dir", str(tmp_path / "o")]
+
+
+def _transcripts_without_rounds(tmp_path):
+    rows = [{"id": r["id"], "final_answer": "x"} for r in DATASET]
+    path = write_jsonl(tmp_path / "no_rounds.jsonl", rows)
+    return ["compare", "--a", path, "--b", path, "--dataset", str(tmp_path / "dataset.jsonl"),
+            "--subset", "a>=1"]
+
+
+@pytest.mark.parametrize(
+    "make_argv, names",
+    [
+        (lambda tmp: _index_file(tmp, {}), ["bad_index.json", "passages"]),
+        (lambda tmp: _index_file(tmp, {"passages": [{"id": "p1"}]}), ["passage 0"]),
+        (_transcripts_without_rounds, ["no_rounds.jsonl", "q1"]),
+    ],
+    ids=["index_without_passages", "passage_without_text", "transcript_without_rounds"],
+)
+def test_malformed_input_file_is_one_error_line(workspace, capsys, make_argv, names):
+    code = main(make_argv(workspace["root"]))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert all(name in err for name in names)

@@ -176,14 +176,6 @@ class TestHttpGenerator:
         emission = HttpChatGenerator(settings(), transport).emit_turn(CTX)
         assert emission.stop_reason is StopReason.LENGTH_LIMIT
 
-    def test_declared_stop_reappended(self):
-        transport = transport_script([(200, chat_body("[ANSWER] hi "))])
-        gen = HttpChatGenerator(settings(declare_stop=True), transport)
-        emission = gen.emit_turn(CTX)
-        assert emission.text == "[ANSWER] hi [SOLVED]"
-        assert emission.stop_reason is StopReason.CONTROL_BOUNDARY
-        assert transport.calls[0]["stop"] == ["[SOLVED]"]
-
     def test_client_truncation(self):
         transport = transport_script(
             [(200, chat_body("[ANSWER] hi [SOLVED] and then some [RETRIEVE] junk"))]

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planrag.control import validate
 from planrag.generator import (
@@ -304,3 +306,32 @@ class TestDeterminism:
         assert "timings_ms" not in record
         with_timings = episode_record(ep, "q0", include_timings=True)
         assert len(with_timings["timings_ms"]) == len(ep.steps)
+
+
+# whole and split token surfaces, stray brackets, unicode and blanks
+TURN_PIECES = [
+    "", " ", "\n", "[ANSWER]", "[SOLVED]", "[INTERMEDIARY]", "[RETRIEVE]",
+    "[ANS", "WER]", "[SOL", "VED]", "[RETR", "[", "]", "[]", "paris", " eiffel tower", "é", "日本",
+]
+TURNS = st.one_of(st.text(max_size=20), st.lists(st.sampled_from(TURN_PIECES), max_size=8).map("".join))
+
+
+@given(
+    scripts=st.lists(st.lists(TURNS, max_size=5), min_size=1, max_size=3),
+    max_rounds=st.integers(0, 3),
+    policy=st.sampled_from(FallbackPolicy),
+    parallelism=st.sampled_from([1, 2]),
+)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_batch_run_invariants_under_arbitrary_turns(
+    tiny_index, scripts, max_rounds, policy, parallelism
+):
+    cfg = PlannerConfig(max_rounds=max_rounds, fallback_policy=policy)
+    questions = [f"question {i}" for i in range(len(scripts))]
+    episodes = batch_run(
+        questions, cfg, lambda i: ReplayGenerator(scripts[i]), tiny_index, parallelism
+    )
+    assert len(episodes) == len(scripts)
+    for ep in episodes:
+        assert ep.rounds_used == len(ep.memory) <= max_rounds
+        assert ep.status in ("completed", "malformed", "budget_zero_retrieve", "generator_failure")
