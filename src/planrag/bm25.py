@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
@@ -54,7 +55,7 @@ class PassageIndex:
 
     passages: list[Passage]
     postings: dict[str, dict[int, int]]  # term -> ordinal -> term frequency
-    doc_lengths: list[int]
+    norms: list[float]  # ordinal -> k1 * (1 - b + b * length / avg_doc_length)
     avg_doc_length: float
     k1: float
     b: float
@@ -75,8 +76,7 @@ class PassageIndex:
         """BM25 score of one passage; absent terms contribute 0."""
         if not 0 <= ordinal < self.doc_count:
             raise OrdinalOutOfRangeError(f"ordinal {ordinal} not in [0, {self.doc_count})")
-        length = self.doc_lengths[ordinal]
-        norm = self.k1 * (1 - self.b + self.b * length / self.avg_doc_length)
+        norm = self.norms[ordinal]
         total = 0.0
         # sorted unique terms keep float accumulation order canonical
         for term in sorted(set(query_terms)):
@@ -87,28 +87,64 @@ class PassageIndex:
         return total
 
     def search(self, query: str, k: int) -> list[RetrievedPassage]:
-        """Top-k positive-scoring passages, ties broken by ascending passage id."""
+        """Top-k positive-scoring passages, ties broken by ascending passage id.
+
+        Exact term-at-a-time MaxScore pruning. build_index checks k1 >= 0 and
+        0 <= b <= 1, so every norm is >= 0 and a term adds at most
+        ``idf * (k1 + 1)`` to any score. Terms are visited by descending bound;
+        each passage first met in a posting gets its full score, summed over all
+        terms in sorted order from 0.0 exactly as ``score`` does, so scores are
+        bitwise those of a full scan. Once the heap holds k scores and the bounds
+        of the terms not yet visited sum to less than the k-th score, every
+        passage not yet scored lies strictly below the k-th and cannot enter the
+        top k, not even on an id tie. Float rounding is monotone and off by far
+        less than the 1e-9 slack.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
-        terms = sorted(set(tokenize(query)))
+        k1p = self.k1 + 1
+        terms = [
+            (self.postings[t], self._idf(t))
+            for t in sorted(set(tokenize(query)))
+            if t in self.postings
+        ]
+        visits = sorted(terms, key=lambda term: -term[1])
+        bounds = [idf * k1p for _, idf in visits]
+        # tails[i]: sum of the bounds of the terms visited after visits[i]
+        tails = [sum(bounds[i + 1 :]) for i in range(len(bounds))]
+        norms = self.norms
         scores: dict[int, float] = {}
-        for term in terms:
-            posting = self.postings.get(term)
-            if not posting:
-                continue
-            idf = self._idf(term)
-            for ordinal, tf in posting.items():
-                length = self.doc_lengths[ordinal]
-                norm = self.k1 * (1 - self.b + self.b * length / self.avg_doc_length)
-                contrib = idf * tf * (self.k1 + 1) / (tf + norm)
-                scores[ordinal] = scores.get(ordinal, 0.0) + contrib
-        ranked = sorted(
-            (o for o, s in scores.items() if s > 0),
+        heap: list[float] = []  # the k best scores so far, least first
+        for (posting, _), tail in zip(visits, tails):
+            for ordinal in posting:
+                if ordinal in scores:
+                    continue
+                norm = norms[ordinal]
+                total = 0.0
+                for other, idf in terms:
+                    tf = other.get(ordinal)
+                    if tf:
+                        total += idf * tf * k1p / (tf + norm)
+                scores[ordinal] = total
+                if total > 0:
+                    if len(heap) < k:
+                        heapq.heappush(heap, total)
+                    elif total > heap[0]:
+                        heapq.heapreplace(heap, total)
+            if len(heap) == k and tail * (1 + 1e-9) < heap[0]:
+                break
+        if not heap:
+            return []
+        # a full heap bounds the top k from below; a short one holds every positive score
+        floor = heap[0]
+        ranked = heapq.nsmallest(
+            k,
+            (o for o, s in scores.items() if s >= floor),
             key=lambda o: (-scores[o], self.passages[o].id),
         )
         return [
             RetrievedPassage(passage=self.passages[o], score=scores[o], rank=r)
-            for r, o in enumerate(ranked[:k], 1)
+            for r, o in enumerate(ranked, 1)
         ]
 
 
@@ -116,6 +152,8 @@ def build_index(
     corpus: Iterable[Passage], k1: float = 1.2, b: float = 0.75
 ) -> PassageIndex:
     """Index a passage stream. Deterministic for a fixed input order."""
+    if not (0 <= k1 < math.inf and 0 <= b <= 1):
+        raise ValueError(f"BM25 needs finite k1 >= 0 and b in [0, 1], got k1={k1}, b={b}")
     passages: list[Passage] = []
     postings: dict[str, dict[int, int]] = {}
     doc_lengths: list[int] = []
@@ -134,10 +172,12 @@ def build_index(
     if not passages:
         raise EmptyCorpusError("cannot build an index over an empty corpus")
     avg_len = sum(doc_lengths) / len(doc_lengths)
+    # an all-empty corpus has no postings, so no score depends on its norms
+    avg = avg_len or 1.0
     return PassageIndex(
         passages=passages,
         postings=postings,
-        doc_lengths=doc_lengths,
+        norms=[k1 * (1 - b + b * length / avg) for length in doc_lengths],
         avg_doc_length=avg_len,
         k1=k1,
         b=b,
@@ -156,7 +196,7 @@ def load_corpus(path: str) -> list[Passage]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IndexFormatError(f"{path}:{lineno}: bad corpus record") from exc
-            if "id" not in rec or "text" not in rec or not rec["text"]:
+            if not isinstance(rec, dict) or "id" not in rec or not rec.get("text"):
                 raise IndexFormatError(f"{path}:{lineno}: record needs id and non-empty text")
             passages.append(
                 Passage(id=str(rec["id"]), title=rec.get("title", ""), text=rec["text"])

@@ -452,11 +452,23 @@ def cmd_reward(args) -> int:
     config = _load_config(args.config)
     budget = int(_resolve(args, config, "budget"))
     sample_by_id = {}
-    for rec in records.read_jsonl(args.samples):
+    for lineno, rec in records.iter_jsonl(args.samples):
+        refs = rec.get("references", []) if isinstance(rec, dict) else None
+        if not (
+            isinstance(rec, dict)
+            and "id" in rec
+            and isinstance(rec.get("target", ""), str)
+            and isinstance(refs, list)
+            and all(isinstance(r, str) for r in refs)
+        ):
+            raise CliError(
+                f"{args.samples}:{lineno}: sample record must be a JSON object with an id, "
+                "string target and list of string references"
+            )
         sample_by_id[str(rec["id"])] = SupervisionSample(
             qid=str(rec["id"]),
             question=rec.get("question", ""),
-            references=rec.get("references", []),
+            references=refs,
             kind=SupervisionKind(rec.get("kind", "alpha")),
             target=parse_trajectory(rec.get("target", "")),
         )

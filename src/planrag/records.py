@@ -3,25 +3,29 @@
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Any, Iterable, Iterator
 
 
 class RecordFormatError(ValueError):
     pass
 
 
-def read_jsonl(path: str) -> list[dict]:
-    records = []
+def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
+    """(line number, parsed value) for each non-blank line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordFormatError(f"{path}:{lineno}: invalid record") from exc
-    return records
+            yield lineno, record
+
+
+def read_jsonl(path: str) -> list[dict]:
+    return [record for _, record in iter_jsonl(path)]
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> int:
@@ -37,6 +41,8 @@ def load_dataset(path: str) -> list[dict]:
     """Questions file: one {id, question, answers[]} record per line."""
     rows = read_jsonl(path)
     for i, row in enumerate(rows, 1):
+        if not isinstance(row, dict):
+            raise RecordFormatError(f"{path}: record {i} must be a JSON object")
         if "id" not in row or "question" not in row:
             raise RecordFormatError(f"{path}: record {i} needs id and question")
         answers = row.get("answers")

@@ -6,6 +6,8 @@ import re
 import string
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planrag.bm25 import (
     DuplicateIdError,
@@ -26,7 +28,11 @@ def oracle_tokens(s: str) -> list[str]:
 
 
 def oracle_rank(passages, query, k1=1.2, b=0.75):
-    """Independent full scan: recompute stats from the raw corpus."""
+    """Independent full scan: recompute stats from the raw corpus.
+
+    Sums each passage's terms in sorted order with search's expression, so its
+    scores are the exact floats search returns.
+    """
     docs = [oracle_tokens(p.title + " " + p.text) for p in passages]
     n = len(docs)
     avg = sum(len(d) for d in docs) / n
@@ -45,6 +51,16 @@ def oracle_rank(passages, query, k1=1.2, b=0.75):
     positive = [(pid, s) for pid, s in scored if s > 0]
     positive.sort(key=lambda item: (-item[1], item[0]))
     return positive
+
+
+# tie-heavy corpora: a few words, so every word is a stopword and many passages
+# share a score; zero-token passages included
+tie_corpora = st.integers(3, 5).flatmap(
+    lambda v: st.tuples(
+        st.lists(st.lists(st.integers(0, v - 1), max_size=6), min_size=1, max_size=30),
+        st.lists(st.integers(0, v), min_size=1, max_size=8),  # v: a term not indexed
+    )
+)
 
 
 def random_corpus(rng, size, vocab_size=40):
@@ -87,6 +103,13 @@ class TestBuild:
     def test_duplicate_id(self):
         with pytest.raises(DuplicateIdError):
             build_index([Passage("a", "", "x"), Passage("a", "", "y")])
+
+    @pytest.mark.parametrize("k1, b", [(-0.5, 0.75), (1.2, -0.1), (1.2, 2.5), (math.inf, 0.75),
+                                       (math.nan, 0.75), (1.2, math.nan)])
+    def test_parameters_out_of_range(self, k1, b):
+        # out of range, a norm can be negative and a term's bound idf * (k1 + 1) fails
+        with pytest.raises(ValueError, match="k1"):
+            build_index([Passage("a", "", "x")], k1=k1, b=b)
 
 
 class TestScore:
@@ -174,6 +197,35 @@ class TestSearch:
         for r, (_, score) in zip(got, want):
             assert r.score == pytest.approx(score, abs=1e-12)
 
+    @given(
+        tie_corpora,
+        st.randoms(use_true_random=False),
+        st.integers(1, 35),
+        st.sampled_from([0, 1.2]),
+        st.sampled_from([0, 0.75, 1]),
+    )
+    @example(([[], [], []], [0, 1]), random.Random(0), 2, 1.2, 0.75)
+    # k1 = 0: the unvisited term's bound equals the k-th score, and the passage
+    # it would add ties that score with a smaller id
+    @example(([[0], [1]], [0, 1]), random.Random(1), 1, 0, 0.75)
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_pruned_search_equals_exhaustive(self, corpus_query, rng, k, k1, b):
+        docs, query_words = corpus_query
+        ids = [f"p{i:02d}" for i in range(len(docs))]
+        rng.shuffle(ids)  # id order independent of ordinal order, for tie-breaking
+        passages = [
+            Passage(pid, "", " ".join(f"w{w}" for w in words)) for pid, words in zip(ids, docs)
+        ]
+        query = " ".join(f"w{w}" for w in query_words)
+        got = [(r.passage.id, r.score) for r in build_index(passages, k1, b).search(query, k)]
+        assert got == oracle_rank(passages, query, k1, b)[:k]
+
+    def test_all_zero_token_corpus(self):
+        idx = build_index([Passage("a", "", "..."), Passage("b", "", ""), Passage("c", "!", "-")])
+        assert idx.avg_doc_length == 0
+        assert idx.search("anything at all", 3) == []
+        assert idx.score(["anything"], 0) == 0.0
+
     def test_determinism(self):
         rng = random.Random(13)
         passages, vocab = random_corpus(rng, 100)
@@ -230,6 +282,7 @@ class TestPersistence:
 
     def test_corpus_loader_rejects_bad_record(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        path.write_text('{"id": "p1"}\n')
-        with pytest.raises(IndexFormatError):
-            load_corpus(str(path))
+        for line in ('{"id": "p1"}\n', "5\n", '["p1", "text"]\n'):
+            path.write_text(line)
+            with pytest.raises(IndexFormatError):
+                load_corpus(str(path))

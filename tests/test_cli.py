@@ -445,14 +445,35 @@ def _transcripts_without_rounds(tmp_path):
             "--subset", "a>=1"]
 
 
+def _dataset_scalar_line(tmp_path):
+    path = tmp_path / "scalar.jsonl"
+    path.write_text(json.dumps(DATASET[0]) + "\n5\n")
+    preds = write_jsonl(tmp_path / "preds.jsonl", [{"id": "q1", "prediction": "Paris"}])
+    return ["score", "--predictions", preds, "--dataset", str(path)]
+
+
+def _reward_samples(tmp_path, text):
+    path = tmp_path / "bad_samples.jsonl"
+    path.write_text(text)
+    rollouts = write_jsonl(tmp_path / "rollouts.jsonl", [{"id": "r1", "text": "[SOLVED]"}])
+    return ["reward", "--rollouts", rollouts, "--samples", str(path),
+            "--out", str(tmp_path / "rewards.jsonl")]
+
+
 @pytest.mark.parametrize(
     "make_argv, names",
     [
         (lambda tmp: _index_file(tmp, {}), ["bad_index.json", "passages"]),
         (lambda tmp: _index_file(tmp, {"passages": [{"id": "p1"}]}), ["passage 0"]),
         (_transcripts_without_rounds, ["no_rounds.jsonl", "q1"]),
+        (_dataset_scalar_line, ["scalar.jsonl", "record 2", "JSON object"]),
+        (lambda tmp: _reward_samples(tmp, '{"question": "q", "target": "[SOLVED]"}\n'),
+         ["bad_samples.jsonl:1", "id"]),
+        (lambda tmp: _reward_samples(tmp, '{"id": "r1"}\n\n[1, 2]\n'),
+         ["bad_samples.jsonl:3", "JSON object"]),
     ],
-    ids=["index_without_passages", "passage_without_text", "transcript_without_rounds"],
+    ids=["index_without_passages", "passage_without_text", "transcript_without_rounds",
+         "dataset_line_not_object", "sample_without_id", "sample_line_not_object"],
 )
 def test_malformed_input_file_is_one_error_line(workspace, capsys, make_argv, names):
     code = main(make_argv(workspace["root"]))
