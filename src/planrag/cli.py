@@ -103,15 +103,32 @@ def _generator_factory(rows: list[dict], args, config):
     """Replay scripts when given, otherwise a shared chat backend."""
     scripts_path = _resolve(args, config, "scripts")
     if scripts_path:
-        scripts = {}
-        for rec in records.read_jsonl(scripts_path):
-            scripts[str(rec.get("id"))] = rec.get("turns", [])
-        missing = [row["id"] for row in rows if row["id"] not in scripts]
-        if missing:
-            raise CliError(f"no replay script for ids: {', '.join(missing[:5])}")
-        return lambda i: ReplayGenerator(scripts[rows[i]["id"]])
+        scripts = _read_scripts(scripts_path, rows, "replay", ("turns",))
+        return lambda i: ReplayGenerator(scripts[rows[i]["id"]].get("turns", []))
     shared = _chat_generator(args, config)
     return lambda i: shared
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _read_scripts(path: str, rows: list[dict], what: str, fields: tuple[str, ...]) -> dict:
+    """Script records by id, one for every row; absent ``fields`` read as empty lists."""
+    scripts = {}
+    for lineno, rec in records.iter_jsonl(path):
+        if not (
+            isinstance(rec, dict) and "id" in rec and all(_strings(rec.get(f, [])) for f in fields)
+        ):
+            raise CliError(
+                f"{path}:{lineno}: {what} script must be a JSON object with an id and "
+                f"{' and '.join(fields)} as lists of strings"
+            )
+        scripts[str(rec["id"])] = rec
+    missing = [row["id"] for row in rows if row["id"] not in scripts]
+    if missing:
+        raise CliError(f"no {what} script for ids: {', '.join(missing[:5])}")
+    return scripts
 
 
 def _chat_generator(args, config, role: str = "") -> HttpChatGenerator:
@@ -149,14 +166,32 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _empty_report(mode: NormalizationMode) -> dict:
-    return {
-        "normalization": mode.value,
-        "rows": [],
-        "avg_score": None,
-        "retrieval_stats": {},
-        "presence_at_k": {},
-    }
+def _score_report(name, predictions, rows, mode, episodes=None) -> tuple[dict, str]:
+    """report.json payload and report.txt table: one score row, or none without rows.
+
+    With ``episodes`` the report also holds their retrieval stats and answer presence.
+    """
+    if not rows:
+        empty = {
+            "normalization": mode.value,
+            "rows": [],
+            "avg_score": None,
+            "retrieval_stats": {},
+            "presence_at_k": {},
+        }
+        return empty, "Dataset  EM  ROUGE  F1\n(no rows)\n"
+    row = score_row(name, predictions, [r["answers"] for r in rows], mode)
+    report = ScoreReport(rows=[row], avg_score=avg_score([row]), normalization=mode.value)
+    if episodes is not None:
+        report.retrieval_stats = {name: retrieval_stats(episodes)}
+        report.presence_at_k = {
+            k: sum(
+                answer_presence_at_k(ep, r["answers"], k, mode) for ep, r in zip(episodes, rows)
+            )
+            / len(episodes)
+            for k in (1, 3)
+        }
+    return report.to_dict(), report.render_table()
 
 
 def _run_once(rows, idx, factory, cfg, mode, name, parallelism, out_dir, timings):
@@ -167,30 +202,9 @@ def _run_once(rows, idx, factory, cfg, mode, name, parallelism, out_dir, timings
         for row, ep in zip(rows, episodes)
     ]
     records.write_jsonl(os.path.join(out_dir, "transcripts.jsonl"), lines)
-    if rows:
-        row = score_row(
-            name, [ep.final_answer for ep in episodes], [r["answers"] for r in rows], mode
-        )
-        n = len(episodes)
-        report = ScoreReport(
-            rows=[row],
-            avg_score=avg_score([row]),
-            retrieval_stats={name: retrieval_stats(episodes)},
-            presence_at_k={
-                k: sum(
-                    answer_presence_at_k(ep, r["answers"], k, mode)
-                    for ep, r in zip(episodes, rows)
-                )
-                / n
-                for k in (1, 3)
-            },
-            normalization=mode.value,
-        )
-        report_dict = report.to_dict()
-        table = report.render_table()
-    else:
-        report_dict = _empty_report(mode)
-        table = "Dataset  EM  ROUGE  F1\n(no rows)\n"
+    report_dict, table = _score_report(
+        name, [ep.final_answer for ep in episodes], rows, mode, episodes
+    )
     run_info = {
         "dataset": name,
         "budget": cfg.max_rounds,
@@ -378,16 +392,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _probe_scripts(path: str | None, rows: list[dict]) -> dict | None:
-    if not path:
-        return None
-    scripts = {str(r.get("id")): r for r in records.read_jsonl(path)}
-    missing = [row["id"] for row in rows if row["id"] not in scripts]
-    if missing:
-        raise CliError(f"no probe script for ids: {', '.join(missing[:5])}")
-    return scripts
-
-
 def cmd_supervise(args) -> int:
     config = _load_config(args.config)
     rows = records.load_dataset(args.questions)
@@ -396,9 +400,11 @@ def cmd_supervise(args) -> int:
     attempts_n = int(_resolve(args, config, "attempts"))
     top_k = int(_resolve(args, config, "top_k"))
     split = Split(_resolve(args, config, "split"))
-    scripts = _probe_scripts(_resolve(args, config, "scripts"), rows)
-    shared_gen = shared_teacher = None
-    if scripts is None:
+    scripts_path = _resolve(args, config, "scripts")
+    scripts = None
+    if scripts_path:
+        scripts = _read_scripts(scripts_path, rows, "probe", ("probe_turns", "teacher_turns"))
+    else:
         shared_gen = _chat_generator(args, config)
         shared_teacher = _chat_generator(args, config, "teacher_")
     samples = []
@@ -409,23 +415,23 @@ def cmd_supervise(args) -> int:
             teacher = ReplayGenerator(scripts[row["id"]].get("teacher_turns", []))
         else:
             gen, teacher = shared_gen, shared_teacher
-        parametric = probe_parametric(row["question"], row["answers"], gen, attempts_n, mode)
-        retrieval = probe_retrieval(row["question"], row["answers"], gen, idx, top_k, mode)
-        kind = classify(parametric, retrieval)
-        teacher_query = None
-        if kind is SupervisionKind.GAMMA:
-            hits = idx.search(row["question"], top_k) if idx is not None else []
-            try:
+        try:
+            parametric = probe_parametric(row["question"], row["answers"], gen, attempts_n, mode)
+            retrieval = probe_retrieval(row["question"], row["answers"], gen, idx, top_k, mode)
+            kind = classify(parametric, retrieval)
+            teacher_query = None
+            if kind is SupervisionKind.GAMMA:
+                hits = idx.search(row["question"], top_k) if idx is not None else []
                 teacher_query = teacher_followup_query(
                     row["question"],
                     retrieval.attempts[0].answer,
                     [h.passage for h in hits],
                     teacher,
                 )
-            except (TeacherFailureError, EmptyTeacherQueryError) as exc:
-                skipped.append(row["id"])
-                print(f"skipping {row['id']}: {exc}", file=sys.stderr)
-                continue
+        except (GeneratorError, TeacherFailureError, EmptyTeacherQueryError) as exc:
+            skipped.append(row["id"])
+            print(f"skipping {row['id']}: {exc}", file=sys.stderr)
+            continue
         samples.append(
             build_sample(
                 row["question"],
@@ -439,11 +445,8 @@ def cmd_supervise(args) -> int:
         )
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, f"{split.value}.jsonl")
-    written = export_dataset(samples, split, out_path)
-    counts = {k.value: 0 for k in SupervisionKind}
-    for s in samples:
-        counts[s.kind.value] += 1
-    summary = {"written": written, "skipped": len(skipped), "counts": counts}
+    exported = export_dataset(samples, split, out_path)
+    summary = {"written": exported["total"], "skipped": len(skipped), "counts": exported["counts"]}
     print(json.dumps(summary))
     return 0
 
@@ -458,8 +461,7 @@ def cmd_reward(args) -> int:
             isinstance(rec, dict)
             and "id" in rec
             and isinstance(rec.get("target", ""), str)
-            and isinstance(refs, list)
-            and all(isinstance(r, str) for r in refs)
+            and _strings(refs)
         ):
             raise CliError(
                 f"{args.samples}:{lineno}: sample record must be a JSON object with an id, "
@@ -515,19 +517,20 @@ def cmd_score(args) -> int:
     config = _load_config(args.config)
     mode = _mode(args, config)
     rows = records.load_dataset(args.dataset)
-    preds = {str(r["id"]): r.get("prediction", "") for r in records.read_jsonl(args.predictions)}
+    preds = {}
+    for lineno, rec in records.iter_jsonl(args.predictions):
+        prediction = rec.get("prediction", "") if isinstance(rec, dict) else None
+        if not (isinstance(rec, dict) and "id" in rec and isinstance(prediction, str)):
+            raise CliError(
+                f"{args.predictions}:{lineno}: prediction record must be a JSON object with an id "
+                "and a string prediction"
+            )
+        preds[str(rec["id"])] = prediction
     missing = [r["id"] for r in rows if r["id"] not in preds]
     if missing:
         raise CliError(f"predictions missing for ids: {', '.join(missing[:5])}")
     name = args.name or os.path.splitext(os.path.basename(args.dataset))[0]
-    if rows:
-        row = score_row(name, [preds[r["id"]] for r in rows], [r["answers"] for r in rows], mode)
-        report = ScoreReport(rows=[row], avg_score=avg_score([row]), normalization=mode.value)
-        payload = report.to_dict()
-        table = report.render_table()
-    else:
-        payload = _empty_report(mode)
-        table = "Dataset  EM  ROUGE  F1\n(no rows)\n"
+    payload, table = _score_report(name, [preds[r["id"]] for r in rows], rows, mode)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         _write_json(os.path.join(args.out_dir, "report.json"), payload)

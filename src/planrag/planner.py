@@ -56,10 +56,6 @@ class EmptyQueryError(ValueError):
     pass
 
 
-class NotAtBudgetError(RuntimeError):
-    pass
-
-
 class MissingIndexError(RuntimeError):
     pass
 
@@ -85,19 +81,6 @@ class RetrievalRound:
 
 
 @dataclass
-class EpisodeState:
-    question: str
-    max_rounds: int
-    memory: list[RetrievalRound] = field(default_factory=list)
-    segments: list[Segment] = field(default_factory=list)
-    rounds_used: int = 0
-
-    @property
-    def transcript(self) -> Trajectory:
-        return Trajectory.from_segments(self.segments)
-
-
-@dataclass
 class PlanStep:
     index: int
     finalize: bool
@@ -110,23 +93,23 @@ class PlanStep:
 
 @dataclass
 class Episode:
-    state: EpisodeState
-    steps: list[PlanStep]
-    final_answer: str
-    status: str  # completed | malformed | budget_zero_retrieve | generator_failure
+    """One question's loop: evidence log, accepted segments, steps and outcome."""
+
+    question: str
+    memory: list[RetrievalRound] = field(default_factory=list)
+    segments: list[Segment] = field(default_factory=list)
+    steps: list[PlanStep] = field(default_factory=list)
+    final_answer: str = ""
+    status: str = "completed"  # completed | malformed | budget_zero_retrieve | generator_failure
     failure: str | None = None
 
     @property
-    def memory(self) -> list[RetrievalRound]:
-        return self.state.memory
-
-    @property
     def rounds_used(self) -> int:
-        return self.state.rounds_used
+        return len(self.memory)
 
     @property
     def transcript(self) -> Trajectory:
-        return self.state.transcript
+        return Trajectory.from_segments(self.segments)
 
     def control_names(self) -> list[str]:
         return [t.name for t in control_sequence(self.transcript)]
@@ -190,48 +173,35 @@ def read_turn(text: str) -> TurnReading:
 
 
 def build_context(
-    state: EpisodeState, cfg: PlannerConfig, finalize_required: bool
+    ep: Episode, cfg: PlannerConfig, finalize_required: bool
 ) -> GenerationContext:
     return GenerationContext(
         system_preamble=cfg.system_preamble,
-        question=state.question,
+        question=ep.question,
         evidence_blocks=tuple(
             EvidenceBlock(query=r.query, passages=[h.passage for h in r.results])
-            for r in state.memory
+            for r in ep.memory
         ),
-        prior_segments=tuple(state.segments),
+        prior_segments=tuple(ep.segments),
         finalize_required=finalize_required,
     )
 
 
 def handle_retrieve(
-    state: EpisodeState, query: str, idx: PassageIndex | None, top_k: int
-) -> EpisodeState:
-    """Run one retrieval round: append an evidence block and bump the counter.
+    ep: Episode, query: str, idx: PassageIndex | None, cfg: PlannerConfig
+) -> None:
+    """Run one retrieval round: append an evidence block to the episode's memory.
 
     Memory is an append-only log; duplicate passages across rounds are kept.
     """
-    if state.rounds_used >= state.max_rounds:
-        raise BudgetExhaustedError(
-            f"budget of {state.max_rounds} retrieval rounds already used"
-        )
+    if ep.rounds_used >= cfg.max_rounds:
+        raise BudgetExhaustedError(f"budget of {cfg.max_rounds} retrieval rounds already used")
     query = query.strip()
     if not query:
         raise EmptyQueryError("retrieval query is empty")
     if idx is None:
         raise MissingIndexError("generator requested retrieval but no index is configured")
-    state.memory.append(RetrievalRound(query=query, results=idx.search(query, top_k)))
-    state.rounds_used += 1
-    return state
-
-
-def force_finalize(state: EpisodeState, cfg: PlannerConfig) -> GenerationContext:
-    """Context demanding a final answer; only legal exactly at the budget."""
-    if state.rounds_used != state.max_rounds:
-        raise NotAtBudgetError(
-            f"{state.rounds_used} of {state.max_rounds} rounds used; not at budget"
-        )
-    return build_context(state, cfg, finalize_required=True)
+    ep.memory.append(RetrievalRound(query=query, results=idx.search(query, cfg.top_k)))
 
 
 def run_episode(
@@ -242,131 +212,86 @@ def run_episode(
 ) -> Episode:
     """Run the full planning loop for one question.
 
-    Backend failures (GeneratorError) propagate; grammar breakdowns end the
-    episode with a malformed status after one repair re-prompt.
+    Backend failures (GeneratorError) propagate, and a retrieval at zero
+    budget ends the episode. Any other turn but an answer or a retrieval
+    before finalization is an anomaly. Under FORCE_FINALIZE one that is not
+    malformed, on a turn not yet finalizing, makes the next turn finalize;
+    otherwise the first anomaly gets the one repair re-prompt and the second
+    ends the episode as malformed.
     """
     if not question:
         raise ValueError("question must be non-empty")
-    state = EpisodeState(question=question, max_rounds=cfg.max_rounds)
-    steps: list[PlanStep] = []
-    repair_used = False
-    finalize_forced = False
-
-    def append_fallback(consumed: tuple[Segment, ...]) -> None:
-        state.segments.extend(consumed)
-        state.segments.append(Segment(None, "\n" + FALLBACK_MESSAGE + "\n"))
+    ep = Episode(question=question)
+    repair_used = finalize_forced = False
 
     while True:
-        at_budget = state.rounds_used >= cfg.max_rounds
-        finalize = at_budget or finalize_forced
-        if at_budget:
-            ctx = force_finalize(state, cfg)
-        else:
-            ctx = build_context(state, cfg, finalize_required=finalize)
+        finalize = ep.rounds_used >= cfg.max_rounds or finalize_forced
+        ctx = build_context(ep, cfg, finalize_required=finalize)
         started = time.perf_counter()
         emission = gen.emit_turn(ctx)
         duration = time.perf_counter() - started
         reading = read_turn(emission.text)
         step = PlanStep(
-            index=len(steps),
+            index=len(ep.steps),
             finalize=finalize,
             emission=emission,
             action=reading.kind,
             duration_s=duration,
         )
+        ep.steps.append(step)
+        query = reading.query.strip()
 
         if reading.kind == "answer":
-            state.segments.extend(reading.consumed)
+            ep.segments.extend(reading.consumed)
             if not reading.has_solved:
                 step.note = "answer without Solved at end of turn"
             elif reading.truncated:
                 step.note = "turn truncated after Solved"
-            steps.append(step)
-            return Episode(
-                state=state,
-                steps=steps,
-                final_answer=reading.answer.strip(),
-                status="completed",
-            )
+            ep.final_answer = reading.answer.strip()
+            return ep
 
-        if reading.kind == "retrieve":
-            query = reading.query.strip()
-            if finalize:
-                if cfg.max_rounds == 0:
-                    step.note = "retrieve emitted in zero-budget mode"
-                    steps.append(step)
-                    return Episode(
-                        state=state,
-                        steps=steps,
-                        final_answer="",
-                        status="budget_zero_retrieve",
-                        failure="generator retrieved with a zero retrieval budget",
-                    )
-                step.note = "retrieve emitted after budget exhaustion"
-                steps.append(step)
-                if repair_used:
-                    return Episode(
-                        state=state,
-                        steps=steps,
-                        final_answer="",
-                        status="malformed",
-                        failure="retrieval requested twice after budget exhaustion",
-                    )
-                repair_used = True
-                append_fallback(reading.consumed)
-                continue
-            if not query:
-                step.note = "empty retrieval query"
-                steps.append(step)
-                if cfg.fallback_policy is FallbackPolicy.FORCE_FINALIZE:
-                    append_fallback(reading.consumed)
-                    finalize_forced = True
-                    continue
-                if repair_used:
-                    return Episode(
-                        state=state,
-                        steps=steps,
-                        final_answer="",
-                        status="malformed",
-                        failure="repeated anomalous turn: empty retrieval query",
-                    )
-                repair_used = True
-                append_fallback(reading.consumed)
-                continue
+        if reading.kind == "retrieve" and finalize and cfg.max_rounds == 0:
+            step.note = "retrieve emitted in zero-budget mode"
+            ep.status = "budget_zero_retrieve"
+            ep.failure = "generator retrieved with a zero retrieval budget"
+            return ep
+
+        if reading.kind == "retrieve" and not finalize and query:
             consumed = list(reading.consumed)
             if consumed and not consumed[-1].text.endswith("\n"):
                 last = consumed[-1]
                 consumed[-1] = Segment(last.marker, last.text + "\n")
-            state.segments.extend(consumed)
-            handle_retrieve(state, query, idx, cfg.top_k)
+            ep.segments.extend(consumed)
+            handle_retrieve(ep, query, idx, cfg)
             step.query = query
             if reading.truncated:
                 step.note = "turn truncated after retrieval query"
-            steps.append(step)
             continue
 
-        # plain text, bare intermediary, or a strict grammar breach
-        step.note = reading.reason or f"turn was {reading.kind.replace('_', ' ')}"
-        steps.append(step)
-        anomaly = reading.reason or step.note
+        # retrieval when finalizing, empty query, plain, bare or malformed turn
+        if reading.kind == "retrieve" and finalize:
+            step.note = "retrieve emitted after budget exhaustion"
+            failure = "retrieval requested twice after budget exhaustion"
+        else:
+            step.note = (
+                "empty retrieval query"
+                if reading.kind == "retrieve"
+                else reading.reason or f"turn was {reading.kind.replace('_', ' ')}"
+            )
+            failure = f"repeated anomalous turn: {step.note}"
         if (
-            reading.kind in ("plain", "bare_intermediary")
-            and cfg.fallback_policy is FallbackPolicy.FORCE_FINALIZE
+            cfg.fallback_policy is FallbackPolicy.FORCE_FINALIZE
+            and reading.kind != "malformed"
             and not finalize
         ):
-            append_fallback(reading.consumed)
             finalize_forced = True
-            continue
-        if repair_used:
-            return Episode(
-                state=state,
-                steps=steps,
-                final_answer="",
-                status="malformed",
-                failure=f"repeated anomalous turn: {anomaly}",
-            )
-        repair_used = True
-        append_fallback(reading.consumed)
+        elif repair_used:
+            ep.status, ep.failure = "malformed", failure
+            return ep
+        else:
+            repair_used = True
+        ep.segments.extend(reading.consumed)
+        ep.segments.append(Segment(None, "\n" + FALLBACK_MESSAGE + "\n"))
 
 
 def batch_run(
@@ -394,13 +319,7 @@ def batch_run(
         try:
             return run_episode(question, cfg, resolve(i), idx)
         except GeneratorError as exc:
-            return Episode(
-                state=EpisodeState(question=question, max_rounds=cfg.max_rounds),
-                steps=[],
-                final_answer="",
-                status="generator_failure",
-                failure=str(exc),
-            )
+            return Episode(question=question, status="generator_failure", failure=str(exc))
 
     if parallelism == 1 or len(questions) <= 1:
         return [one(i, q) for i, q in enumerate(questions)]
@@ -414,7 +333,7 @@ def episode_record(
     """Transcript line for one episode (stable field order)."""
     record = {
         "id": qid,
-        "question": episode.state.question,
+        "question": episode.question,
         "status": episode.status,
         "failure": episode.failure,
         "control_sequence": episode.control_names(),

@@ -269,8 +269,11 @@ def sample_record(sample: SupervisionSample, split: Split) -> dict:
     }
 
 
-def export_dataset(samples: list[SupervisionSample], split: Split, path: str) -> int:
-    """Write samples (ordered by question id) plus a per-kind summary sidecar."""
+def export_dataset(samples: list[SupervisionSample], split: Split, path: str) -> dict:
+    """Write samples (ordered by question id) plus a per-kind summary sidecar.
+
+    Returns the summary: {"split", "total", "counts" per kind}.
+    """
     ordered = sorted(samples, key=lambda s: s.qid)
     with open(path, "w", encoding="utf-8") as fh:
         for sample in ordered:
@@ -282,4 +285,4 @@ def export_dataset(samples: list[SupervisionSample], split: Split, path: str) ->
     with open(path + ".summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    return len(ordered)
+    return summary

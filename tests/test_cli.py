@@ -333,6 +333,18 @@ class TestSuperviseCmd:
         assert summary["skipped"] == 1
         assert summary["counts"]["gamma"] == 0
 
+    def test_model_failure_skips_only_its_question(self, tmp_path, capsys):
+        scripts = [dict(s) for s in SUPERVISE_SCRIPTS]
+        scripts[1] = dict(scripts[1], probe_turns=["probably berlin today"])
+        code, out_dir = self.run_supervise(tmp_path, scripts, "sup3")
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "skipping s2" in captured.err
+        summary = json.loads(captured.out.strip().splitlines()[-1])
+        assert summary["skipped"] == 1 and summary["written"] == 3
+        ids = [json.loads(line)["id"] for line in (out_dir / "sft.jsonl").read_text().splitlines()]
+        assert ids == ["s1", "s3", "s4"]
+
     def test_rerun_identical(self, tmp_path):
         _, out1 = self.run_supervise(tmp_path, SUPERVISE_SCRIPTS, "supA")
         _, out2 = self.run_supervise(tmp_path, SUPERVISE_SCRIPTS, "supB")
@@ -452,6 +464,26 @@ def _dataset_scalar_line(tmp_path):
     return ["score", "--predictions", preds, "--dataset", str(path)]
 
 
+def _predictions(tmp_path, text):
+    path = tmp_path / "bad_preds.jsonl"
+    path.write_text(text)
+    return ["score", "--predictions", str(path), "--dataset", str(tmp_path / "dataset.jsonl")]
+
+
+def _replay_scripts(tmp_path, text):
+    path = tmp_path / "bad_scripts.jsonl"
+    path.write_text(text)
+    return ["run", "--dataset", str(tmp_path / "dataset.jsonl"), "--scripts", str(path),
+            "--out-dir", str(tmp_path / "o")]
+
+
+def _probe_scripts(tmp_path, text):
+    path = tmp_path / "bad_probes.jsonl"
+    path.write_text(text)
+    return ["supervise", "--questions", str(tmp_path / "dataset.jsonl"), "--scripts", str(path),
+            "--out-dir", str(tmp_path / "o")]
+
+
 def _reward_samples(tmp_path, text):
     path = tmp_path / "bad_samples.jsonl"
     path.write_text(text)
@@ -471,9 +503,20 @@ def _reward_samples(tmp_path, text):
          ["bad_samples.jsonl:1", "id"]),
         (lambda tmp: _reward_samples(tmp, '{"id": "r1"}\n\n[1, 2]\n'),
          ["bad_samples.jsonl:3", "JSON object"]),
+        (lambda tmp: _predictions(tmp, '{"id": "q1", "prediction": "a"}\n{"prediction": "a"}\n'),
+         ["bad_preds.jsonl:2", "id"]),
+        (lambda tmp: _predictions(tmp, "5\n"), ["bad_preds.jsonl:1", "JSON object"]),
+        (lambda tmp: _replay_scripts(tmp, "5\n"), ["bad_scripts.jsonl:1", "JSON object"]),
+        (lambda tmp: _replay_scripts(tmp, '{"id": "q1", "turns": "[ANSWER] a [SOLVED]"}\n'),
+         ["bad_scripts.jsonl:1", "turns"]),
+        (lambda tmp: _probe_scripts(tmp, "5\n"), ["bad_probes.jsonl:1", "JSON object"]),
+        (lambda tmp: _probe_scripts(tmp, '{"id": "q1", "probe_turns": 5}\n'),
+         ["bad_probes.jsonl:1", "probe_turns"]),
     ],
     ids=["index_without_passages", "passage_without_text", "transcript_without_rounds",
-         "dataset_line_not_object", "sample_without_id", "sample_line_not_object"],
+         "dataset_line_not_object", "sample_without_id", "sample_line_not_object",
+         "prediction_without_id", "prediction_line_not_object", "replay_script_not_object",
+         "replay_turns_not_list", "probe_script_not_object", "probe_turns_not_list"],
 )
 def test_malformed_input_file_is_one_error_line(workspace, capsys, make_argv, names):
     code = main(make_argv(workspace["root"]))

@@ -27,7 +27,7 @@ from planrag.metrics import (
     score_row,
     token_f1,
 )
-from planrag.planner import Episode, EpisodeState, RetrievalRound
+from planrag.planner import Episode, RetrievalRound
 
 MIN = NormalizationMode.MINIMAL
 SQUAD = NormalizationMode.SQUAD_STYLE
@@ -332,8 +332,7 @@ def make_episode(rounds: list[list[str]], answer="x") -> Episode:
             for i, text in enumerate(texts)
         ]
         memory.append(RetrievalRound(query=f"q{qn}", results=results))
-    state = EpisodeState(question="q", max_rounds=3, memory=memory, rounds_used=len(memory))
-    return Episode(state=state, steps=[], final_answer=answer, status="completed")
+    return Episode(question="q", memory=memory, final_answer=answer)
 
 
 class TestPresenceAndStats:

@@ -16,15 +16,13 @@ from planrag.generator import (
 from planrag.planner import (
     BudgetExhaustedError,
     EmptyQueryError,
-    EpisodeState,
+    Episode,
     FallbackPolicy,
     MissingIndexError,
-    NotAtBudgetError,
     PlannerConfig,
     batch_run,
     build_context,
     episode_record,
-    force_finalize,
     handle_retrieve,
     read_turn,
     run_episode,
@@ -196,6 +194,54 @@ class TestRunEpisode:
             assert ep.rounds_used == target == len(ep.memory)
 
 
+APPEND, FORCE = FallbackPolicy.APPEND_FALLBACK_MESSAGE, FallbackPolicy.FORCE_FINALIZE
+EMPTY_QUERY_TURN = "[INTERMEDIARY] hmm [RETRIEVE]    "
+REPEATED = "repeated anomalous turn: "
+
+
+@pytest.mark.parametrize(
+    "turns, budget, policy, status, failure, notes, rounds",
+    [
+        ([ANSWER_TURN], 3, APPEND, "completed", None, [], 0),
+        (["[ANSWER] Paris"], 3, APPEND, "completed", None,
+         ["answer without Solved at end of turn"], 0),
+        (["[ANSWER] Paris [SOLVED] more"], 3, APPEND, "completed", None,
+         ["turn truncated after Solved"], 0),
+        ([RETRIEVE_TURN + " [ANSWER] x", ANSWER_TURN], 3, APPEND, "completed", None,
+         ["turn truncated after retrieval query"], 1),
+        ([RETRIEVE_TURN], 0, FORCE, "budget_zero_retrieve",
+         "generator retrieved with a zero retrieval budget",
+         ["retrieve emitted in zero-budget mode"], 0),
+        ([RETRIEVE_TURN] * 3, 1, APPEND, "malformed",
+         "retrieval requested twice after budget exhaustion",
+         ["retrieve emitted after budget exhaustion"] * 2, 1),
+        ([EMPTY_QUERY_TURN] * 2, 3, APPEND, "malformed", REPEATED + "empty retrieval query",
+         ["empty retrieval query"] * 2, 0),
+        ([EMPTY_QUERY_TURN, "[SOLVED]", ANSWER_TURN], 3, APPEND, "malformed",
+         REPEATED + "Solved without Answer", ["empty retrieval query", "Solved without Answer"], 0),
+        # under FORCE_FINALIZE an empty query forces finalization and leaves the repair
+        ([EMPTY_QUERY_TURN, "[SOLVED]", ANSWER_TURN], 3, FORCE, "completed", None,
+         ["empty retrieval query", "Solved without Answer"], 0),
+        # a malformed turn is repaired, not forced: the next retrieval still runs
+        (["[SOLVED]", RETRIEVE_TURN, ANSWER_TURN], 3, FORCE, "completed", None,
+         ["Solved without Answer"], 1),
+        (["plain", RETRIEVE_TURN, ANSWER_TURN], 3, FORCE, "completed", None,
+         ["turn was plain", "retrieve emitted after budget exhaustion"], 0),
+        (["[INTERMEDIARY] x", "plain", "plain"], 3, FORCE, "malformed",
+         REPEATED + "turn was plain",
+         ["turn was bare intermediary", "turn was plain", "turn was plain"], 0),
+        (["plain", "[INTERMEDIARY] x"], 3, APPEND, "malformed",
+         REPEATED + "turn was bare intermediary", ["turn was plain", "turn was bare intermediary"], 0),
+    ],
+)
+def test_run_episode_exits(tiny_index, turns, budget, policy, status, failure, notes, rounds):
+    cfg = PlannerConfig(max_rounds=budget, fallback_policy=policy)
+    ep = run_episode("q?", cfg, ReplayGenerator(turns), tiny_index)
+    assert (ep.status, ep.failure, episode_record(ep, "q")["notes"], ep.rounds_used) == (
+        status, failure, notes, rounds
+    )
+
+
 class TestBudgetSafety:
     @pytest.mark.parametrize("budget", [0, 1, 3, 5])
     def test_hard_cap(self, tiny_index, budget):
@@ -217,42 +263,41 @@ class TestBudgetSafety:
 
 class TestOps:
     def test_handle_retrieve_counts(self, tiny_index):
-        state = EpisodeState(question="q", max_rounds=3)
+        ep = Episode(question="q")
         for expected in (1, 2, 3):
-            handle_retrieve(state, "paris", tiny_index, 2)
-            assert state.rounds_used == expected == len(state.memory)
+            handle_retrieve(ep, "paris", tiny_index, PlannerConfig(top_k=2))
+            assert ep.rounds_used == expected
         with pytest.raises(BudgetExhaustedError):
-            handle_retrieve(state, "paris", tiny_index, 2)
+            handle_retrieve(ep, "paris", tiny_index, PlannerConfig(top_k=2))
 
     def test_handle_retrieve_empty_query(self, tiny_index):
-        state = EpisodeState(question="q", max_rounds=3)
         with pytest.raises(EmptyQueryError):
-            handle_retrieve(state, "   ", tiny_index, 2)
+            handle_retrieve(Episode(question="q"), "   ", tiny_index, PlannerConfig())
 
     def test_force_finalize_at_budget(self, tiny_index):
-        state = EpisodeState(question="q", max_rounds=1)
-        handle_retrieve(state, "paris", tiny_index, 2)
-        ctx = force_finalize(state, PlannerConfig(max_rounds=1))
-        assert ctx.finalize_required
-        assert len(ctx.evidence_blocks) == 1
+        # the turn after the last allowed retrieval demands finalization
+        # and carries that retrieval's evidence
+        gen = AdaptiveRetriever(target_rounds=99)
+        ep = run_episode("q?", PlannerConfig(max_rounds=1, top_k=2), gen, tiny_index)
+        assert gen.finalize_contexts == [1]
+        assert [s.finalize for s in ep.steps] == [False, True]
 
-    def test_force_finalize_not_at_budget(self):
-        state = EpisodeState(question="q", max_rounds=3, rounds_used=1)
-        with pytest.raises(NotAtBudgetError):
-            force_finalize(state, PlannerConfig(max_rounds=3))
-
-    def test_force_finalize_zero_budget(self):
-        state = EpisodeState(question="q", max_rounds=0)
-        ctx = force_finalize(state, PlannerConfig(max_rounds=0))
-        assert ctx.finalize_required
+    def test_force_finalize_zero_budget(self, tiny_index):
+        gen = AdaptiveRetriever(target_rounds=99)
+        ep = run_episode("q?", PlannerConfig(max_rounds=0), gen, tiny_index)
+        assert gen.finalize_contexts == [0]
+        assert [s.finalize for s in ep.steps] == [True]
 
     def test_build_context_mirrors_state(self, tiny_index):
-        state = EpisodeState(question="q", max_rounds=3)
-        handle_retrieve(state, "paris", tiny_index, 2)
-        ctx = build_context(state, PlannerConfig(), finalize_required=False)
-        assert ctx.question == "q"
-        assert [b.query for b in ctx.evidence_blocks] == ["paris"]
-        assert len(ctx.evidence_blocks[0].passages) == 2
+        ep = Episode(question="q")
+        assert build_context(ep, PlannerConfig(max_rounds=0), True).evidence_blocks == ()
+        handle_retrieve(ep, "paris", tiny_index, PlannerConfig(top_k=2))
+        for finalize in (False, True):
+            ctx = build_context(ep, PlannerConfig(), finalize_required=finalize)
+            assert ctx.finalize_required is finalize
+            assert ctx.question == "q"
+            assert [b.query for b in ctx.evidence_blocks] == ["paris"]
+            assert len(ctx.evidence_blocks[0].passages) == 2
 
 
 def replay_factory(scripts):
@@ -333,5 +378,5 @@ def test_batch_run_invariants_under_arbitrary_turns(
     )
     assert len(episodes) == len(scripts)
     for ep in episodes:
-        assert ep.rounds_used == len(ep.memory) <= max_rounds
+        assert ep.rounds_used <= max_rounds
         assert ep.status in ("completed", "malformed", "budget_zero_retrieve", "generator_failure")

@@ -225,14 +225,14 @@ class TestExport:
 
     def test_counts_one_of_each(self, tmp_path):
         path = tmp_path / "sft.jsonl"
-        written = export_dataset(self.build_four(), Split.SFT, str(path))
-        assert written == 4
-        summary = json.loads((tmp_path / "sft.jsonl.summary.json").read_text())
+        summary = export_dataset(self.build_four(), Split.SFT, str(path))
+        assert summary["total"] == 4
         assert summary["counts"] == {"alpha": 1, "beta": 1, "gamma": 1, "theta": 1}
+        assert json.loads((tmp_path / "sft.jsonl.summary.json").read_text()) == summary
 
     def test_empty_export(self, tmp_path):
         path = tmp_path / "rl.jsonl"
-        assert export_dataset([], Split.RL, str(path)) == 0
+        assert export_dataset([], Split.RL, str(path))["total"] == 0
         assert path.read_text() == ""
         summary = json.loads((tmp_path / "rl.jsonl.summary.json").read_text())
         assert summary["total"] == 0
