@@ -9,7 +9,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import records
+
 FORMAT_VERSION = 1
+
+# a corpus line and a passage of an index file: {id, title?, text}
+_PASSAGE = {"text": str}, {"title": str}
 
 _TERM_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -26,8 +31,7 @@ class OrdinalOutOfRangeError(IndexError):
     pass
 
 
-class IndexFormatError(ValueError):
-    pass
+IndexFormatError = records.RecordFormatError
 
 
 @dataclass(frozen=True)
@@ -186,21 +190,13 @@ def build_index(
 
 def load_corpus(path: str) -> list[Passage]:
     """Read a line-delimited corpus: one JSON record {id, title?, text} per line."""
-    passages = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IndexFormatError(f"{path}:{lineno}: bad corpus record") from exc
-            if not isinstance(rec, dict) or "id" not in rec or not rec.get("text"):
-                raise IndexFormatError(f"{path}:{lineno}: record needs id and non-empty text")
-            passages.append(
-                Passage(id=str(rec["id"]), title=rec.get("title", ""), text=rec["text"])
-            )
+    passages = [
+        Passage(id=rec["id"], title=rec.get("title", ""), text=rec["text"])
+        for rec in records.read_jsonl(path, "corpus", *_PASSAGE)
+    ]
+    empty = next((p.id for p in passages if not p.text), None)
+    if empty is not None:
+        raise IndexFormatError(f"{path}: corpus record {empty} needs non-empty text")
     return passages
 
 
@@ -234,8 +230,8 @@ def load_index(path: str) -> PassageIndex:
         raise IndexFormatError(f"{path}: needs a passages list and numeric k1 and b")
     passages = []
     for n, p in enumerate(entries):
-        fields = [p.get("id"), p.get("title", ""), p.get("text")] if isinstance(p, dict) else [None]
-        if not all(isinstance(f, str) for f in fields):
-            raise IndexFormatError(f"{path}: passage {n} needs string id, title and text")
-        passages.append(Passage(*fields))
+        problem = records.check(p, *_PASSAGE)
+        if problem:
+            raise IndexFormatError(f"{path}: passage {n} {problem}")
+        passages.append(Passage(str(p["id"]), p.get("title", ""), p["text"]))
     return build_index(passages, k1=k1, b=b)

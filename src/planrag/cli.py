@@ -86,16 +86,10 @@ def _mode(args, config) -> NormalizationMode:
 
 
 def _planner_config(args, config) -> PlannerConfig:
-    policy = {
-        "append": FallbackPolicy.APPEND_FALLBACK_MESSAGE,
-        "finalize": FallbackPolicy.FORCE_FINALIZE,
-    }.get(_resolve(args, config, "fallback"))
-    if policy is None:
-        raise CliError("fallback must be 'append' or 'finalize'")
     return PlannerConfig(
         max_rounds=int(_resolve(args, config, "budget")),
         top_k=int(_resolve(args, config, "top_k")),
-        fallback_policy=policy,
+        fallback_policy=FallbackPolicy(_resolve(args, config, "fallback")),
     )
 
 
@@ -109,22 +103,12 @@ def _generator_factory(rows: list[dict], args, config):
     return lambda i: shared
 
 
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def _read_scripts(path: str, rows: list[dict], what: str, fields: tuple[str, ...]) -> dict:
     """Script records by id, one for every row; absent ``fields`` read as empty lists."""
-    scripts = {}
-    for lineno, rec in records.iter_jsonl(path):
-        if not (
-            isinstance(rec, dict) and "id" in rec and all(_strings(rec.get(f, [])) for f in fields)
-        ):
-            raise CliError(
-                f"{path}:{lineno}: {what} script must be a JSON object with an id and "
-                f"{' and '.join(fields)} as lists of strings"
-            )
-        scripts[str(rec["id"])] = rec
+    scripts = {
+        rec["id"]: rec
+        for rec in records.read_jsonl(path, f"{what} script", {}, dict.fromkeys(fields, list))
+    }
     missing = [row["id"] for row in rows if row["id"] not in scripts]
     if missing:
         raise CliError(f"no {what} script for ids: {', '.join(missing[:5])}")
@@ -327,18 +311,8 @@ def _subset_match(atoms, rounds_a: int, rounds_b: int) -> bool:
 
 def _read_transcripts(path: str) -> dict:
     """Transcript records by id, each checked for the fields compare reads."""
-    side = {}
-    for n, rec in enumerate(records.read_jsonl(path), 1):
-        qid = rec.get("id") if isinstance(rec, dict) else None
-        if qid is None or not (
-            isinstance(rec.get("rounds_used"), int) and isinstance(rec.get("final_answer"), str)
-        ):
-            raise CliError(
-                f"{path}: transcript {n} (id {qid}) needs an id, integer rounds_used "
-                "and string final_answer"
-            )
-        side[qid] = rec
-    return side
+    shape = {"rounds_used": int, "final_answer": str}
+    return {rec["id"]: rec for rec in records.read_jsonl(path, "transcript", shape, {})}
 
 
 def cmd_compare(args) -> int:
@@ -421,11 +395,10 @@ def cmd_supervise(args) -> int:
             kind = classify(parametric, retrieval)
             teacher_query = None
             if kind is SupervisionKind.GAMMA:
-                hits = idx.search(row["question"], top_k) if idx is not None else []
                 teacher_query = teacher_followup_query(
                     row["question"],
                     retrieval.attempts[0].answer,
-                    [h.passage for h in hits],
+                    list(retrieval.passages),
                     teacher,
                 )
         except (GeneratorError, TeacherFailureError, EmptyTeacherQueryError) as exc:
@@ -454,60 +427,44 @@ def cmd_supervise(args) -> int:
 def cmd_reward(args) -> int:
     config = _load_config(args.config)
     budget = int(_resolve(args, config, "budget"))
-    sample_by_id = {}
-    for lineno, rec in records.iter_jsonl(args.samples):
-        refs = rec.get("references", []) if isinstance(rec, dict) else None
-        if not (
-            isinstance(rec, dict)
-            and "id" in rec
-            and isinstance(rec.get("target", ""), str)
-            and _strings(refs)
-        ):
-            raise CliError(
-                f"{args.samples}:{lineno}: sample record must be a JSON object with an id, "
-                "string target and list of string references"
-            )
-        sample_by_id[str(rec["id"])] = SupervisionSample(
-            qid=str(rec["id"]),
+    sample_fields = {"question": str, "kind": str, "target": str, "references": list}
+    sample_by_id = {
+        rec["id"]: SupervisionSample(
+            qid=rec["id"],
             question=rec.get("question", ""),
-            references=refs,
+            references=rec.get("references", []),
             kind=SupervisionKind(rec.get("kind", "alpha")),
             target=parse_trajectory(rec.get("target", "")),
         )
+        for rec in records.read_jsonl(args.samples, "sample", {}, sample_fields)
+    }
     entries = []
     errors = 0
-    with open(args.rollouts, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                qid = str(rec["id"])
-                text = rec["text"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                entries.append({"line": lineno, "error": "malformed rollout record"})
-                errors += 1
-                continue
-            sample = sample_by_id.get(qid)
-            if sample is None:
-                entries.append({"id": qid, "error": "no matching sample id"})
-                errors += 1
-                continue
-            try:
-                breakdown = total_reward(parse_trajectory(text), sample, budget)
-            except ValueError as exc:
-                entries.append({"id": qid, "error": str(exc)})
-                errors += 1
-                continue
-            entries.append(
-                {
-                    "id": qid,
-                    "r_ans": breakdown.r_ans,
-                    "r_ctrl": breakdown.r_ctrl,
-                    "total": breakdown.total,
-                }
-            )
+    for lineno, rec in records.iter_jsonl(args.rollouts):
+        if records.check(rec, {"text": str}, {}):
+            entries.append({"line": lineno, "error": "malformed rollout record"})
+            errors += 1
+            continue
+        qid = str(rec["id"])
+        sample = sample_by_id.get(qid)
+        if sample is None:
+            entries.append({"id": qid, "error": "no matching sample id"})
+            errors += 1
+            continue
+        try:
+            breakdown = total_reward(parse_trajectory(rec["text"]), sample, budget)
+        except ValueError as exc:
+            entries.append({"id": qid, "error": str(exc)})
+            errors += 1
+            continue
+        entries.append(
+            {
+                "id": qid,
+                "r_ans": breakdown.r_ans,
+                "r_ctrl": breakdown.r_ctrl,
+                "total": breakdown.total,
+            }
+        )
     records.write_jsonl(args.out, entries)
     print(f"wrote {len(entries)} reward records ({errors} errors)")
     return 1 if errors else 0
@@ -517,15 +474,10 @@ def cmd_score(args) -> int:
     config = _load_config(args.config)
     mode = _mode(args, config)
     rows = records.load_dataset(args.dataset)
-    preds = {}
-    for lineno, rec in records.iter_jsonl(args.predictions):
-        prediction = rec.get("prediction", "") if isinstance(rec, dict) else None
-        if not (isinstance(rec, dict) and "id" in rec and isinstance(prediction, str)):
-            raise CliError(
-                f"{args.predictions}:{lineno}: prediction record must be a JSON object with an id "
-                "and a string prediction"
-            )
-        preds[str(rec["id"])] = prediction
+    preds = {
+        rec["id"]: rec.get("prediction", "")
+        for rec in records.read_jsonl(args.predictions, "prediction", {}, {"prediction": str})
+    }
     missing = [r["id"] for r in rows if r["id"] not in preds]
     if missing:
         raise CliError(f"predictions missing for ids: {', '.join(missing[:5])}")
@@ -559,32 +511,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.set_defaults(func=cmd_index)
 
+    def episodes(p):
+        """Flags shared by run and sweep."""
+        common(p)
+        p.add_argument("--dataset", required=True)
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--index")
+        p.add_argument("--scripts", help="replay scripts file (one {id, turns} per line)")
+        p.add_argument("--top-k", dest="top_k", type=int)
+        p.add_argument("--parallelism", type=int)
+        p.add_argument("--fallback", choices=[f.value for f in FallbackPolicy])
+        p.add_argument("--name")
+        p.add_argument("--timings", action="store_true")
+
     p = sub.add_parser("run", help="run planning episodes over a dataset")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--index")
-    p.add_argument("--scripts", help="replay scripts file (one {id, turns} per line)")
+    episodes(p)
     p.add_argument("--budget", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--parallelism", type=int)
-    p.add_argument("--fallback", choices=["append", "finalize"])
-    p.add_argument("--name")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="repeat a run across retrieval budgets")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out-dir", required=True)
+    episodes(p)
     p.add_argument("--budgets", required=True, help="comma-separated, e.g. 3,5,7,10")
-    p.add_argument("--index")
-    p.add_argument("--scripts")
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--parallelism", type=int)
-    p.add_argument("--fallback", choices=["append", "finalize"])
-    p.add_argument("--name")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="score two transcript files on a subset")

@@ -44,8 +44,8 @@ FALLBACK_MESSAGE = (
 
 
 class FallbackPolicy(Enum):
-    APPEND_FALLBACK_MESSAGE = "append_fallback_message"
-    FORCE_FINALIZE = "force_finalize"
+    APPEND_FALLBACK_MESSAGE = "append"
+    FORCE_FINALIZE = "finalize"
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -100,7 +100,8 @@ class Episode:
     segments: list[Segment] = field(default_factory=list)
     steps: list[PlanStep] = field(default_factory=list)
     final_answer: str = ""
-    status: str = "completed"  # completed | malformed | budget_zero_retrieve | generator_failure
+    # completed | malformed | budget_zero_retrieve | generator_failure | missing_index
+    status: str = "completed"
     failure: str | None = None
 
     @property
@@ -304,8 +305,8 @@ def batch_run(
     """Run independent episodes, preserving input order in the output.
 
     ``gen`` is either a shared gateway or a factory ``f(position) -> gateway``
-    (replay scripts are per-episode). Per-episode failures are recorded in
-    the corresponding slot, never aborting the batch.
+    (replay scripts are per-episode). A backend failure or a retrieval with no
+    index is recorded in the episode's slot, never aborting the batch.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -319,7 +320,10 @@ def batch_run(
         try:
             return run_episode(question, cfg, resolve(i), idx)
         except GeneratorError as exc:
-            return Episode(question=question, status="generator_failure", failure=str(exc))
+            status, failure = "generator_failure", str(exc)
+        except MissingIndexError as exc:
+            status, failure = "missing_index", str(exc)
+        return Episode(question=question, status=status, failure=failure)
 
     if parallelism == 1 or len(questions) <= 1:
         return [one(i, q) for i, q in enumerate(questions)]

@@ -1,9 +1,16 @@
-"""Line-delimited record I/O shared by the CLI commands."""
+"""Line-delimited record I/O shared by the CLI commands.
+
+Every input file is one JSON object per line with an ``id``. ``check`` is the
+one decision on a record's shape; ``read_jsonl`` applies it to a whole file.
+"""
 
 from __future__ import annotations
 
 import json
 from typing import Any, Iterable, Iterator
+
+# field kind -> how a message names it; ``list`` is a list of strings
+_KINDS = {str: "a string", int: "an integer", list: "a list of strings"}
 
 
 class RecordFormatError(ValueError):
@@ -11,7 +18,7 @@ class RecordFormatError(ValueError):
 
 
 def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
-    """(line number, parsed value) for each non-blank line."""
+    """(line number, parsed value) for each non-blank line; None for a line that is not JSON."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -19,13 +26,56 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordFormatError(f"{path}:{lineno}: invalid record") from exc
+            except json.JSONDecodeError:
+                record = None  # not an object, so it fits no record shape
             yield lineno, record
 
 
-def read_jsonl(path: str) -> list[dict]:
-    return [record for _, record in iter_jsonl(path)]
+def _fits(value: Any, kind: type) -> bool:
+    return type(value) is kind and (kind is not list or all(type(v) is str for v in value))
+
+
+def check(record: Any, required: dict[str, type], optional: dict[str, type]) -> str | None:
+    """None when ``record`` has the shape, else what it must be.
+
+    The shape is a JSON object with a string or integer ``id``, every
+    ``required`` field, and the ``optional`` fields that are present, each of
+    its kind: str, int or list (of strings). Plain loops, not all(): an index
+    file checks every passage on load.
+    """
+    if type(record) is not dict or type(record.get("id")) not in (str, int):
+        return _shape(required, optional)
+    for f, k in required.items():
+        if not _fits(record.get(f), k):
+            return _shape(required, optional)
+    for f, k in optional.items():
+        if f in record and not _fits(record[f], k):
+            return _shape(required, optional)
+    return None
+
+
+def _shape(required: dict[str, type], optional: dict[str, type]) -> str:
+    fields = [f"{f} as {_KINDS[k]}" for f, k in required.items()]
+    fields += [f"optional {f} as {_KINDS[k]}" for f, k in optional.items()]
+    return "must be a JSON object with a string or integer id" + "".join(", " + f for f in fields)
+
+
+def read_jsonl(
+    path: str, what: str, required: dict[str, type], optional: dict[str, type]
+) -> list[dict]:
+    """Every record of a file, each checked, with its id turned into a string.
+
+    The first record that does not fit raises RecordFormatError
+    ``<path>:<line>: <what> record must be ...``.
+    """
+    rows = []
+    for lineno, record in iter_jsonl(path):
+        problem = check(record, required, optional)
+        if problem:
+            raise RecordFormatError(f"{path}:{lineno}: {what} record {problem}")
+        record["id"] = str(record["id"])
+        rows.append(record)
+    return rows
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> int:
@@ -39,14 +89,10 @@ def write_jsonl(path: str, records: Iterable[dict]) -> int:
 
 def load_dataset(path: str) -> list[dict]:
     """Questions file: one {id, question, answers[]} record per line."""
-    rows = read_jsonl(path)
-    for i, row in enumerate(rows, 1):
-        if not isinstance(row, dict):
-            raise RecordFormatError(f"{path}: record {i} must be a JSON object")
-        if "id" not in row or "question" not in row:
-            raise RecordFormatError(f"{path}: record {i} needs id and question")
-        answers = row.get("answers")
-        if not isinstance(answers, list) or not answers:
-            raise RecordFormatError(f"{path}: record {i} needs a non-empty answers list")
-        row["id"] = str(row["id"])
+    rows = read_jsonl(path, "dataset", {"question": str, "answers": list}, {})
+    for row in rows:
+        if not row["answers"]:
+            raise RecordFormatError(
+                f"{path}: dataset record {row['id']} needs a non-empty answers list"
+            )
     return rows

@@ -71,7 +71,11 @@ class ProbeAttempt:
 class ProbeOutcome:
     attempts: tuple[ProbeAttempt, ...]
     with_retrieval: bool
-    passages_used: tuple[str, ...] = ()
+    passages: tuple[Passage, ...] = ()
+
+    @property
+    def passages_used(self) -> tuple[str, ...]:
+        return tuple(p.id for p in self.passages)
 
 
 @dataclass
@@ -139,7 +143,7 @@ def probe_retrieval(
     return ProbeOutcome(
         attempts=(_attempt(_extract_answer(emission.text), refs, mode),),
         with_retrieval=True,
-        passages_used=tuple(p.id for p in passages),
+        passages=tuple(passages),
     )
 
 

@@ -124,6 +124,25 @@ class TestRunCmd:
             )
         assert len(set(outputs)) == 1
 
+    @pytest.mark.parametrize("command, sub_dir", [(["run"], ""), (["sweep", "--budgets", "3"], "b3")])
+    def test_missing_index_recorded_per_episode(self, workspace, tmp_path, capsys, command, sub_dir):
+        dataset = write_jsonl(tmp_path / "two.jsonl", DATASET[:2])
+        out_dir = tmp_path / "no-index"
+        code = main([*command, "--dataset", dataset, "--scripts", workspace["scripts"],
+                     "--out-dir", str(out_dir)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        transcripts = [
+            json.loads(line)
+            for line in (out_dir / sub_dir / "transcripts.jsonl").read_text().splitlines()
+        ]
+        assert [(t["id"], t["status"]) for t in transcripts] == [
+            ("q1", "completed"), ("q2", "missing_index")
+        ]
+        assert transcripts[0]["final_answer"] == "Paris"
+        assert "no index" in transcripts[1]["failure"]
+        assert (out_dir / sub_dir / "report.json").exists()
+
     def test_empty_dataset(self, workspace, tmp_path):
         empty = write_jsonl(tmp_path / "empty.jsonl", [])
         out_dir = workspace["root"] / "empty-run"
@@ -173,6 +192,15 @@ class TestRunCmd:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["run"]["budget"] == 3  # flag wins
         assert report["run"]["top_k"] == 2  # config wins over default
+
+    def test_config_fallback_not_a_policy(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fallback": "force_finalize"}))
+        code = main(["run", "--dataset", workspace["dataset"], "--scripts", workspace["scripts"],
+                     "--out-dir", str(tmp_path / "o"), "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "force_finalize" in err
 
 
 class TestSweepCmd:
@@ -413,6 +441,15 @@ class TestRewardCmd:
         assert "error" in entries[1]
         assert entries[2]["r_ctrl"] == -0.5
 
+    def test_rollout_text_not_string(self, tmp_path, capsys):
+        samples = self.make_samples(tmp_path)
+        rollouts = write_jsonl(tmp_path / "rollouts.jsonl", [{"id": "r1", "text": 5}])
+        out = tmp_path / "rewards.jsonl"
+        assert main(["reward", "--rollouts", rollouts, "--samples", samples,
+                     "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(out.read_text()) == {"line": 1, "error": "malformed rollout record"}
+
     def test_empty_rollouts(self, tmp_path):
         samples = self.make_samples(tmp_path)
         rollouts = tmp_path / "rollouts.jsonl"
@@ -464,6 +501,17 @@ def _dataset_scalar_line(tmp_path):
     return ["score", "--predictions", preds, "--dataset", str(path)]
 
 
+def _dataset(tmp_path, row):
+    path = write_jsonl(tmp_path / "bad_dataset.jsonl", [row])
+    return ["run", "--dataset", path, "--scripts", str(tmp_path / "scripts.jsonl"),
+            "--out-dir", str(tmp_path / "o")]
+
+
+def _corpus_title_not_string(tmp_path):
+    path = write_jsonl(tmp_path / "bad_corpus.jsonl", [CORPUS[0], {**CORPUS[1], "title": 5}])
+    return ["index", "--corpus", path, "--out", str(tmp_path / "i.json")]
+
+
 def _predictions(tmp_path, text):
     path = tmp_path / "bad_preds.jsonl"
     path.write_text(text)
@@ -497,8 +545,13 @@ def _reward_samples(tmp_path, text):
     [
         (lambda tmp: _index_file(tmp, {}), ["bad_index.json", "passages"]),
         (lambda tmp: _index_file(tmp, {"passages": [{"id": "p1"}]}), ["passage 0"]),
-        (_transcripts_without_rounds, ["no_rounds.jsonl", "q1"]),
-        (_dataset_scalar_line, ["scalar.jsonl", "record 2", "JSON object"]),
+        (_transcripts_without_rounds, ["no_rounds.jsonl:1", "rounds_used"]),
+        (_dataset_scalar_line, ["scalar.jsonl:2", "JSON object"]),
+        (lambda tmp: _dataset(tmp, {"id": "q1", "question": "q?", "answers": [5]}),
+         ["bad_dataset.jsonl:1", "answers"]),
+        (lambda tmp: _dataset(tmp, {"id": "q1", "question": 5, "answers": ["a"]}),
+         ["bad_dataset.jsonl:1", "question"]),
+        (_corpus_title_not_string, ["bad_corpus.jsonl:2", "title"]),
         (lambda tmp: _reward_samples(tmp, '{"question": "q", "target": "[SOLVED]"}\n'),
          ["bad_samples.jsonl:1", "id"]),
         (lambda tmp: _reward_samples(tmp, '{"id": "r1"}\n\n[1, 2]\n'),
@@ -514,7 +567,8 @@ def _reward_samples(tmp_path, text):
          ["bad_probes.jsonl:1", "probe_turns"]),
     ],
     ids=["index_without_passages", "passage_without_text", "transcript_without_rounds",
-         "dataset_line_not_object", "sample_without_id", "sample_line_not_object",
+         "dataset_line_not_object", "dataset_answer_not_string", "dataset_question_not_string",
+         "corpus_title_not_string", "sample_without_id", "sample_line_not_object",
          "prediction_without_id", "prediction_line_not_object", "replay_script_not_object",
          "replay_turns_not_list", "probe_script_not_object", "probe_turns_not_list"],
 )
