@@ -5,13 +5,24 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
+import os
 import re
+import sys
+from array import array
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate, chain
+from typing import Iterable, Sequence
 
 from . import records
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# the flat arrays after a format_version 2 header, in file order, with the
+# typecodes each may have: postings as unsigned integers, norms as float64
+_UNSIGNED = ("B", "H", "I", "Q")
+_ARRAYS = {"offsets": _UNSIGNED, "ordinals": _UNSIGNED, "tfs": _UNSIGNED, "norms": ("d",)}
 
 # a corpus line and a passage of an index file: {id, title?, text}
 _PASSAGE = {"text": str}, {"title": str}
@@ -53,13 +64,54 @@ def tokenize(text: str) -> list[str]:
     return _TERM_RE.findall(text.lower())
 
 
+class _Postings(Mapping):
+    """term -> {ordinal: tf} over the flat arrays of a loaded index file.
+
+    Term i's postings are ordinals[offsets[i]:offsets[i + 1]] with their term
+    frequencies at the same places in tfs. Its dict is built from that slice on
+    first use and cached. Threads sharing an index may both build one term's
+    dict; each builds its own and publishes it with one assignment, so no
+    reader sees a dict half built.
+    """
+
+    def __init__(
+        self, slots: dict[str, int], offsets: array, ordinals: array, tfs: array, doc_count: int
+    ):
+        self._slots = slots  # term -> its position in the term list
+        self._offsets, self._ordinals, self._tfs = offsets, ordinals, tfs
+        # one int object per ordinal, the key in every dict, as in a built index:
+        # search looks an ordinal from one posting up in the others, and a key of
+        # the same object matches without a value comparison
+        self._keys = list(range(doc_count))
+        self._built: dict[str, dict[int, int]] = {}
+
+    def __getitem__(self, term: str) -> dict[int, int]:
+        posting = self._built.get(term)
+        if posting is None:
+            i = self._slots[term]
+            lo, hi = self._offsets[i], self._offsets[i + 1]
+            keys = map(self._keys.__getitem__, self._ordinals[lo:hi])
+            posting = dict(zip(keys, self._tfs[lo:hi]))
+            self._built[term] = posting
+        return posting
+
+    def __contains__(self, term: object) -> bool:
+        return term in self._slots
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+
 @dataclass
 class PassageIndex:
     """Inverted index with BM25 statistics over an immutable passage corpus."""
 
     passages: list[Passage]
-    postings: dict[str, dict[int, int]]  # term -> ordinal -> term frequency
-    norms: list[float]  # ordinal -> k1 * (1 - b + b * length / avg_doc_length)
+    postings: Mapping[str, dict[int, int]]  # term -> ordinal -> term frequency
+    norms: Sequence[float]  # ordinal -> k1 * (1 - b + b * length / avg_doc_length)
     avg_doc_length: float
     k1: float
     b: float
@@ -68,11 +120,9 @@ class PassageIndex:
     def doc_count(self) -> int:
         return len(self.passages)
 
-    def _idf(self, term: str) -> float:
-        # non-negative variant: ln((N - df + 0.5) / (df + 0.5) + 1)
-        df = len(self.postings.get(term, ()))
-        if df == 0:
-            return 0.0
+    def _idf(self, df: int) -> float:
+        # non-negative variant: ln((N - df + 0.5) / (df + 0.5) + 1); df is the
+        # length of a posting the caller already holds, never 0
         n = self.doc_count
         return math.log((n - df + 0.5) / (df + 0.5) + 1)
 
@@ -84,10 +134,11 @@ class PassageIndex:
         total = 0.0
         # sorted unique terms keep float accumulation order canonical
         for term in sorted(set(query_terms)):
-            tf = self.postings.get(term, {}).get(ordinal, 0)
+            posting = self.postings.get(term, {})
+            tf = posting.get(ordinal, 0)
             if tf == 0:
                 continue
-            total += self._idf(term) * tf * (self.k1 + 1) / (tf + norm)
+            total += self._idf(len(posting)) * tf * (self.k1 + 1) / (tf + norm)
         return total
 
     def search(self, query: str, k: int) -> list[RetrievedPassage]:
@@ -107,11 +158,8 @@ class PassageIndex:
         if k < 1:
             raise ValueError("k must be >= 1")
         k1p = self.k1 + 1
-        terms = [
-            (self.postings[t], self._idf(t))
-            for t in sorted(set(tokenize(query)))
-            if t in self.postings
-        ]
+        postings = [self.postings[t] for t in sorted(set(tokenize(query))) if t in self.postings]
+        terms = [(posting, self._idf(len(posting))) for posting in postings]
         visits = sorted(terms, key=lambda term: -term[1])
         bounds = [idf * k1p for _, idf in visits]
         # tails[i]: sum of the bounds of the terms visited after visits[i]
@@ -171,8 +219,11 @@ def build_index(
         terms = tokenize(passage.title + " " + passage.text)
         doc_lengths.append(len(terms))
         for term in terms:
-            postings.setdefault(term, {})
-            postings[term][ordinal] = postings[term].get(ordinal, 0) + 1
+            posting = postings.get(term)
+            if posting is None:
+                postings[term] = {ordinal: 1}
+            else:
+                posting[ordinal] = posting.get(ordinal, 0) + 1
     if not passages:
         raise EmptyCorpusError("cannot build an index over an empty corpus")
     avg_len = sum(doc_lengths) / len(doc_lengths)
@@ -200,38 +251,135 @@ def load_corpus(path: str) -> list[Passage]:
     return passages
 
 
+def _packed(values: list[int]) -> array:
+    """The values in the narrowest unsigned typecode that holds them."""
+    top = max(values, default=0)
+    return array(next(c for c in _UNSIGNED if top < 1 << 8 * array(c).itemsize), values)
+
+
 def save_index(index: PassageIndex, path: str) -> None:
-    payload = {
+    """Write a format_version 2 file: one JSON header line, then four flat arrays.
+
+    The header holds k1, b, avg_doc_length, the passages, the terms in postings
+    order, the byte order and each array's typecode and item count. The arrays
+    follow in _ARRAYS order: term offsets, ordinals, term frequencies, norms.
+    """
+    postings = index.postings.values()
+    # one flat list at a time, each packed and dropped before the next
+    arrays = {
+        "offsets": _packed(list(accumulate(map(len, postings), initial=0))),
+        "ordinals": _packed(list(chain.from_iterable(postings))),
+        "tfs": _packed(list(chain.from_iterable(map(dict.values, postings)))),
+        "norms": array("d", index.norms),
+    }
+    header = {
         "format_version": FORMAT_VERSION,
         "k1": index.k1,
         "b": index.b,
+        "avg_doc_length": index.avg_doc_length,
         "passages": [
             {"id": p.id, "title": p.title, "text": p.text} for p in index.passages
         ],
+        "terms": list(index.postings),
+        "byteorder": sys.byteorder,
+        "arrays": {name: [a.typecode, len(a)] for name, a in arrays.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(header, fh)  # streamed, so the passages never sit in memory as one string
+        fh.write("\n")
+        fh.flush()
+        for a in arrays.values():
+            a.tofile(fh.buffer)
 
 
 def load_index(path: str) -> PassageIndex:
-    """Rebuild the index from its persisted corpus; observationally identical."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise IndexFormatError(f"{path}: not a readable index file") from exc
-    if not isinstance(payload, dict) or payload.get("format_version") != FORMAT_VERSION:
-        raise IndexFormatError(
-            f"{path}: expected format_version {FORMAT_VERSION}, "
-            f"got {payload.get('format_version') if isinstance(payload, dict) else type(payload).__name__}"
-        )
-    entries, k1, b = payload.get("passages"), payload.get("k1"), payload.get("b")
-    if not isinstance(entries, list) or not all(isinstance(v, (int, float)) for v in (k1, b)):
-        raise IndexFormatError(f"{path}: needs a passages list and numeric k1 and b")
+    """Read an index file.
+
+    A format_version 2 file is read as it was saved, without tokenizing, and
+    each term's postings dict is built on first use. A format_version 1 file
+    holds only k1, b and the passages, which are indexed again.
+    """
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise IndexFormatError(f"{path}: not a readable index file") from exc
+        version = header.get("format_version") if type(header) is dict else type(header).__name__
+        _need(version in (1, FORMAT_VERSION), path,
+              f"expected format_version 1 or {FORMAT_VERSION}, got {version}")
+        k1, b = header.get("k1"), header.get("b")
+        _need(type(k1) in (int, float) and type(b) in (int, float), path, "needs numeric k1 and b")
+        passages = _passages(path, header.get("passages"))
+        if version == 1:
+            return build_index(passages, k1=k1, b=b)
+        offsets, ordinals, tfs, norms = _read_arrays(path, fh, header)
+    terms, avg, n = header.get("terms"), header.get("avg_doc_length"), len(passages)
+    _need(0 <= k1 < math.inf and 0 <= b <= 1, path, "needs k1 >= 0 and b in [0, 1]")
+    _need(type(avg) in (int, float) and 0 <= avg < math.inf, path, "needs avg_doc_length >= 0")
+    _need(
+        type(terms) is list and all(type(t) is str for t in terms)
+        and len(set(terms)) == len(terms),
+        path, "needs a list of unique string terms",
+    )
+    _need(
+        len(offsets) == len(terms) + 1 and offsets[0] == 0
+        and all(map(operator.lt, offsets, offsets[1:]))
+        and offsets[-1] == len(ordinals) == len(tfs),
+        path, "needs one offset per term and one more, rising from 0 to the posting count",
+    )
+    _need(max(ordinals, default=0) < n, path, "has an ordinal past the passages")
+    _need(min(tfs, default=1) >= 1, path, "has a term frequency below 1")
+    _need(
+        len(norms) == n and all(0 <= norm < math.inf for norm in norms),
+        path, "needs one finite norm >= 0 per passage",
+    )
+    return PassageIndex(
+        passages=passages,
+        postings=_Postings({t: i for i, t in enumerate(terms)}, offsets, ordinals, tfs, n),
+        norms=norms,
+        avg_doc_length=avg,
+        k1=k1,
+        b=b,
+    )
+
+
+def _need(ok: bool, path: str, what: str) -> None:
+    if not ok:
+        raise IndexFormatError(f"{path}: {what}")
+
+
+def _passages(path: str, entries) -> list[Passage]:
+    """The checked passages of an index file: at least one, with unique ids."""
+    _need(type(entries) is list and len(entries) > 0, path, "needs a non-empty passages list")
     passages = []
     for n, p in enumerate(entries):
         problem = records.check(p, *_PASSAGE)
         if problem:
             raise IndexFormatError(f"{path}: passage {n} {problem}")
         passages.append(Passage(str(p["id"]), p.get("title", ""), p["text"]))
-    return build_index(passages, k1=k1, b=b)
+    _need(len({p.id for p in passages}) == len(passages), path, "passage ids are not unique")
+    return passages
+
+
+def _read_arrays(path: str, fh, header: dict) -> list[array]:
+    """The arrays after a format_version 2 header, in _ARRAYS order and native byte order."""
+    specs = header.get("arrays")
+    _need(
+        header.get("byteorder") in ("little", "big")
+        and type(specs) is dict and list(specs) == list(_ARRAYS)
+        and all(
+            type(spec) is list and len(spec) == 2 and spec[0] in _ARRAYS[name]
+            and type(spec[1]) is int and spec[1] >= 0
+            for name, spec in specs.items()
+        ),
+        path, "needs a byteorder and the typecode and count of each of " + ", ".join(_ARRAYS),
+    )
+    arrays = [(array(code), count) for code, count in specs.values()]
+    size = sum(a.itemsize * count for a, count in arrays)
+    rest = os.fstat(fh.fileno()).st_size - fh.tell()
+    _need(rest == size, path, f"holds {rest} bytes of arrays, its header {size}")
+    for a, count in arrays:
+        a.fromfile(fh, count)
+        if header["byteorder"] != sys.byteorder:
+            a.byteswap()
+    return [a for a, _ in arrays]

@@ -60,8 +60,11 @@ class CliError(Exception):
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+    with open(path, "rb") as fh:
+        try:
+            config = json.loads(fh.read().decode("utf-8"))
+        except ValueError:  # not UTF-8 or not JSON
+            config = None
     if not isinstance(config, dict):
         raise CliError(f"{path}: config must be a flat JSON object")
     return config
@@ -77,6 +80,14 @@ def _resolve(args, config: dict, key: str):
     return DEFAULTS.get(key)
 
 
+def _number(args, config: dict, key: str, kind: type[int] | type[float]) -> int | float:
+    """A resolved numeric setting as ``kind``: int, or float (which takes an integer too)."""
+    value = _resolve(args, config, key)
+    if type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise CliError(f"{args.config}: {key} must be {'an integer' if kind is int else 'a number'}")
+
+
 def _mode(args, config) -> NormalizationMode:
     name = _resolve(args, config, "normalization")
     try:
@@ -87,8 +98,8 @@ def _mode(args, config) -> NormalizationMode:
 
 def _planner_config(args, config) -> PlannerConfig:
     return PlannerConfig(
-        max_rounds=int(_resolve(args, config, "budget")),
-        top_k=int(_resolve(args, config, "top_k")),
+        max_rounds=_number(args, config, "budget", int),
+        top_k=_number(args, config, "top_k", int),
         fallback_policy=FallbackPolicy(_resolve(args, config, "fallback")),
     )
 
@@ -125,8 +136,8 @@ def _chat_generator(args, config, role: str = "") -> HttpChatGenerator:
         GeneratorSettings(
             endpoint=endpoint,
             model=model,
-            temperature=float(_resolve(args, config, "temperature")),
-            max_tokens=int(_resolve(args, config, "max_tokens")),
+            temperature=_number(args, config, "temperature", float),
+            max_tokens=_number(args, config, "max_tokens", int),
             auth_env=str(_resolve(args, config, "auth_env")),
         )
     )
@@ -140,7 +151,7 @@ def _run_setup(args, config):
     mode = _mode(args, config)
     factory = _generator_factory(rows, args, config)
     name = args.name or os.path.splitext(os.path.basename(args.dataset))[0]
-    parallelism = int(_resolve(args, config, "parallelism"))
+    parallelism = _number(args, config, "parallelism", int)
     return rows, idx, factory, cfg, mode, name, parallelism
 
 
@@ -205,7 +216,7 @@ def cmd_index(args) -> int:
     config = _load_config(args.config)
     passages = bm25.load_corpus(args.corpus)
     index = bm25.build_index(
-        passages, k1=float(_resolve(args, config, "k1")), b=float(_resolve(args, config, "b"))
+        passages, k1=_number(args, config, "k1", float), b=_number(args, config, "b", float)
     )
     bm25.save_index(index, args.out)
     print(
@@ -371,8 +382,8 @@ def cmd_supervise(args) -> int:
     rows = records.load_dataset(args.questions)
     idx = bm25.load_index(args.index) if args.index else None
     mode = _mode(args, config)
-    attempts_n = int(_resolve(args, config, "attempts"))
-    top_k = int(_resolve(args, config, "top_k"))
+    attempts_n = _number(args, config, "attempts", int)
+    top_k = _number(args, config, "top_k", int)
     split = Split(_resolve(args, config, "split"))
     scripts_path = _resolve(args, config, "scripts")
     scripts = None
@@ -426,8 +437,9 @@ def cmd_supervise(args) -> int:
 
 def cmd_reward(args) -> int:
     config = _load_config(args.config)
-    budget = int(_resolve(args, config, "budget"))
-    sample_fields = {"question": str, "kind": str, "target": str, "references": list}
+    budget = _number(args, config, "budget", int)
+    kinds = tuple(k.value for k in SupervisionKind)
+    sample_fields = {"question": str, "kind": kinds, "target": str, "references": list}
     sample_by_id = {
         rec["id"]: SupervisionSample(
             qid=rec["id"],

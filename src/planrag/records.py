@@ -9,8 +9,10 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Iterator
 
-# field kind -> how a message names it; ``list`` is a list of strings
+# field kind -> how a message names it; ``list`` is a list of strings, and a
+# tuple of strings as a kind allows just those strings
 _KINDS = {str: "a string", int: "an integer", list: "a list of strings"}
+Kind = type | tuple[str, ...]
 
 
 class RecordFormatError(ValueError):
@@ -18,10 +20,16 @@ class RecordFormatError(ValueError):
 
 
 def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
-    """(line number, parsed value) for each non-blank line; None for a line that is not JSON."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+    """(line number, parsed value) for each non-blank line; None for a line that is not JSON.
+
+    A line that is not UTF-8 raises RecordFormatError ``<path>:<line>: not UTF-8 text``.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise RecordFormatError(f"{path}:{lineno}: not UTF-8 text") from None
             if not line:
                 continue
             try:
@@ -31,17 +39,23 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
             yield lineno, record
 
 
-def _fits(value: Any, kind: type) -> bool:
+def _fits(value: Any, kind: Kind) -> bool:
+    if type(kind) is tuple:
+        return type(value) is str and value in kind
     return type(value) is kind and (kind is not list or all(type(v) is str for v in value))
 
 
-def check(record: Any, required: dict[str, type], optional: dict[str, type]) -> str | None:
+def _name(kind: Kind) -> str:
+    return "one of " + ", ".join(kind) if type(kind) is tuple else _KINDS[kind]
+
+
+def check(record: Any, required: dict[str, Kind], optional: dict[str, Kind]) -> str | None:
     """None when ``record`` has the shape, else what it must be.
 
     The shape is a JSON object with a string or integer ``id``, every
     ``required`` field, and the ``optional`` fields that are present, each of
-    its kind: str, int or list (of strings). Plain loops, not all(): an index
-    file checks every passage on load.
+    its kind: str, int, list (of strings) or a tuple of the strings allowed.
+    Plain loops, not all(): an index file checks every passage on load.
     """
     if type(record) is not dict or type(record.get("id")) not in (str, int):
         return _shape(required, optional)
@@ -54,14 +68,14 @@ def check(record: Any, required: dict[str, type], optional: dict[str, type]) -> 
     return None
 
 
-def _shape(required: dict[str, type], optional: dict[str, type]) -> str:
-    fields = [f"{f} as {_KINDS[k]}" for f, k in required.items()]
-    fields += [f"optional {f} as {_KINDS[k]}" for f, k in optional.items()]
+def _shape(required: dict[str, Kind], optional: dict[str, Kind]) -> str:
+    fields = [f"{f} as {_name(k)}" for f, k in required.items()]
+    fields += [f"optional {f} as {_name(k)}" for f, k in optional.items()]
     return "must be a JSON object with a string or integer id" + "".join(", " + f for f in fields)
 
 
 def read_jsonl(
-    path: str, what: str, required: dict[str, type], optional: dict[str, type]
+    path: str, what: str, required: dict[str, Kind], optional: dict[str, Kind]
 ) -> list[dict]:
     """Every record of a file, each checked, with its id turned into a string.
 

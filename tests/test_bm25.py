@@ -1,9 +1,16 @@
 """BM25 index behavior against a brute-force full-scoring oracle."""
 
+import json
 import math
+import os
 import random
 import re
 import string
+import sys
+import tempfile
+import threading
+from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -235,7 +242,174 @@ class TestSearch:
         assert a == b
 
 
+# round-trip corpora: tie-heavy words, unicode text and passages with no token
+round_trip_words = st.sampled_from(
+    ["w0", "w1", "w2", "Straße", "ÉTÉ", "日本", "ǅx", "_", "...", ""]
+)
+round_trip_texts = st.lists(round_trip_words, max_size=6).map(" ".join) | st.text(max_size=12)
+
+
+def saved_then_loaded(index, directory):
+    path = os.path.join(directory, "index.json")
+    save_index(index, path)
+    return load_index(path)
+
+
+def rewrite_index(path, edit):
+    """Apply edit(header, arrays) to a saved index and write it back consistently framed."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        arrays = {}
+        for name, (code, count) in header["arrays"].items():
+            arrays[name] = array(code)
+            arrays[name].fromfile(fh, count)
+    edit(header, arrays)
+    header["arrays"] = {name: [a.typecode, len(a)] for name, a in arrays.items()}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for a in arrays.values():
+            a.tofile(fh)
+
+
+def _set(name, position, value):
+    def edit(header, arrays):
+        arrays[name][position] = value
+    return edit
+
+
+def _truncate_header(path):
+    payload = Path(path).read_bytes()
+    Path(path).write_bytes(payload[: payload.index(b"\n") // 2])
+
+
+def _truncate_arrays(path):
+    payload = Path(path).read_bytes()
+    Path(path).write_bytes(payload[:-3])
+
+
 class TestPersistence:
+    @given(
+        st.lists(st.tuples(round_trip_texts, round_trip_texts), min_size=1, max_size=30),
+        st.lists(round_trip_texts, min_size=1, max_size=4),
+        st.integers(1, 35),
+        st.sampled_from([0, 1.2]),
+        st.sampled_from([0, 0.75, 1]),
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_round_trip_property(self, texts, queries, k, k1, b):
+        passages = [Passage(f"p{i:02d}", title, text) for i, (title, text) in enumerate(texts)]
+        built = build_index(passages, k1, b)
+        with tempfile.TemporaryDirectory() as directory:
+            loaded = saved_then_loaded(built, directory)
+        assert list(loaded.norms) == built.norms
+        assert loaded.avg_doc_length == built.avg_doc_length
+        assert loaded.passages == built.passages
+        for query in queries:
+            got = [(r.passage.id, r.score, r.rank) for r in loaded.search(query, k)]
+            assert got == [(r.passage.id, r.score, r.rank) for r in built.search(query, k)]
+            terms = tokenize(query)
+            for ordinal in range(built.doc_count):
+                assert loaded.score(terms, ordinal) == built.score(terms, ordinal)
+
+    def test_resave_is_byte_identical(self, tmp_path):
+        passages, _ = random_corpus(random.Random(23), 120)
+        path = tmp_path / "index.json"
+        save_index(build_index(passages, 0.9, 0.4), str(path))
+        again = tmp_path / "again.json"
+        save_index(load_index(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_version_1_file_still_loads(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(
+            '{"format_version": 1, "k1": 1.2, "b": 0.75, "passages": ['
+            '{"id": "a", "title": "Eiffel", "text": "tower in paris"}, '
+            '{"id": 7, "title": "", "text": "paris is a city in france"}, '
+            '{"id": "c", "text": "the tower of pisa"}]}'
+        )
+        loaded = load_index(str(path))
+        built = build_index([
+            Passage("a", "Eiffel", "tower in paris"),
+            Passage("7", "", "paris is a city in france"),
+            Passage("c", "", "the tower of pisa"),
+        ])
+        assert loaded.passages == built.passages and loaded.norms == built.norms
+        for query in ("paris tower", "city", "pisa eiffel", "nothing"):
+            got = [(r.passage.id, r.score) for r in loaded.search(query, 3)]
+            assert got == [(r.passage.id, r.score) for r in built.search(query, 3)]
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_truncate_header, "not a readable index file"),
+            (_truncate_arrays, "bytes of arrays"),
+            (lambda path: rewrite_index(path, _set("offsets", 2, 1)), "offset"),
+            (lambda path: rewrite_index(path, _set("ordinals", 0, 12)), "ordinal"),
+            (lambda path: rewrite_index(path, _set("tfs", 0, 0)), "term frequency"),
+            (lambda path: rewrite_index(path, lambda header, arrays: arrays["norms"].pop()),
+             "norm"),
+        ],
+        ids=["truncated_header", "truncated_arrays", "offsets_not_rising",
+             "ordinal_past_doc_count", "tf_below_1", "norms_count"],
+    )
+    def test_corrupt_file(self, tmp_path, corrupt, message):
+        # 12 passages, so ordinal 12 is one past the last
+        passages, _ = random_corpus(random.Random(29), 12)
+        path = str(tmp_path / "index.json")
+        save_index(build_index(passages), path)
+        corrupt(path)
+        with pytest.raises(IndexFormatError, match=message) as caught:
+            load_index(path)
+        assert str(caught.value).startswith(path)
+
+    def test_file_of_the_other_byte_order(self, tmp_path):
+        passages, vocab = random_corpus(random.Random(37), 50)
+        built = build_index(passages)
+        path = str(tmp_path / "index.json")
+        save_index(built, path)
+
+        def swap(header, arrays):
+            header["byteorder"] = "big" if sys.byteorder == "little" else "little"
+            for a in arrays.values():
+                a.byteswap()
+
+        rewrite_index(path, swap)
+        loaded = load_index(path)
+        assert list(loaded.norms) == built.norms
+        query = " ".join(vocab[:4])
+        got = [(r.passage.id, r.score) for r in loaded.search(query, 10)]
+        assert got == [(r.passage.id, r.score) for r in built.search(query, 10)]
+
+    def test_threads_share_a_fresh_index(self, tmp_path):
+        rng = random.Random(31)
+        passages, vocab = random_corpus(rng, 300)
+        path = str(tmp_path / "index.json")
+        save_index(build_index(passages), path)
+        queries = [" ".join(rng.choices(vocab, k=rng.randint(1, 5))) for _ in range(60)]
+
+        def results(index):
+            return [[(r.passage.id, r.score) for r in index.search(q, 5)] for q in queries]
+
+        want = results(load_index(path))
+        shared = load_index(path)
+        got = [None] * 4
+
+        def worker(slot):
+            got[slot] = results(shared)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
+
     def test_round_trip_search_equivalence(self, tmp_path):
         rng = random.Random(17)
         passages, vocab = random_corpus(rng, 200)

@@ -487,6 +487,27 @@ def _index_file(tmp_path, payload):
             "--scripts", str(tmp_path / "scripts.jsonl"), "--out-dir", str(tmp_path / "o")]
 
 
+def _index_bytes(tmp_path, payload):
+    path = tmp_path / "bad_index.json"
+    path.write_bytes(payload)
+    return ["run", "--dataset", str(tmp_path / "dataset.jsonl"), "--index", str(path),
+            "--scripts", str(tmp_path / "scripts.jsonl"), "--out-dir", str(tmp_path / "o")]
+
+
+def _config(tmp_path, config):
+    path = tmp_path / "bad_config.json"
+    path.write_text(json.dumps(config))
+    return ["run", "--dataset", str(tmp_path / "dataset.jsonl"), "--scripts",
+            str(tmp_path / "scripts.jsonl"), "--out-dir", str(tmp_path / "o"),
+            "--config", str(path)]
+
+
+def _corpus_bytes(tmp_path, payload):
+    path = tmp_path / "bad_corpus.jsonl"
+    path.write_bytes(payload)
+    return ["index", "--corpus", str(path), "--out", str(tmp_path / "i.json")]
+
+
 def _transcripts_without_rounds(tmp_path):
     rows = [{"id": r["id"], "final_answer": "x"} for r in DATASET]
     path = write_jsonl(tmp_path / "no_rounds.jsonl", rows)
@@ -565,12 +586,21 @@ def _reward_samples(tmp_path, text):
         (lambda tmp: _probe_scripts(tmp, "5\n"), ["bad_probes.jsonl:1", "JSON object"]),
         (lambda tmp: _probe_scripts(tmp, '{"id": "q1", "probe_turns": 5}\n'),
          ["bad_probes.jsonl:1", "probe_turns"]),
+        (lambda tmp: _reward_samples(tmp, '{"id": "r1", "kind": "zeta"}\n'),
+         ["bad_samples.jsonl:1", "kind as one of alpha, beta, gamma, theta"]),
+        (lambda tmp: _config(tmp, {"budget": None}), ["bad_config.json", "budget"]),
+        (lambda tmp: _config(tmp, {"budget": [1]}), ["bad_config.json", "budget"]),
+        (lambda tmp: _index_bytes(tmp, b"\xff"), ["bad_index.json", "not a readable index"]),
+        (lambda tmp: _corpus_bytes(tmp, json.dumps(CORPUS[0]).encode() + b"\n\xff\n"),
+         ["bad_corpus.jsonl:2", "not UTF-8"]),
     ],
     ids=["index_without_passages", "passage_without_text", "transcript_without_rounds",
          "dataset_line_not_object", "dataset_answer_not_string", "dataset_question_not_string",
          "corpus_title_not_string", "sample_without_id", "sample_line_not_object",
          "prediction_without_id", "prediction_line_not_object", "replay_script_not_object",
-         "replay_turns_not_list", "probe_script_not_object", "probe_turns_not_list"],
+         "replay_turns_not_list", "probe_script_not_object", "probe_turns_not_list",
+         "sample_kind_not_allowed", "config_budget_null", "config_budget_list",
+         "index_not_utf8", "corpus_not_utf8"],
 )
 def test_malformed_input_file_is_one_error_line(workspace, capsys, make_argv, names):
     code = main(make_argv(workspace["root"]))
