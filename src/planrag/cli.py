@@ -37,19 +37,27 @@ from .supervision import (
     teacher_followup_query,
 )
 
-DEFAULTS = {
-    "budget": 3,
-    "top_k": 3,
-    "normalization": "squad",
-    "parallelism": 1,
-    "fallback": "append",
-    "attempts": 3,
-    "split": "sft",
-    "k1": 1.2,
-    "b": 0.75,
-    "temperature": 0.0,
-    "max_tokens": 512,
-    "auth_env": "PLANRAG_API_KEY",
+# setting -> (kind, default), each kind as records.fits takes it. A command's
+# flag of the same name, where it has one, wins over the config file, which
+# wins over the default; the README lists which commands have which flags.
+SETTINGS: dict[str, tuple[records.Kind, object]] = {
+    "budget": (int, 3),
+    "top_k": (int, 3),
+    "parallelism": (int, 1),
+    "attempts": (int, 3),
+    "normalization": (tuple(m.value for m in NormalizationMode), "squad"),
+    "fallback": (tuple(f.value for f in FallbackPolicy), "append"),
+    "split": (tuple(s.value for s in Split), "sft"),
+    "k1": (float, 1.2),
+    "b": (float, 0.75),
+    "scripts": (str, None),
+    "endpoint": (str, None),
+    "model": (str, None),
+    "teacher_endpoint": (str, None),
+    "teacher_model": (str, None),
+    "temperature": (float, 0.0),
+    "max_tokens": (int, 512),
+    "auth_env": (str, "PLANRAG_API_KEY"),
 }
 
 
@@ -58,6 +66,7 @@ class CliError(Exception):
 
 
 def _load_config(path: str | None) -> dict:
+    """The config file's settings, every one checked against its kind."""
     if not path:
         return {}
     with open(path, "rb") as fh:
@@ -67,78 +76,62 @@ def _load_config(path: str | None) -> dict:
             config = None
     if not isinstance(config, dict):
         raise CliError(f"{path}: config must be a flat JSON object")
+    for key, value in config.items():
+        if key not in SETTINGS:
+            raise CliError(f"{path}: unknown setting {json.dumps(key, ensure_ascii=False)}")
+        kind = SETTINGS[key][0]
+        if not records.fits(value, kind):
+            got = json.dumps(value, ensure_ascii=False)
+            raise CliError(f"{path}: {key} must be {records.kind_name(kind)}, got {got}")
     return config
 
 
-def _resolve(args, config: dict, key: str):
-    """Precedence: command-line flag, then config file, then built-in default."""
+def _setting(args, config: dict, key: str):
+    """Precedence: command-line flag, then config file, then the SETTINGS default."""
+    kind, default = SETTINGS[key]
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return DEFAULTS.get(key)
+    if value is None:
+        value = config.get(key, default)
+    return float(value) if kind is float else value
 
 
-def _number(args, config: dict, key: str, kind: type[int] | type[float]) -> int | float:
-    """A resolved numeric setting as ``kind``: int, or float (which takes an integer too)."""
-    value = _resolve(args, config, key)
-    if type(value) is kind or (kind is float and type(value) is int):
-        return kind(value)
-    raise CliError(f"{args.config}: {key} must be {'an integer' if kind is int else 'a number'}")
+def _gateways(rows: list[dict], args, config, what: str, fields: tuple[str, ...]) -> list:
+    """One ``f(position) -> gateway`` per script field: replay scripts when given, else chat.
+
+    Without scripts each field's chat backend is shared by every position; a
+    ``teacher_`` field's backend takes the teacher_endpoint and teacher_model.
+    """
+    path = _setting(args, config, "scripts")
+    if path:
+        scripts = {
+            rec["id"]: rec
+            for rec in records.read_jsonl(path, f"{what} script", {}, dict.fromkeys(fields, list))
+        }
+        missing = [row["id"] for row in rows if row["id"] not in scripts]
+        if missing:
+            raise CliError(f"no {what} script for ids: {', '.join(missing[:5])}")
+        # ReplayGenerator is looked up when called, so that it can be patched
+        return [lambda i, f=f: ReplayGenerator(scripts[rows[i]["id"]].get(f, [])) for f in fields]
+    roles = ["teacher_" if f.startswith("teacher_") else "" for f in fields]
+    chats = [_chat_generator(args, config, role) for role in roles]
+    return [lambda i, chat=chat: chat for chat in chats]
 
 
-def _mode(args, config) -> NormalizationMode:
-    name = _resolve(args, config, "normalization")
-    try:
-        return NormalizationMode(name)
-    except ValueError:
-        raise CliError(f"unknown normalization mode: {name}") from None
-
-
-def _planner_config(args, config) -> PlannerConfig:
-    return PlannerConfig(
-        max_rounds=_number(args, config, "budget", int),
-        top_k=_number(args, config, "top_k", int),
-        fallback_policy=FallbackPolicy(_resolve(args, config, "fallback")),
+def _chat_generator(args, config, role: str) -> HttpChatGenerator:
+    """Chat backend from the settings; role "teacher_" prefers teacher_endpoint/model."""
+    endpoint, model = (
+        _setting(args, config, role + key) or _setting(args, config, key)
+        for key in ("endpoint", "model")
     )
-
-
-def _generator_factory(rows: list[dict], args, config):
-    """Replay scripts when given, otherwise a shared chat backend."""
-    scripts_path = _resolve(args, config, "scripts")
-    if scripts_path:
-        scripts = _read_scripts(scripts_path, rows, "replay", ("turns",))
-        return lambda i: ReplayGenerator(scripts[rows[i]["id"]].get("turns", []))
-    shared = _chat_generator(args, config)
-    return lambda i: shared
-
-
-def _read_scripts(path: str, rows: list[dict], what: str, fields: tuple[str, ...]) -> dict:
-    """Script records by id, one for every row; absent ``fields`` read as empty lists."""
-    scripts = {
-        rec["id"]: rec
-        for rec in records.read_jsonl(path, f"{what} script", {}, dict.fromkeys(fields, list))
-    }
-    missing = [row["id"] for row in rows if row["id"] not in scripts]
-    if missing:
-        raise CliError(f"no {what} script for ids: {', '.join(missing[:5])}")
-    return scripts
-
-
-def _chat_generator(args, config, role: str = "") -> HttpChatGenerator:
-    """Chat backend from the config; role "teacher_" prefers teacher_endpoint/model."""
-    endpoint = config.get(role + "endpoint", config.get("endpoint"))
-    model = config.get(role + "model", config.get("model"))
     if not endpoint or not model:
         raise CliError("need --scripts for replay, or endpoint+model in --config")
     return HttpChatGenerator(
         GeneratorSettings(
             endpoint=endpoint,
             model=model,
-            temperature=_number(args, config, "temperature", float),
-            max_tokens=_number(args, config, "max_tokens", int),
-            auth_env=str(_resolve(args, config, "auth_env")),
+            temperature=_setting(args, config, "temperature"),
+            max_tokens=_setting(args, config, "max_tokens"),
+            auth_env=_setting(args, config, "auth_env"),
         )
     )
 
@@ -147,11 +140,15 @@ def _run_setup(args, config):
     """What a run and every budget of a sweep share: rows, index, generator, config."""
     rows = records.load_dataset(args.dataset)
     idx = bm25.load_index(args.index) if args.index else None
-    cfg = _planner_config(args, config)
-    mode = _mode(args, config)
-    factory = _generator_factory(rows, args, config)
+    cfg = PlannerConfig(
+        max_rounds=_setting(args, config, "budget"),
+        top_k=_setting(args, config, "top_k"),
+        fallback_policy=FallbackPolicy(_setting(args, config, "fallback")),
+    )
+    mode = NormalizationMode(_setting(args, config, "normalization"))
+    [factory] = _gateways(rows, args, config, "replay", ("turns",))
     name = args.name or os.path.splitext(os.path.basename(args.dataset))[0]
-    parallelism = _number(args, config, "parallelism", int)
+    parallelism = _setting(args, config, "parallelism")
     return rows, idx, factory, cfg, mode, name, parallelism
 
 
@@ -189,14 +186,18 @@ def _score_report(name, predictions, rows, mode, episodes=None) -> tuple[dict, s
     return report.to_dict(), report.render_table()
 
 
-def _run_once(rows, idx, factory, cfg, mode, name, parallelism, out_dir, timings):
+def _run_once(rows, idx, factory, cfg, mode, name, parallelism, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     episodes = batch_run([r["question"] for r in rows], cfg, factory, idx, parallelism)
-    lines = [
-        episode_record(ep, row["id"], include_timings=timings)
-        for row, ep in zip(rows, episodes)
-    ]
-    records.write_jsonl(os.path.join(out_dir, "transcripts.jsonl"), lines)
+    ids = [row["id"] for row in rows]
+    transcripts = map(episode_record, episodes, ids)
+    records.write_jsonl(os.path.join(out_dir, "transcripts.jsonl"), transcripts)
+    # step durations go to a sidecar, so that transcripts stay byte-identical
+    timings = (
+        {"id": qid, "step_ms": [round(s.duration_s * 1000, 3) for s in ep.steps]}
+        for qid, ep in zip(ids, episodes)
+    )
+    records.write_jsonl(os.path.join(out_dir, "timings.jsonl"), timings)
     report_dict, table = _score_report(
         name, [ep.final_answer for ep in episodes], rows, mode, episodes
     )
@@ -216,7 +217,7 @@ def cmd_index(args) -> int:
     config = _load_config(args.config)
     passages = bm25.load_corpus(args.corpus)
     index = bm25.build_index(
-        passages, k1=_number(args, config, "k1", float), b=_number(args, config, "b", float)
+        passages, k1=_setting(args, config, "k1"), b=_setting(args, config, "b")
     )
     bm25.save_index(index, args.out)
     print(
@@ -231,7 +232,7 @@ def cmd_run(args) -> int:
     config = _load_config(args.config)
     rows, idx, factory, cfg, mode, name, parallelism = _run_setup(args, config)
     episodes, _, table = _run_once(
-        rows, idx, factory, cfg, mode, name, parallelism, args.out_dir, args.timings
+        rows, idx, factory, cfg, mode, name, parallelism, args.out_dir
     )
     print(table, end="")
     failed = [ep for ep in episodes if ep.status != "completed"]
@@ -257,7 +258,7 @@ def cmd_sweep(args) -> int:
         cfg = dataclasses.replace(base_cfg, max_rounds=budget)
         sub_dir = os.path.join(args.out_dir, f"b{budget}")
         episodes, report_dict, _ = _run_once(
-            rows, idx, factory, cfg, mode, name, parallelism, sub_dir, args.timings
+            rows, idx, factory, cfg, mode, name, parallelism, sub_dir
         )
         stats = report_dict["retrieval_stats"].get(name, {"mean": 0.0, "distribution": {}})
         sweep_rows.append(
@@ -328,7 +329,7 @@ def _read_transcripts(path: str) -> dict:
 
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
-    mode = _mode(args, config)
+    mode = NormalizationMode(_setting(args, config, "normalization"))
     atoms = parse_subset_spec(args.subset)
     side_a = _read_transcripts(args.a)
     side_b = _read_transcripts(args.b)
@@ -381,25 +382,15 @@ def cmd_supervise(args) -> int:
     config = _load_config(args.config)
     rows = records.load_dataset(args.questions)
     idx = bm25.load_index(args.index) if args.index else None
-    mode = _mode(args, config)
-    attempts_n = _number(args, config, "attempts", int)
-    top_k = _number(args, config, "top_k", int)
-    split = Split(_resolve(args, config, "split"))
-    scripts_path = _resolve(args, config, "scripts")
-    scripts = None
-    if scripts_path:
-        scripts = _read_scripts(scripts_path, rows, "probe", ("probe_turns", "teacher_turns"))
-    else:
-        shared_gen = _chat_generator(args, config)
-        shared_teacher = _chat_generator(args, config, "teacher_")
+    mode = NormalizationMode(_setting(args, config, "normalization"))
+    attempts_n = _setting(args, config, "attempts")
+    top_k = _setting(args, config, "top_k")
+    split = Split(_setting(args, config, "split"))
+    model, teacher = _gateways(rows, args, config, "probe", ("probe_turns", "teacher_turns"))
     samples = []
     skipped = []
-    for row in rows:
-        if scripts is not None:
-            gen = ReplayGenerator(scripts[row["id"]].get("probe_turns", []))
-            teacher = ReplayGenerator(scripts[row["id"]].get("teacher_turns", []))
-        else:
-            gen, teacher = shared_gen, shared_teacher
+    for i, row in enumerate(rows):
+        gen = model(i)
         try:
             parametric = probe_parametric(row["question"], row["answers"], gen, attempts_n, mode)
             retrieval = probe_retrieval(row["question"], row["answers"], gen, idx, top_k, mode)
@@ -410,7 +401,7 @@ def cmd_supervise(args) -> int:
                     row["question"],
                     retrieval.attempts[0].answer,
                     list(retrieval.passages),
-                    teacher,
+                    teacher(i),
                 )
         except (GeneratorError, TeacherFailureError, EmptyTeacherQueryError) as exc:
             skipped.append(row["id"])
@@ -437,7 +428,7 @@ def cmd_supervise(args) -> int:
 
 def cmd_reward(args) -> int:
     config = _load_config(args.config)
-    budget = _number(args, config, "budget", int)
+    budget = _setting(args, config, "budget")
     kinds = tuple(k.value for k in SupervisionKind)
     sample_fields = {"question": str, "kind": kinds, "target": str, "references": list}
     sample_by_id = {
@@ -484,7 +475,7 @@ def cmd_reward(args) -> int:
 
 def cmd_score(args) -> int:
     config = _load_config(args.config)
-    mode = _mode(args, config)
+    mode = NormalizationMode(_setting(args, config, "normalization"))
     rows = records.load_dataset(args.dataset)
     preds = {
         rec["id"]: rec.get("prediction", "")
@@ -511,15 +502,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def flags(p, *keys, help=None):
+        """One flag per setting, its type or choices taken from SETTINGS."""
+        for key in keys:
+            kind = SETTINGS[key][0]
+            spec = {"choices": kind} if type(kind) is tuple else {"type": kind}
+            p.add_argument("--" + key.replace("_", "-"), help=help, **spec)
+
     def common(p):
         p.add_argument("--config", help="flat JSON config file")
-        p.add_argument("--normalization", choices=["squad", "minimal"])
+        flags(p, "normalization")
 
     p = sub.add_parser("index", help="build and save a passage index")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k1", type=float)
-    p.add_argument("--b", type=float)
+    flags(p, "k1", "b")
     p.add_argument("--config")
     p.set_defaults(func=cmd_index)
 
@@ -529,16 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dataset", required=True)
         p.add_argument("--out-dir", required=True)
         p.add_argument("--index")
-        p.add_argument("--scripts", help="replay scripts file (one {id, turns} per line)")
-        p.add_argument("--top-k", dest="top_k", type=int)
-        p.add_argument("--parallelism", type=int)
-        p.add_argument("--fallback", choices=[f.value for f in FallbackPolicy])
+        flags(p, "scripts", help="replay scripts file (one {id, turns} per line)")
+        flags(p, "top_k", "parallelism", "fallback")
         p.add_argument("--name")
-        p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("run", help="run planning episodes over a dataset")
     episodes(p)
-    p.add_argument("--budget", type=int)
+    flags(p, "budget")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="repeat a run across retrieval budgets")
@@ -560,17 +554,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--questions", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--index")
-    p.add_argument("--scripts", help="probe scripts: {id, probe_turns, teacher_turns}")
-    p.add_argument("--attempts", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--split", choices=["sft", "rl"])
+    flags(p, "scripts", help="probe scripts: {id, probe_turns, teacher_turns}")
+    flags(p, "attempts", "top_k", "split")
     p.set_defaults(func=cmd_supervise)
 
     p = sub.add_parser("reward", help="score rollouts against supervision samples")
     p.add_argument("--rollouts", required=True)
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--budget", type=int)
+    flags(p, "budget")
     p.add_argument("--config")
     p.set_defaults(func=cmd_reward)
 

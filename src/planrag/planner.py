@@ -331,11 +331,9 @@ def batch_run(
         return list(pool.map(one, range(len(questions)), questions))
 
 
-def episode_record(
-    episode: Episode, qid: str, include_timings: bool = False
-) -> dict:
+def episode_record(episode: Episode, qid: str) -> dict:
     """Transcript line for one episode (stable field order)."""
-    record = {
+    return {
         "id": qid,
         "question": episode.question,
         "status": episode.status,
@@ -362,6 +360,3 @@ def episode_record(
         "transcript": episode.transcript.source,
         "notes": [s.note for s in episode.steps if s.note],
     }
-    if include_timings:
-        record["timings_ms"] = [round(s.duration_s * 1000, 3) for s in episode.steps]
-    return record

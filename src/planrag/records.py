@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Iterator
 
-# field kind -> how a message names it; ``list`` is a list of strings, and a
-# tuple of strings as a kind allows just those strings
-_KINDS = {str: "a string", int: "an integer", list: "a list of strings"}
+# field kind -> how a message names it; ``float`` also takes an integer, ``list``
+# is a list of strings, and a tuple of strings as a kind allows just those strings
+_KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list of strings"}
 Kind = type | tuple[str, ...]
 
 
@@ -20,16 +20,18 @@ class RecordFormatError(ValueError):
 
 
 def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
-    """(line number, parsed value) for each non-blank line; None for a line that is not JSON.
+    """(line number, parsed value) for each non-blank line.
 
-    A line that is not UTF-8 raises RecordFormatError ``<path>:<line>: not UTF-8 text``.
+    The value is None for a line that is not JSON, and the line's raw bytes for
+    one that is not UTF-8; neither fits a record shape.
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError:
-                raise RecordFormatError(f"{path}:{lineno}: not UTF-8 text") from None
+                yield lineno, raw
+                continue
             if not line:
                 continue
             try:
@@ -39,13 +41,16 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
             yield lineno, record
 
 
-def _fits(value: Any, kind: Kind) -> bool:
+def fits(value: Any, kind: Kind) -> bool:
+    """Whether a parsed JSON value is of a kind: str, int, float, list or a tuple of strings."""
     if type(kind) is tuple:
         return type(value) is str and value in kind
+    if kind is float:
+        return type(value) is float or type(value) is int
     return type(value) is kind and (kind is not list or all(type(v) is str for v in value))
 
 
-def _name(kind: Kind) -> str:
+def kind_name(kind: Kind) -> str:
     return "one of " + ", ".join(kind) if type(kind) is tuple else _KINDS[kind]
 
 
@@ -60,17 +65,17 @@ def check(record: Any, required: dict[str, Kind], optional: dict[str, Kind]) -> 
     if type(record) is not dict or type(record.get("id")) not in (str, int):
         return _shape(required, optional)
     for f, k in required.items():
-        if not _fits(record.get(f), k):
+        if not fits(record.get(f), k):
             return _shape(required, optional)
     for f, k in optional.items():
-        if f in record and not _fits(record[f], k):
+        if f in record and not fits(record[f], k):
             return _shape(required, optional)
     return None
 
 
 def _shape(required: dict[str, Kind], optional: dict[str, Kind]) -> str:
-    fields = [f"{f} as {_name(k)}" for f, k in required.items()]
-    fields += [f"optional {f} as {_name(k)}" for f, k in optional.items()]
+    fields = [f"{f} as {kind_name(k)}" for f, k in required.items()]
+    fields += [f"optional {f} as {kind_name(k)}" for f, k in optional.items()]
     return "must be a JSON object with a string or integer id" + "".join(", " + f for f in fields)
 
 
@@ -80,10 +85,12 @@ def read_jsonl(
     """Every record of a file, each checked, with its id turned into a string.
 
     The first record that does not fit raises RecordFormatError
-    ``<path>:<line>: <what> record must be ...``.
+    ``<path>:<line>: <what> record must be ...``, or ``<path>:<line>: not UTF-8 text``.
     """
     rows = []
     for lineno, record in iter_jsonl(path):
+        if type(record) is bytes:
+            raise RecordFormatError(f"{path}:{lineno}: not UTF-8 text")
         problem = check(record, required, optional)
         if problem:
             raise RecordFormatError(f"{path}:{lineno}: {what} record {problem}")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from planrag.cli import main, parse_subset_spec, CliError
+from planrag.cli import SETTINGS, main, parse_subset_spec, CliError
 from planrag.generator import GeneratorEmission
 
 CORPUS = [
@@ -70,6 +70,15 @@ class TestIndexCmd:
         first = capsys.readouterr().out
         main(["index", "--corpus", workspace["corpus"], "--out", workspace["index"]])
         assert capsys.readouterr().out == first
+
+    def test_integer_config_value_of_a_number_setting(self, workspace, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k1": 1, "b": 1}))
+        by_config, by_flag = tmp_path / "config.bin", tmp_path / "flag.bin"
+        argv = ["index", "--corpus", workspace["corpus"], "--out"]
+        assert main(argv + [str(by_config), "--config", str(config)]) == 0
+        assert main(argv + [str(by_flag), "--k1", "1", "--b", "1"]) == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
 
     def test_missing_corpus(self, tmp_path, capsys):
         code = main(["index", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "i.json")])
@@ -450,6 +459,19 @@ class TestRewardCmd:
         assert "Traceback" not in capsys.readouterr().err
         assert json.loads(out.read_text()) == {"line": 1, "error": "malformed rollout record"}
 
+    def test_rollout_line_not_utf8(self, tmp_path):
+        samples = self.make_samples(tmp_path)
+        rollouts = tmp_path / "rollouts.jsonl"
+        rollouts.write_bytes(
+            b'{"id": "r1", "text": 5}\n\xff\n{"id": "r2", "text": "[ANSWER] berlin [SOLVED]"}\n'
+        )
+        out = tmp_path / "rewards.jsonl"
+        assert main(["reward", "--rollouts", str(rollouts), "--samples", samples,
+                     "--out", str(out)]) == 1
+        entries = [json.loads(line) for line in out.read_text().splitlines()]
+        assert entries[:2] == [{"line": n, "error": "malformed rollout record"} for n in (1, 2)]
+        assert entries[2]["id"] == "r2" and entries[2]["total"] == pytest.approx(1.5)
+
     def test_empty_rollouts(self, tmp_path):
         samples = self.make_samples(tmp_path)
         rollouts = tmp_path / "rollouts.jsonl"
@@ -494,11 +516,12 @@ def _index_bytes(tmp_path, payload):
             "--scripts", str(tmp_path / "scripts.jsonl"), "--out-dir", str(tmp_path / "o")]
 
 
-def _config(tmp_path, config):
+def _config(tmp_path, config, command="run"):
+    """A config-driven command: settings such as scripts come from the config alone."""
     path = tmp_path / "bad_config.json"
     path.write_text(json.dumps(config))
-    return ["run", "--dataset", str(tmp_path / "dataset.jsonl"), "--scripts",
-            str(tmp_path / "scripts.jsonl"), "--out-dir", str(tmp_path / "o"),
+    inputs = "--questions" if command == "supervise" else "--dataset"
+    return [command, inputs, str(tmp_path / "dataset.jsonl"), "--out-dir", str(tmp_path / "o"),
             "--config", str(path)]
 
 
@@ -590,6 +613,16 @@ def _reward_samples(tmp_path, text):
          ["bad_samples.jsonl:1", "kind as one of alpha, beta, gamma, theta"]),
         (lambda tmp: _config(tmp, {"budget": None}), ["bad_config.json", "budget"]),
         (lambda tmp: _config(tmp, {"budget": [1]}), ["bad_config.json", "budget"]),
+        (lambda tmp: _config(tmp, {"scripts": ["x"]}),
+         ['bad_config.json: scripts must be a string, got ["x"]']),
+        (lambda tmp: _config(tmp, {"scripts": True}),
+         ["bad_config.json: scripts must be a string, got true"]),
+        (lambda tmp: _config(tmp, {"split": "dev"}, "supervise"),
+         ['bad_config.json: split must be one of sft, rl, got "dev"']),
+        (lambda tmp: _config(tmp, {"endpoint": 5}),
+         ["bad_config.json: endpoint must be a string, got 5"]),
+        (lambda tmp: _config(tmp, {"budjet": 1}),
+         ['bad_config.json: unknown setting "budjet"']),
         (lambda tmp: _index_bytes(tmp, b"\xff"), ["bad_index.json", "not a readable index"]),
         (lambda tmp: _corpus_bytes(tmp, json.dumps(CORPUS[0]).encode() + b"\n\xff\n"),
          ["bad_corpus.jsonl:2", "not UTF-8"]),
@@ -600,6 +633,8 @@ def _reward_samples(tmp_path, text):
          "prediction_without_id", "prediction_line_not_object", "replay_script_not_object",
          "replay_turns_not_list", "probe_script_not_object", "probe_turns_not_list",
          "sample_kind_not_allowed", "config_budget_null", "config_budget_list",
+         "config_scripts_list", "config_scripts_bool", "config_split_not_allowed",
+         "config_endpoint_int", "config_key_unknown",
          "index_not_utf8", "corpus_not_utf8"],
 )
 def test_malformed_input_file_is_one_error_line(workspace, capsys, make_argv, names):
@@ -608,3 +643,21 @@ def test_malformed_input_file_is_one_error_line(workspace, capsys, make_argv, na
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert all(name in err for name in names)
+
+
+# per kind, a JSON value of another kind that comes close to it
+_WRONG_KIND = {int: (2.0, "an integer"), float: ("0.5", "a number"), str: (5, "a string")}
+
+
+@pytest.mark.parametrize("key", list(SETTINGS))
+def test_config_setting_of_wrong_kind_is_one_error_line(workspace, capsys, key):
+    kind = SETTINGS[key][0]
+    if type(kind) is tuple:
+        value, name = "none", "one of " + ", ".join(kind)
+    else:
+        value, name = _WRONG_KIND[kind]
+    argv = _config(workspace["root"], {key: value})
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {argv[-1]}: {key} must be {name}, got {json.dumps(value)}\n"
+    )

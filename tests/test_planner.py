@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planrag import cli
+from planrag.bm25 import save_index
 from planrag.control import validate
 from planrag.generator import (
     GenerationContext,
@@ -345,12 +347,39 @@ class TestDeterminism:
 
         assert run_once() == run_once() == run_once()
 
-    def test_timings_excluded_by_default(self, tiny_index):
-        ep = run_episode("q?", PlannerConfig(), ReplayGenerator([ANSWER_TURN]), tiny_index)
-        record = episode_record(ep, "q0")
-        assert "timings_ms" not in record
-        with_timings = episode_record(ep, "q0", include_timings=True)
-        assert len(with_timings["timings_ms"]) == len(ep.steps)
+    def test_timings_excluded_by_default(self, tiny_index, tmp_path, monkeypatch):
+        """Step durations go to the timings.jsonl sidecar, never into a transcript."""
+        turns = [[ANSWER_TURN], [RETRIEVE_TURN, ANSWER_TURN], ["plain", "plain"], []]
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("dataset", "scripts")}
+        paths["dataset"].write_text("".join(
+            json.dumps({"id": f"q{i}", "question": "q?", "answers": ["Paris"]}) + "\n"
+            for i in range(len(turns))
+        ))
+        paths["scripts"].write_text("".join(
+            json.dumps({"id": f"q{i}", "turns": t}) + "\n" for i, t in enumerate(turns)
+        ))
+        save_index(tiny_index, str(tmp_path / "index.bin"))
+        batches = []
+
+        def recording_batch_run(*args):
+            batches.append(batch_run(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(cli, "batch_run", recording_batch_run)
+        code = cli.main(["run", "--dataset", str(paths["dataset"]),
+                         "--scripts", str(paths["scripts"]), "--index", str(tmp_path / "index.bin"),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == 1  # two episodes did not complete
+        [episodes] = batches
+        transcripts = (tmp_path / "out" / "transcripts.jsonl").read_text().splitlines()
+        assert len(transcripts) == len(turns)
+        assert not any("timing" in key for line in transcripts for key in json.loads(line))
+        timings = [json.loads(line) for line in
+                   (tmp_path / "out" / "timings.jsonl").read_text().splitlines()]
+        assert [t["id"] for t in timings] == [f"q{i}" for i in range(len(turns))]
+        assert [len(t["step_ms"]) for t in timings] == [len(ep.steps) for ep in episodes]
+        assert [len(ep.steps) for ep in episodes] == [1, 2, 2, 0]
+        assert all(ms >= 0 for t in timings for ms in t["step_ms"])
 
 
 # whole and split token surfaces, stray brackets, unicode and blanks
