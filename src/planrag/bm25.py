@@ -27,7 +27,13 @@ _ARRAYS = {"offsets": _UNSIGNED, "ordinals": _UNSIGNED, "tfs": _UNSIGNED, "norms
 # a corpus line and a passage of an index file: {id, title?, text}
 _PASSAGE = {"text": str}, {"title": str}
 
-_TERM_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_WORD_RE = re.compile(r"\w+")
+
+# search stops adding terms to its candidates once at most this many times k
+# are left, and gives those their exact scores
+_RESCORE_WITHIN = 4
+# relative slack on both sides of every bound test; float rounding is far smaller
+_SLACK = 1e-9
 
 
 class EmptyCorpusError(ValueError):
@@ -61,7 +67,8 @@ class RetrievedPassage:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on any non-alphanumeric character."""
-    return _TERM_RE.findall(text.lower())
+    # \w is exactly the alphanumerics plus "_", so "_" is made a separator first
+    return _WORD_RE.findall(text.lower().replace("_", " "))
 
 
 class _Postings(Mapping):
@@ -144,16 +151,36 @@ class PassageIndex:
     def search(self, query: str, k: int) -> list[RetrievedPassage]:
         """Top-k positive-scoring passages, ties broken by ascending passage id.
 
-        Exact term-at-a-time MaxScore pruning. build_index checks k1 >= 0 and
-        0 <= b <= 1, so every norm is >= 0 and a term adds at most
-        ``idf * (k1 + 1)`` to any score. Terms are visited by descending bound;
-        each passage first met in a posting gets its full score, summed over all
-        terms in sorted order from 0.0 exactly as ``score`` does, so scores are
-        bitwise those of a full scan. Once the heap holds k scores and the bounds
-        of the terms not yet visited sum to less than the k-th score, every
-        passage not yet scored lies strictly below the k-th and cannot enter the
-        top k, not even on an id tie. Float rounding is monotone and off by far
-        less than the 1e-9 slack.
+        Exact, in three phases after the "continue" accumulator strategy
+        (Moffat & Zobel, TOIS 1996). build_index checks k1 >= 0 and
+        0 <= b <= 1, so every norm is >= 0 and a term adds to a score at least
+        0 and at most its bound ``idf * (k1 + 1)``.
+
+        1. Accumulate: terms are visited by descending bound, and each passage
+           of a visited posting adds the term's share to its partial sum in
+           ``acc``. Once k passages are held and the bounds of the terms not yet
+           visited sum to less than the k-th largest partial sum, no new
+           passage is admitted.
+        2. Prune: a candidate whose partial sum plus the bounds of the terms not
+           yet added is below the k-th largest partial sum is dropped, and the
+           next term is added to the candidates left. This repeats until every
+           term is added or at most ``_RESCORE_WITHIN * k`` candidates are left,
+           and the candidates are pruned once more after the last term added.
+        3. Rescore: each survivor gets its exact score and the top k by
+           (-score, id) are returned.
+
+        Why this is exact. A partial sum adds some of a passage's non-negative
+        term shares, so ``acc`` is a lower bound on its true score, and the k
+        passages with the k largest partial sums all score at least the k-th of
+        them. A passage pruned, or never admitted, scores at most its partial
+        sum plus the bounds of the terms it missed, which lies strictly below
+        the k-th largest partial sum and so strictly below the k-th exact score:
+        it cannot enter the top k, not even on an id tie. Partial sums add in
+        visit order, not sorted order, so they may round apart from a full sum;
+        every bound test gets a relative slack of ``_SLACK`` on both sides, far
+        more than that rounding. ``acc`` values are only ever bounds: rescoring
+        sums over the sorted terms from 0.0 with ``score``'s expression, so the
+        scores returned are bitwise those of ``score``.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -162,38 +189,49 @@ class PassageIndex:
         terms = [(posting, self._idf(len(posting))) for posting in postings]
         visits = sorted(terms, key=lambda term: -term[1])
         bounds = [idf * k1p for _, idf in visits]
-        # tails[i]: sum of the bounds of the terms visited after visits[i]
-        tails = [sum(bounds[i + 1 :]) for i in range(len(bounds))]
+        # tails[i]: sum of the bounds of visits[i:], the terms not yet added
+        tails = [sum(bounds[i:]) for i in range(len(bounds) + 1)]
         norms = self.norms
-        scores: dict[int, float] = {}
-        heap: list[float] = []  # the k best scores so far, least first
-        for (posting, _), tail in zip(visits, tails):
-            for ordinal in posting:
-                if ordinal in scores:
-                    continue
-                norm = norms[ordinal]
-                total = 0.0
-                for other, idf in terms:
-                    tf = other.get(ordinal)
-                    if tf:
-                        total += idf * tf * k1p / (tf + norm)
-                scores[ordinal] = total
-                if total > 0:
-                    if len(heap) < k:
-                        heapq.heappush(heap, total)
-                    elif total > heap[0]:
-                        heapq.heapreplace(heap, total)
-            if len(heap) == k and tail * (1 + 1e-9) < heap[0]:
+
+        def kth(acc: dict[int, float]) -> float:
+            # the k-th largest partial sum; 0.0, which prunes nothing, below k
+            return heapq.nlargest(k, acc.values())[-1] if len(acc) >= k else 0.0
+
+        # accumulate: every passage in a visited posting gets a partial sum
+        acc: dict[int, float] = {}
+        added = 0
+        for posting, idf in visits:
+            get = acc.get
+            for ordinal, tf in posting.items():
+                acc[ordinal] = get(ordinal, 0.0) + idf * tf * k1p / (tf + norms[ordinal])
+            added += 1
+            tail = tails[added]
+            # no partial sum exceeds the visited bounds: the test passes only below them
+            if tail < tails[0] - tail and tail * (1 + _SLACK) < kth(acc):
                 break
-        if not heap:
-            return []
-        # a full heap bounds the top k from below; a short one holds every positive score
-        floor = heap[0]
-        ranked = heapq.nsmallest(
-            k,
-            (o for o, s in scores.items() if s >= floor),
-            key=lambda o: (-scores[o], self.passages[o].id),
-        )
+        # prune, then add the next term to the candidates left, until few are left
+        while True:
+            floor = kth(acc) * (1 - _SLACK)
+            rest = tails[added]
+            acc = {o: a for o, a in acc.items() if (a + rest) * (1 + _SLACK) >= floor}
+            if added == len(visits) or len(acc) <= _RESCORE_WITHIN * k:
+                break
+            posting, idf = visits[added]
+            added += 1
+            for ordinal in acc.keys() & posting.keys():
+                tf = posting[ordinal]
+                acc[ordinal] += idf * tf * k1p / (tf + norms[ordinal])
+        # rescore: exact sums over the sorted terms from 0.0, as score makes them
+        scores: dict[int, float] = {}
+        for ordinal in acc:
+            norm = norms[ordinal]
+            total = 0.0
+            for posting, idf in terms:
+                tf = posting.get(ordinal)
+                if tf:
+                    total += idf * tf * k1p / (tf + norm)
+            scores[ordinal] = total
+        ranked = heapq.nsmallest(k, scores, key=lambda o: (-scores[o], self.passages[o].id))
         return [
             RetrievedPassage(passage=self.passages[o], score=scores[o], rank=r)
             for r, o in enumerate(ranked, 1)

@@ -250,6 +250,10 @@ def cmd_sweep(args) -> int:
         raise CliError(f"bad budget list: {args.budgets}") from None
     if not budgets:
         raise CliError("at least one budget is required")
+    # every budget is checked before any runs, so a bad one writes nothing
+    for budget in budgets:
+        if budget < 0:
+            raise CliError(f"--budgets: {budget} is not a budget >= 0")
     rows, idx, factory, base_cfg, mode, name, parallelism = _run_setup(args, config)
     os.makedirs(args.out_dir, exist_ok=True)
     sweep_rows = []

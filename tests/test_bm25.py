@@ -1,5 +1,6 @@
 """BM25 index behavior against a brute-force full-scoring oracle."""
 
+import dataclasses
 import json
 import math
 import os
@@ -90,6 +91,11 @@ class TestTokenize:
 
     def test_separators(self):
         assert tokenize("a-b_c") == ["a", "b", "c"]
+
+    @given(st.text(st.characters() | st.sampled_from("_09\u0663\u00e9\u00df\u01c5\u0130\u65e5 ")))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_runs_of_alphanumerics(self, text):
+        assert tokenize(text) == re.findall(r"[^\W_]+", text.lower())
 
 
 class TestBuild:
@@ -215,6 +221,13 @@ class TestSearch:
     # k1 = 0: the unvisited term's bound equals the k-th score, and the passage
     # it would add ties that score with a smaller id
     @example(([[0], [1]], [0, 1]), random.Random(1), 1, 0, 0.75)
+    # two passages tie on the exact score, but their partial sums, added in
+    # visit order, round apart: without slack the one with the smaller id is pruned
+    @example(
+        ([[0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 2], [], [1, 1, 0, 2], [0, 1, 2], [0, 1, 1, 2, 1, 1],
+          [1, 1], [2, 0, 2]], [2, 3, 1, 0, 2]),
+        random.Random(1), 1, 1.2, 0,
+    )
     @settings(max_examples=400, derandomize=True, deadline=None)
     def test_pruned_search_equals_exhaustive(self, corpus_query, rng, k, k1, b):
         docs, query_words = corpus_query
@@ -226,6 +239,48 @@ class TestSearch:
         query = " ".join(f"w{w}" for w in query_words)
         got = [(r.passage.id, r.score) for r in build_index(passages, k1, b).search(query, k)]
         assert got == oracle_rank(passages, query, k1, b)[:k]
+
+    @given(
+        st.integers(100, 300),
+        st.randoms(use_true_random=False),
+        st.integers(1, 5),
+        st.sampled_from([0, 1.2]),
+        st.sampled_from([0, 0.75, 1]),
+    )
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_pruned_candidates_equal_exhaustive(self, n, rng, k, k1, b):
+        # Zipf-like words: a query's rare words admit a few dozen candidates
+        # and its frequent ones are then added to the candidates left
+        vocab = [f"w{i}" for i in range(40)]
+        weights = [1 / (r + 1) for r in range(len(vocab))]
+        ids = [f"p{i:03d}" for i in range(n)]
+        rng.shuffle(ids)
+        passages = [
+            Passage(pid, "", " ".join(rng.choices(vocab, weights, k=rng.randint(1, 12))))
+            for pid in ids
+        ]
+        frequent = rng.randint(1, 3)
+        words = rng.sample(vocab[:4], frequent)
+        words += rng.sample(vocab[4:], rng.randint(6, 8) - frequent)
+        query = " ".join(words)
+        got = [(r.passage.id, r.score) for r in build_index(passages, k1, b).search(query, k)]
+        assert got == oracle_rank(passages, query, k1, b)[:k]
+
+    def test_rescores_only_the_top_k_left(self):
+        # one pass over the posting, then exact scores for the k passages the last
+        # prune leaves, not for every passage the pass met
+        passages = [Passage(f"p{i:03d}", "", "common " + "filler " * i) for i in range(100)]
+        reads = []
+
+        class CountingNorms(list):
+            def __getitem__(self, ordinal):
+                reads.append(ordinal)
+                return super().__getitem__(ordinal)
+
+        idx = build_index(passages)
+        idx = dataclasses.replace(idx, norms=CountingNorms(idx.norms))
+        assert [r.passage.id for r in idx.search("common", 3)] == ["p000", "p001", "p002"]
+        assert len(reads) <= idx.doc_count + 3
 
     def test_all_zero_token_corpus(self):
         idx = build_index([Passage("a", "", "..."), Passage("b", "", ""), Passage("c", "!", "-")])

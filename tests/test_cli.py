@@ -254,6 +254,18 @@ class TestSweepCmd:
         sweep = json.loads((out_dir / "sweep.json").read_text())
         assert sweep["budgets"][0]["mean_count"] == 0.0
 
+    def test_bad_budget_runs_no_budget(self, workspace, capsys):
+        out_dir = workspace["root"] / "sweep_bad"
+        code = main(
+            ["sweep", "--dataset", workspace["dataset"], "--scripts", workspace["scripts"],
+             "--index", workspace["index"], "--out-dir", str(out_dir), "--budgets", "3,-1"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--budgets" in err and "-1" in err
+        assert not out_dir.exists()
+
 
 def synth_transcripts(tmp_path, name, rounds, answers):
     rows = [
