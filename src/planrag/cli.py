@@ -24,6 +24,7 @@ from .metrics import (
 from .planner import FallbackPolicy, PlannerConfig, batch_run, episode_record
 from .reward import total_reward
 from .supervision import (
+    EmptyTargetQueryError,
     EmptyTeacherQueryError,
     Split,
     SupervisionKind,
@@ -152,12 +153,6 @@ def _run_setup(args, config):
     return rows, idx, factory, cfg, mode, name, parallelism
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
-
-
 def _score_report(name, predictions, rows, mode, episodes=None) -> tuple[dict, str]:
     """report.json payload and report.txt table: one score row, or none without rows.
 
@@ -207,7 +202,8 @@ def _run_once(rows, idx, factory, cfg, mode, name, parallelism, out_dir):
         "top_k": cfg.top_k,
         "normalization": mode.value,
     }
-    _write_json(os.path.join(out_dir, "report.json"), {"run": run_info, "report": report_dict})
+    report = {"run": run_info, "report": report_dict}
+    records.write_json(os.path.join(out_dir, "report.json"), report)
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(table)
     return episodes, report_dict, table
@@ -275,7 +271,8 @@ def cmd_sweep(args) -> int:
         )
         if any(ep.status != "completed" for ep in episodes):
             exit_code = 1
-    _write_json(os.path.join(args.out_dir, "sweep.json"), {"dataset": name, "budgets": sweep_rows})
+    sweep = {"dataset": name, "budgets": sweep_rows}
+    records.write_json(os.path.join(args.out_dir, "sweep.json"), sweep)
     lines = [f"{'Budget':>6}  {'Avg.Count':>9}  {'Avg.Score':>9}"]
     for r in sweep_rows:
         score = "-" if r["avg_score"] is None else f"{100 * r['avg_score']:.1f}"
@@ -315,8 +312,6 @@ def parse_subset_spec(spec: str) -> list[tuple[str, str, int]]:
         if not m:
             raise CliError(f"bad subset atom: {part!r} (expected e.g. a>=1)")
         atoms.append((m.group(1), m.group(2), int(m.group(3))))
-    if not atoms:
-        raise CliError("empty subset spec")
     return atoms
 
 
@@ -377,7 +372,7 @@ def cmd_compare(args) -> int:
         lines.append("empty subset: no metric rows")
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_json(args.out, result)
+        records.write_json(args.out, result)
     print(text, end="")
     return 0
 
@@ -394,34 +389,24 @@ def cmd_supervise(args) -> int:
     samples = []
     skipped = []
     for i, row in enumerate(rows):
-        gen = model(i)
+        question, refs, gen = row["question"], row["answers"], model(i)
         try:
-            parametric = probe_parametric(row["question"], row["answers"], gen, attempts_n, mode)
-            retrieval = probe_retrieval(row["question"], row["answers"], gen, idx, top_k, mode)
+            parametric = probe_parametric(question, refs, gen, attempts_n, mode)
+            retrieval = probe_retrieval(question, refs, gen, idx, top_k, mode)
             kind = classify(parametric, retrieval)
             teacher_query = None
             if kind is SupervisionKind.GAMMA:
                 teacher_query = teacher_followup_query(
-                    row["question"],
-                    retrieval.attempts[0].answer,
-                    list(retrieval.passages),
-                    teacher(i),
+                    question, retrieval.attempts[0].answer, list(retrieval.passages), teacher(i)
                 )
-        except (GeneratorError, TeacherFailureError, EmptyTeacherQueryError) as exc:
+            samples.append(
+                build_sample(question, refs, parametric, retrieval, teacher_query, qid=row["id"])
+            )
+        except (
+            GeneratorError, TeacherFailureError, EmptyTeacherQueryError, EmptyTargetQueryError
+        ) as exc:
             skipped.append(row["id"])
             print(f"skipping {row['id']}: {exc}", file=sys.stderr)
-            continue
-        samples.append(
-            build_sample(
-                row["question"],
-                row["answers"],
-                kind,
-                parametric,
-                retrieval,
-                teacher_query,
-                qid=row["id"],
-            )
-        )
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, f"{split.value}.jsonl")
     exported = export_dataset(samples, split, out_path)
@@ -492,7 +477,7 @@ def cmd_score(args) -> int:
     payload, table = _score_report(name, [preds[r["id"]] for r in rows], rows, mode)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        _write_json(os.path.join(args.out_dir, "report.json"), payload)
+        records.write_json(os.path.join(args.out_dir, "report.json"), payload)
         with open(os.path.join(args.out_dir, "report.txt"), "w", encoding="utf-8") as fh:
             fh.write(table)
     print(table, end="")

@@ -132,9 +132,12 @@ class GeneratorSettings:
     temperature: float = 0.0
     max_tokens: int = 512
     auth_env: str = "PLANRAG_API_KEY"
-    max_attempts: int = 3
-    backoff_base: float = 0.5
-    timeout: float = 60.0
+
+
+# the retry policy for transport-level failures is fixed: no caller needs another
+MAX_ATTEMPTS = 3
+BACKOFF_BASE_S = 0.5
+TIMEOUT_S = 60.0
 
 
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
@@ -147,10 +150,6 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
     except ValueError:
         body = {}
     return resp.status_code, body
-
-
-class TransportFailure(Exception):
-    """Internal marker for retryable transport-level failures."""
 
 
 class HttpChatGenerator:
@@ -184,14 +183,14 @@ class HttpChatGenerator:
 
     def _request(self, payload: dict) -> dict:
         last_error = "unknown transport failure"
-        for attempt in range(self.settings.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                time.sleep(self.settings.backoff_base * 2 ** (attempt - 1))
+                time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
             try:
                 status, body = self.transport(
-                    self.settings.endpoint, self._headers(), payload, self.settings.timeout
+                    self.settings.endpoint, self._headers(), payload, TIMEOUT_S
                 )
-            except (requests.ConnectionError, requests.Timeout, TransportFailure) as exc:
+            except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = str(exc) or type(exc).__name__
                 continue
             if status >= 500:
@@ -201,7 +200,7 @@ class HttpChatGenerator:
                 raise GeneratorError(f"backend rejected request with status {status}")
             return body
         raise BackendUnavailableError(
-            f"backend unavailable after {self.settings.max_attempts} attempts: {last_error}"
+            f"backend unavailable after {MAX_ATTEMPTS} attempts: {last_error}"
         )
 
     def emit_turn(self, ctx: GenerationContext) -> GeneratorEmission:

@@ -24,7 +24,6 @@ from .control import (
     Segment,
     Trajectory,
     closed_branch,
-    control_sequence,
     parse_trajectory,
     render_segments,
 )
@@ -65,7 +64,6 @@ class PlannerConfig:
     max_rounds: int = 3
     top_k: int = 3
     fallback_policy: FallbackPolicy = FallbackPolicy.APPEND_FALLBACK_MESSAGE
-    system_preamble: str = DEFAULT_PREAMBLE
 
     def __post_init__(self):
         if self.max_rounds < 0:
@@ -86,7 +84,6 @@ class PlanStep:
     finalize: bool
     emission: GeneratorEmission
     action: str
-    query: str | None = None
     note: str | None = None
     duration_s: float = 0.0
 
@@ -113,7 +110,7 @@ class Episode:
         return Trajectory.from_segments(self.segments)
 
     def control_names(self) -> list[str]:
-        return [t.name for t in control_sequence(self.transcript)]
+        return [s.marker.name for s in self.segments if s.marker is not None]
 
 
 # --- turn interpretation ------------------------------------------------------
@@ -173,11 +170,9 @@ def read_turn(text: str) -> TurnReading:
 # --- operations ---------------------------------------------------------------
 
 
-def build_context(
-    ep: Episode, cfg: PlannerConfig, finalize_required: bool
-) -> GenerationContext:
+def build_context(ep: Episode, finalize_required: bool) -> GenerationContext:
     return GenerationContext(
-        system_preamble=cfg.system_preamble,
+        system_preamble=DEFAULT_PREAMBLE,
         question=ep.question,
         evidence_blocks=tuple(
             EvidenceBlock(query=r.query, passages=[h.passage for h in r.results])
@@ -227,7 +222,7 @@ def run_episode(
 
     while True:
         finalize = ep.rounds_used >= cfg.max_rounds or finalize_forced
-        ctx = build_context(ep, cfg, finalize_required=finalize)
+        ctx = build_context(ep, finalize_required=finalize)
         started = time.perf_counter()
         emission = gen.emit_turn(ctx)
         duration = time.perf_counter() - started
@@ -264,7 +259,6 @@ def run_episode(
                 consumed[-1] = Segment(last.marker, last.text + "\n")
             ep.segments.extend(consumed)
             handle_retrieve(ep, query, idx, cfg)
-            step.query = query
             if reading.truncated:
                 step.note = "turn truncated after retrieval query"
             continue
@@ -298,27 +292,22 @@ def run_episode(
 def batch_run(
     questions: list[str],
     cfg: PlannerConfig,
-    gen,
+    gateway_for,
     idx: PassageIndex | None = None,
     parallelism: int = 1,
 ) -> list[Episode]:
     """Run independent episodes, preserving input order in the output.
 
-    ``gen`` is either a shared gateway or a factory ``f(position) -> gateway``
-    (replay scripts are per-episode). A backend failure or a retrieval with no
-    index is recorded in the episode's slot, never aborting the batch.
+    ``gateway_for`` is a factory ``f(position) -> gateway``: replay scripts are
+    per-episode, a chat backend may be shared. A backend failure or a retrieval
+    with no index is recorded in the episode's slot, never aborting the batch.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 
-    def resolve(i: int):
-        if hasattr(gen, "emit_turn"):
-            return gen
-        return gen(i)
-
     def one(i: int, question: str) -> Episode:
         try:
-            return run_episode(question, cfg, resolve(i), idx)
+            return run_episode(question, cfg, gateway_for(i), idx)
         except GeneratorError as exc:
             status, failure = "generator_failure", str(exc)
         except MissingIndexError as exc:

@@ -108,10 +108,20 @@ def write_jsonl(path: str, records: Iterable[dict]) -> int:
     return count
 
 
+def write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, ensure_ascii=False)
+        fh.write("\n")
+
+
 def load_dataset(path: str) -> list[dict]:
     """Questions file: one {id, question, answers[]} record per line."""
     rows = read_jsonl(path, "dataset", {"question": str, "answers": list}, {})
     for row in rows:
+        if not row["question"]:
+            raise RecordFormatError(
+                f"{path}: dataset record {row['id']} needs a non-empty question"
+            )
         if not row["answers"]:
             raise RecordFormatError(
                 f"{path}: dataset record {row['id']} needs a non-empty answers list"

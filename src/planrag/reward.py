@@ -33,20 +33,14 @@ def answer_fidelity(rollout_answer: str, reference: str) -> float:
     return bleu(rollout_answer, reference)
 
 
-def control_accuracy(
-    rollout: Trajectory,
-    target: Trajectory,
-    max_rounds: int,
-    match_bonus: float = CONTROL_MATCH_BONUS,
-    invalid_penalty: float = INVALID_PENALTY,
-) -> float:
+def control_accuracy(rollout: Trajectory, target: Trajectory, max_rounds: int) -> float:
     """Three-level control reward: exact pattern match, valid-but-off, invalid."""
     if not validate(target, max_rounds).valid:
         raise InvalidTargetError("target trajectory does not satisfy the grammar")
     if not validate(rollout, max_rounds).valid:
-        return invalid_penalty
+        return INVALID_PENALTY
     if control_sequence(rollout) == control_sequence(target):
-        return match_bonus
+        return CONTROL_MATCH_BONUS
     return 0.0
 
 
@@ -56,16 +50,10 @@ def final_answer_text(t: Trajectory) -> str:
 
 
 def total_reward(
-    rollout: Trajectory,
-    sample: SupervisionSample,
-    max_rounds: int = 3,
-    match_bonus: float = CONTROL_MATCH_BONUS,
-    invalid_penalty: float = INVALID_PENALTY,
+    rollout: Trajectory, sample: SupervisionSample, max_rounds: int = 3
 ) -> RewardBreakdown:
     if not sample.references:
         raise EmptyReferenceError("sample has no reference answers")
     r_ans = answer_fidelity(final_answer_text(rollout), sample.references[0])
-    r_ctrl = control_accuracy(
-        rollout, sample.target, max_rounds, match_bonus, invalid_penalty
-    )
+    r_ctrl = control_accuracy(rollout, sample.target, max_rounds)
     return RewardBreakdown(r_ans=r_ans, r_ctrl=r_ctrl, total=r_ans + r_ctrl)

@@ -8,7 +8,6 @@ mapped to a fixed control-token training target.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,6 +22,7 @@ from .control import (
 )
 from .generator import EvidenceBlock, GenerationContext, GeneratorError
 from .metrics import NormalizationMode, cover_em, exact_match
+from .records import write_json, write_jsonl
 
 PARAMETRIC_PROBE_PREAMBLE = "Answer the question directly and concisely."
 RETRIEVAL_PROBE_PREAMBLE = (
@@ -56,8 +56,8 @@ class EmptyTeacherQueryError(ValueError):
     pass
 
 
-class InconsistentKindError(ValueError):
-    pass
+class EmptyTargetQueryError(ValueError):
+    """A question of control tokens and blanks only cannot be a target's retrieval query."""
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def teacher_followup_query(
     except GeneratorError as exc:
         raise TeacherFailureError(str(exc)) from exc
     query = emission.text.strip()
-    if not query:
+    if not _strip_control_tokens(query):
         raise EmptyTeacherQueryError("teacher returned an empty follow-up query")
     return query
 
@@ -210,22 +210,22 @@ def _outcome_dict(outcome: ProbeOutcome) -> dict:
 def build_sample(
     question: str,
     refs: list[str],
-    kind: SupervisionKind,
     parametric: ProbeOutcome,
     retrieval: ProbeOutcome,
     teacher_query: str | None = None,
     qid: str = "",
 ) -> SupervisionSample:
-    """Instantiate the control-token training target for a classified question."""
-    if classify(parametric, retrieval) is not kind:
-        raise InconsistentKindError(
-            f"probe outcomes classify as {classify(parametric, retrieval).value}, "
-            f"not {kind.value}"
-        )
+    """The control-token training target of the kind the probe outcomes classify as."""
+    kind = classify(parametric, retrieval)
     if not refs:
         raise ValueError("a sample needs at least one reference answer")
     gold = _strip_control_tokens(refs[0])
     query = _strip_control_tokens(question)
+    if not query and kind is not SupervisionKind.ALPHA:
+        raise EmptyTargetQueryError(
+            f"a {kind.value} sample retrieves with its question, "
+            "which has no text besides control tokens"
+        )
     answer_tail = f"[ANSWER] {gold} [SOLVED]"
     if kind is SupervisionKind.ALPHA:
         text = answer_tail
@@ -236,11 +236,11 @@ def build_sample(
         partial = _strip_control_tokens(_partial_answer(retrieval))
         text = f"[INTERMEDIARY] {partial} [RETRIEVE] {query} {answer_tail}"
     else:  # gamma: the teacher supplies the refined second query
-        if not teacher_query or not teacher_query.strip():
+        refined = _strip_control_tokens(teacher_query or "")
+        if not refined:
             raise EmptyTeacherQueryError("gamma sample requires a teacher query")
         first = _strip_control_tokens(_partial_answer(parametric))
         second = _strip_control_tokens(_partial_answer(retrieval))
-        refined = _strip_control_tokens(teacher_query)
         text = (
             f"[INTERMEDIARY] {first} [RETRIEVE] {query} "
             f"[INTERMEDIARY] {second} [RETRIEVE] {refined} {answer_tail}"
@@ -279,14 +279,10 @@ def export_dataset(samples: list[SupervisionSample], split: Split, path: str) ->
     Returns the summary: {"split", "total", "counts" per kind}.
     """
     ordered = sorted(samples, key=lambda s: s.qid)
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in ordered:
-            fh.write(json.dumps(sample_record(sample, split), ensure_ascii=False) + "\n")
+    write_jsonl(path, (sample_record(sample, split) for sample in ordered))
     counts = {kind.value: 0 for kind in SupervisionKind}
     for sample in ordered:
         counts[sample.kind.value] += 1
     summary = {"split": split.value, "total": len(ordered), "counts": counts}
-    with open(path + ".summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(path + ".summary.json", summary)
     return summary

@@ -547,9 +547,10 @@ def test_criterion_8_supervision_partition():
                 ReplayGenerator(case["teacher_turns"]),
             )
         sample = build_sample(
-            case["question"], case["answers"], kind, parametric, retrieval,
+            case["question"], case["answers"], parametric, retrieval,
             teacher_query, qid=case["id"],
         )
+        assert sample.kind is kind
         assert validate(sample.target, 3).valid
         seq = control_sequence(sample.target)
         retrieves = seq.count(R)
@@ -575,7 +576,7 @@ def test_criterion_9_reward_algebra():
 
     hit = ProbeAttempt(answer="the gold answer", em=1, cover_em=1)
     sample = build_sample(
-        "q?", ["the gold answer"], SupervisionKind.ALPHA,
+        "q?", ["the gold answer"],
         ProbeOutcome(attempts=(hit,), with_retrieval=False),
         ProbeOutcome(attempts=(hit,), with_retrieval=True),
         qid="s",

@@ -352,8 +352,8 @@ SUPERVISE_SCRIPTS = [
 
 
 class TestSuperviseCmd:
-    def run_supervise(self, tmp_path, scripts, out_name="sup"):
-        questions = write_jsonl(tmp_path / "questions.jsonl", SUPERVISE_QUESTIONS)
+    def run_supervise(self, tmp_path, scripts, out_name="sup", questions=SUPERVISE_QUESTIONS):
+        questions = write_jsonl(tmp_path / "questions.jsonl", questions)
         scripts_path = write_jsonl(tmp_path / "probe_scripts.jsonl", scripts)
         out_dir = tmp_path / out_name
         code = main(
@@ -393,6 +393,19 @@ class TestSuperviseCmd:
         assert summary["skipped"] == 1 and summary["written"] == 3
         ids = [json.loads(line)["id"] for line in (out_dir / "sft.jsonl").read_text().splitlines()]
         assert ids == ["s1", "s3", "s4"]
+
+    def test_query_of_control_tokens_only_skips_its_question(self, tmp_path, capsys):
+        # a beta target would retrieve with the question, a gamma one with the teacher's reply
+        questions = [dict(q) for q in SUPERVISE_QUESTIONS]
+        questions[1] = dict(questions[1], question="[RETRIEVE] ")
+        scripts = [dict(s) for s in SUPERVISE_SCRIPTS]
+        scripts[2] = dict(scripts[2], teacher_turns=["[SOLVED]"])
+        code, out_dir = self.run_supervise(tmp_path, scripts, "sup4", questions)
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "skipping s2" in captured.err and "skipping s3" in captured.err
+        summary = json.loads(captured.out.strip().splitlines()[-1])
+        assert summary["skipped"] == 2 and summary["written"] == 2
 
     def test_rerun_identical(self, tmp_path):
         _, out1 = self.run_supervise(tmp_path, SUPERVISE_SCRIPTS, "supA")
@@ -607,6 +620,8 @@ def _reward_samples(tmp_path, text):
          ["bad_dataset.jsonl:1", "answers"]),
         (lambda tmp: _dataset(tmp, {"id": "q1", "question": 5, "answers": ["a"]}),
          ["bad_dataset.jsonl:1", "question"]),
+        (lambda tmp: _dataset(tmp, {"id": "q1", "question": "", "answers": ["a"]}),
+         ["bad_dataset.jsonl", "question"]),
         (_corpus_title_not_string, ["bad_corpus.jsonl:2", "title"]),
         (lambda tmp: _reward_samples(tmp, '{"question": "q", "target": "[SOLVED]"}\n'),
          ["bad_samples.jsonl:1", "id"]),
@@ -641,6 +656,7 @@ def _reward_samples(tmp_path, text):
     ],
     ids=["index_without_passages", "passage_without_text", "transcript_without_rounds",
          "dataset_line_not_object", "dataset_answer_not_string", "dataset_question_not_string",
+         "dataset_question_empty",
          "corpus_title_not_string", "sample_without_id", "sample_line_not_object",
          "prediction_without_id", "prediction_line_not_object", "replay_script_not_object",
          "replay_turns_not_list", "probe_script_not_object", "probe_turns_not_list",

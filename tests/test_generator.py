@@ -1,7 +1,9 @@
 """Generator gateway: replay semantics, prompt rendering, retry policy."""
 
 import pytest
+import requests
 
+from planrag import generator
 from planrag.bm25 import Passage
 from planrag.control import ControlToken, Segment
 from planrag.generator import (
@@ -15,7 +17,6 @@ from planrag.generator import (
     ReplayGenerator,
     ScriptExhaustedError,
     StopReason,
-    TransportFailure,
     render_prompt,
     render_user_prompt,
     truncate_at_branch,
@@ -136,13 +137,15 @@ def chat_body(text, finish="stop"):
     return {"choices": [{"message": {"content": text}, "finish_reason": finish}]}
 
 
-def settings(**kwargs):
-    base = dict(endpoint="http://backend/v1/chat", model="m", backoff_base=0.0)
-    base.update(kwargs)
-    return GeneratorSettings(**base)
+def settings():
+    return GeneratorSettings(endpoint="http://backend/v1/chat", model="m")
 
 
 class TestHttpGenerator:
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr(generator, "BACKOFF_BASE_S", 0.0)
+
     def test_success(self):
         transport = transport_script([(200, chat_body("[ANSWER] hi [SOLVED]"))])
         gen = HttpChatGenerator(settings(), transport)
@@ -150,22 +153,22 @@ class TestHttpGenerator:
         assert emission.text == "[ANSWER] hi [SOLVED]"
 
     def test_transport_failures_exhaust_retries(self):
-        transport = transport_script([TransportFailure("boom")] * 5)
-        gen = HttpChatGenerator(settings(max_attempts=3), transport)
+        transport = transport_script([requests.ConnectionError("boom")] * 5)
+        gen = HttpChatGenerator(settings(), transport)
         with pytest.raises(BackendUnavailableError):
             gen.emit_turn(CTX)
         assert len(transport.calls) == 3
 
     def test_recovers_after_transient_failure(self):
         transport = transport_script(
-            [TransportFailure("x"), (503, {}), (200, chat_body("ok"))]
+            [requests.ConnectionError("x"), (503, {}), (200, chat_body("ok"))]
         )
-        gen = HttpChatGenerator(settings(max_attempts=3), transport)
+        gen = HttpChatGenerator(settings(), transport)
         assert gen.emit_turn(CTX).text == "ok"
 
     def test_semantic_error_never_retried(self):
         transport = transport_script([(400, {"error": "bad request"})])
-        gen = HttpChatGenerator(settings(max_attempts=3), transport)
+        gen = HttpChatGenerator(settings(), transport)
         with pytest.raises(GeneratorError) as err:
             gen.emit_turn(CTX)
         assert not isinstance(err.value, BackendUnavailableError)

@@ -292,10 +292,10 @@ class TestOps:
 
     def test_build_context_mirrors_state(self, tiny_index):
         ep = Episode(question="q")
-        assert build_context(ep, PlannerConfig(max_rounds=0), True).evidence_blocks == ()
+        assert build_context(ep, True).evidence_blocks == ()
         handle_retrieve(ep, "paris", tiny_index, PlannerConfig(top_k=2))
         for finalize in (False, True):
-            ctx = build_context(ep, PlannerConfig(), finalize_required=finalize)
+            ctx = build_context(ep, finalize_required=finalize)
             assert ctx.finalize_required is finalize
             assert ctx.question == "q"
             assert [b.query for b in ctx.evidence_blocks] == ["paris"]
@@ -331,11 +331,6 @@ class TestBatchRun:
 
     def test_empty(self, tiny_index):
         assert batch_run([], PlannerConfig(), replay_factory([]), tiny_index) == []
-
-    def test_shared_gateway_accepted(self, tiny_index):
-        gen = AdaptiveRetriever(target_rounds=0)
-        out = batch_run(["q1"], PlannerConfig(), gen, tiny_index)
-        assert out[0].status == "completed"
 
 
 class TestDeterminism:

@@ -17,7 +17,6 @@ from planrag.reward import (
 from planrag.supervision import (
     ProbeAttempt,
     ProbeOutcome,
-    SupervisionKind,
     build_sample,
 )
 
@@ -28,7 +27,6 @@ def alpha_sample(gold="the gold answer"):
     return build_sample(
         "q?",
         [gold],
-        SupervisionKind.ALPHA,
         ProbeOutcome(attempts=(HIT,), with_retrieval=False),
         ProbeOutcome(attempts=(HIT,), with_retrieval=True),
         qid="s1",
@@ -75,12 +73,6 @@ class TestControlAccuracy:
     def test_invalid_target_rejected(self):
         with pytest.raises(InvalidTargetError):
             control_accuracy(self.target, parse_trajectory("[SOLVED]"), 3)
-
-    def test_configurable_penalty(self):
-        got = control_accuracy(
-            parse_trajectory("[SOLVED]"), self.target, 3, invalid_penalty=-1.0
-        )
-        assert got == -1.0
 
     def test_depends_only_on_controls(self):
         a = parse_trajectory("[ANSWER] completely different text [SOLVED]")

@@ -4,12 +4,14 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planrag.control import ControlToken, control_sequence, validate
+from planrag.control import ControlToken, control_sequence, parse_trajectory, validate
 from planrag.generator import ReplayGenerator
 from planrag.supervision import (
+    EmptyTargetQueryError,
     EmptyTeacherQueryError,
-    InconsistentKindError,
     ProbeAttempt,
     ProbeOutcome,
     Split,
@@ -126,8 +128,9 @@ class TestTeacher:
         assert query == "who headlined the upcoming halftime show"
 
     def test_empty_query(self):
-        with pytest.raises(EmptyTeacherQueryError):
-            teacher_followup_query("q?", "partial", [], ReplayGenerator(["   "]))
+        for reply in ("   ", "[RETRIEVE] [SOLVED]"):
+            with pytest.raises(EmptyTeacherQueryError):
+                teacher_followup_query("q?", "partial", [], ReplayGenerator([reply]))
 
     def test_transport_failure_wrapped(self):
         with pytest.raises(TeacherFailureError):
@@ -137,16 +140,14 @@ class TestTeacher:
 class TestBuildSample:
     def test_alpha_target(self):
         sample = build_sample(
-            "q?", ["42"], SupervisionKind.ALPHA,
-            outcome(HIT, HIT), outcome(HIT, with_retrieval=True), qid="1",
+            "q?", ["42"], outcome(HIT, HIT), outcome(HIT, with_retrieval=True), qid="1",
         )
         assert sample.target.source == "[ANSWER] 42 [SOLVED]"
         assert control_sequence(sample.target) == [A, S]
 
     def test_beta_target(self):
         sample = build_sample(
-            "who is X", ["paris"], SupervisionKind.BETA,
-            outcome(COVER), outcome(HIT, with_retrieval=True), qid="2",
+            "who is X", ["paris"], outcome(COVER), outcome(HIT, with_retrieval=True), qid="2",
         )
         seq = control_sequence(sample.target)
         assert seq[:2] == [I, R]
@@ -157,16 +158,14 @@ class TestBuildSample:
 
     def test_theta_target(self):
         sample = build_sample(
-            "q?", ["paris"], SupervisionKind.THETA,
-            outcome(MISS), outcome(COVER, with_retrieval=True), qid="3",
+            "q?", ["paris"], outcome(MISS), outcome(COVER, with_retrieval=True), qid="3",
         )
         assert control_sequence(sample.target) == [I, R, A, S]
         assert validate(sample.target, 3).valid
 
     def test_gamma_target(self):
         sample = build_sample(
-            "who is X", ["paris"], SupervisionKind.GAMMA,
-            outcome(MISS), outcome(MISS, with_retrieval=True),
+            "who is X", ["paris"], outcome(MISS), outcome(MISS, with_retrieval=True),
             teacher_query="a sharper query", qid="4",
         )
         seq = control_sequence(sample.target)
@@ -179,21 +178,13 @@ class TestBuildSample:
     def test_gamma_requires_teacher_query(self):
         with pytest.raises(EmptyTeacherQueryError):
             build_sample(
-                "q?", ["x"], SupervisionKind.GAMMA,
-                outcome(MISS), outcome(MISS, with_retrieval=True), qid="5",
-            )
-
-    def test_inconsistent_kind_rejected(self):
-        with pytest.raises(InconsistentKindError):
-            build_sample(
-                "q?", ["x"], SupervisionKind.ALPHA,
-                outcome(MISS), outcome(MISS, with_retrieval=True), qid="6",
+                "q?", ["x"], outcome(MISS), outcome(MISS, with_retrieval=True), qid="5",
             )
 
     def test_control_tokens_stripped_from_fields(self):
         noisy = ProbeAttempt(answer="[SOLVED] paris now", em=0, cover_em=1)
         sample = build_sample(
-            "what [ANSWER] is X", ["gold [RETRIEVE] answer"], SupervisionKind.BETA,
+            "what [ANSWER] is X", ["gold [RETRIEVE] answer"],
             outcome(noisy), outcome(HIT, with_retrieval=True), qid="7",
         )
         assert validate(sample.target, 3).valid
@@ -206,20 +197,21 @@ class TestBuildSample:
             (SupervisionKind.THETA, outcome(MISS), outcome(COVER, with_retrieval=True), None),
         ]
         for kind, parametric, retrieval, tq in cases:
-            sample = build_sample("q?", ["gold"], kind, parametric, retrieval, tq, qid="x")
+            sample = build_sample("q?", ["gold"], parametric, retrieval, tq, qid="x")
+            assert sample.kind is kind
             assert validate(sample.target, 3).valid, kind
 
 
 class TestExport:
     def build_four(self):
         return [
-            build_sample("q alpha", ["a"], SupervisionKind.ALPHA,
+            build_sample("q alpha", ["a"],
                          outcome(HIT), outcome(HIT, with_retrieval=True), qid="01"),
-            build_sample("q beta", ["b"], SupervisionKind.BETA,
+            build_sample("q beta", ["b"],
                          outcome(COVER), outcome(HIT, with_retrieval=True), qid="02"),
-            build_sample("q gamma", ["c"], SupervisionKind.GAMMA,
+            build_sample("q gamma", ["c"],
                          outcome(MISS), outcome(MISS, with_retrieval=True), "tq", qid="03"),
-            build_sample("q theta", ["d"], SupervisionKind.THETA,
+            build_sample("q theta", ["d"],
                          outcome(MISS), outcome(COVER, with_retrieval=True), qid="04"),
         ]
 
@@ -245,10 +237,53 @@ class TestExport:
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_exported_targets_validate(self, tmp_path):
-        from planrag.control import parse_trajectory
-
         path = tmp_path / "sft.jsonl"
         export_dataset(self.build_four(), Split.SFT, str(path))
         for line in path.read_text().splitlines():
             rec = json.loads(line)
             assert validate(parse_trajectory(rec["target"]), 3).valid
+
+
+# probe answers and references may carry whole or split control-token surfaces
+PIECES = ["", " ", "\n", "paris", "é", "[ANSWER]", "[SOLVED]", "[INTERMEDIARY]", "[RETRIEVE]",
+          "[ANS", "WER]", "["]
+NOISY = st.lists(st.sampled_from(PIECES), max_size=6).map("".join)
+
+
+def has_text(text):
+    """Whether text has anything but blanks outside its control tokens."""
+    return any(seg.text.strip() for seg in parse_trajectory(text).segments)
+
+
+# em 1 implies cover_em 1
+ATTEMPT = st.builds(
+    lambda answer, scores: ProbeAttempt(answer, *scores),
+    NOISY,
+    st.sampled_from([(1, 1), (0, 1), (0, 0)]),
+)
+
+
+@given(
+    question=NOISY,
+    refs=st.lists(NOISY, min_size=1, max_size=3),
+    parametric=st.lists(ATTEMPT, min_size=1, max_size=4),
+    retrieval=ATTEMPT,
+    teacher_query=NOISY,
+)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_sample_kind_follows_from_probes(question, refs, parametric, retrieval, teacher_query):
+    p, r = outcome(*parametric), outcome(retrieval, with_retrieval=True)
+    kind = classify(p, r)
+    if kind is not SupervisionKind.ALPHA and not has_text(question):
+        with pytest.raises(EmptyTargetQueryError):
+            build_sample(question, refs, p, r, teacher_query)
+        return
+    if kind is SupervisionKind.GAMMA and not has_text(teacher_query):
+        with pytest.raises(EmptyTeacherQueryError):
+            build_sample(question, refs, p, r, teacher_query)
+        return
+    sample = build_sample(
+        question, refs, p, r, teacher_query if kind is SupervisionKind.GAMMA else None
+    )
+    assert sample.kind is kind
+    assert validate(sample.target, 2).valid, sample.target.source
