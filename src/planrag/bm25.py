@@ -10,10 +10,9 @@ import os
 import re
 import sys
 from array import array
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import records
 
@@ -71,57 +70,52 @@ def tokenize(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower().replace("_", " "))
 
 
-class _Postings(Mapping):
-    """term -> {ordinal: tf} over the flat arrays of a loaded index file.
-
-    Term i's postings are ordinals[offsets[i]:offsets[i + 1]] with their term
-    frequencies at the same places in tfs. Its dict is built from that slice on
-    first use and cached. Threads sharing an index may both build one term's
-    dict; each builds its own and publishes it with one assignment, so no
-    reader sees a dict half built.
-    """
-
-    def __init__(
-        self, slots: dict[str, int], offsets: array, ordinals: array, tfs: array, doc_count: int
-    ):
-        self._slots = slots  # term -> its position in the term list
-        self._offsets, self._ordinals, self._tfs = offsets, ordinals, tfs
-        # one int object per ordinal, the key in every dict, as in a built index:
-        # search looks an ordinal from one posting up in the others, and a key of
-        # the same object matches without a value comparison
-        self._keys = list(range(doc_count))
-        self._built: dict[str, dict[int, int]] = {}
-
-    def __getitem__(self, term: str) -> dict[int, int]:
-        posting = self._built.get(term)
-        if posting is None:
-            i = self._slots[term]
-            lo, hi = self._offsets[i], self._offsets[i + 1]
-            keys = map(self._keys.__getitem__, self._ordinals[lo:hi])
-            posting = dict(zip(keys, self._tfs[lo:hi]))
-            self._built[term] = posting
-        return posting
-
-    def __contains__(self, term: object) -> bool:
-        return term in self._slots
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._slots)
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-
 @dataclass
 class PassageIndex:
-    """Inverted index with BM25 statistics over an immutable passage corpus."""
+    """Inverted index with BM25 statistics over an immutable passage corpus.
+
+    Term i of ``terms`` has its postings at ordinals[offsets[i]:offsets[i + 1]],
+    with their term frequencies at the same places in tfs. The integer arrays
+    are in the narrowest unsigned typecode that holds them, as save_index
+    writes them.
+    """
 
     passages: list[Passage]
-    postings: Mapping[str, dict[int, int]]  # term -> ordinal -> term frequency
-    norms: Sequence[float]  # ordinal -> k1 * (1 - b + b * length / avg_doc_length)
+    terms: list[str]
+    offsets: array
+    ordinals: array
+    tfs: array
+    norms: array  # "d", ordinal -> k1 * (1 - b + b * length / avg_doc_length)
     avg_doc_length: float
     k1: float
     b: float
+
+    def __post_init__(self) -> None:
+        self._slots = {t: i for i, t in enumerate(self.terms)}
+        # one int object per ordinal, the key in every posting dict: search looks
+        # an ordinal from one posting up in the others, and a key of the same
+        # object matches without a value comparison
+        self._keys = list(range(len(self.passages)))
+        self._built: dict[str, dict[int, int]] = {}
+
+    def posting(self, term: str) -> dict[int, int] | None:
+        """The term's {ordinal: tf}, or None for a term no passage holds.
+
+        The dict is built from the term's slice of the arrays on first use and
+        cached. Threads sharing an index may both build one term's dict; each
+        builds its own and publishes it with one assignment, so no reader sees
+        a dict half built.
+        """
+        posting = self._built.get(term)
+        if posting is None:
+            i = self._slots.get(term)
+            if i is None:
+                return None
+            lo, hi = self.offsets[i], self.offsets[i + 1]
+            keys = map(self._keys.__getitem__, self.ordinals[lo:hi])
+            posting = dict(zip(keys, self.tfs[lo:hi]))
+            self._built[term] = posting
+        return posting
 
     @property
     def doc_count(self) -> int:
@@ -141,7 +135,7 @@ class PassageIndex:
         total = 0.0
         # sorted unique terms keep float accumulation order canonical
         for term in sorted(set(query_terms)):
-            posting = self.postings.get(term, {})
+            posting = self.posting(term) or {}
             tf = posting.get(ordinal, 0)
             if tf == 0:
                 continue
@@ -185,7 +179,8 @@ class PassageIndex:
         if k < 1:
             raise ValueError("k must be >= 1")
         k1p = self.k1 + 1
-        postings = [self.postings[t] for t in sorted(set(tokenize(query))) if t in self.postings]
+        # every term held has a non-empty posting; filter drops the None of the others
+        postings = filter(None, map(self.posting, sorted(set(tokenize(query)))))
         terms = [(posting, self._idf(len(posting))) for posting in postings]
         visits = sorted(terms, key=lambda term: -term[1])
         bounds = [idf * k1p for _, idf in visits]
@@ -267,10 +262,15 @@ def build_index(
     avg_len = sum(doc_lengths) / len(doc_lengths)
     # an all-empty corpus has no postings, so no score depends on its norms
     avg = avg_len or 1.0
+    dicts = postings.values()
+    # one flat list at a time, each packed and dropped before the next
     return PassageIndex(
         passages=passages,
-        postings=postings,
-        norms=[k1 * (1 - b + b * length / avg) for length in doc_lengths],
+        terms=list(postings),
+        offsets=_packed(list(accumulate(map(len, dicts), initial=0))),
+        ordinals=_packed(list(chain.from_iterable(dicts))),
+        tfs=_packed(list(chain.from_iterable(map(dict.values, dicts)))),
+        norms=array("d", [k1 * (1 - b + b * length / avg) for length in doc_lengths]),
         avg_doc_length=avg_len,
         k1=k1,
         b=b,
@@ -302,14 +302,7 @@ def save_index(index: PassageIndex, path: str) -> None:
     order, the byte order and each array's typecode and item count. The arrays
     follow in _ARRAYS order: term offsets, ordinals, term frequencies, norms.
     """
-    postings = index.postings.values()
-    # one flat list at a time, each packed and dropped before the next
-    arrays = {
-        "offsets": _packed(list(accumulate(map(len, postings), initial=0))),
-        "ordinals": _packed(list(chain.from_iterable(postings))),
-        "tfs": _packed(list(chain.from_iterable(map(dict.values, postings)))),
-        "norms": array("d", index.norms),
-    }
+    arrays = {name: getattr(index, name) for name in _ARRAYS}
     header = {
         "format_version": FORMAT_VERSION,
         "k1": index.k1,
@@ -318,7 +311,7 @@ def save_index(index: PassageIndex, path: str) -> None:
         "passages": [
             {"id": p.id, "title": p.title, "text": p.text} for p in index.passages
         ],
-        "terms": list(index.postings),
+        "terms": index.terms,
         "byteorder": sys.byteorder,
         "arrays": {name: [a.typecode, len(a)] for name, a in arrays.items()},
     }
@@ -333,9 +326,9 @@ def save_index(index: PassageIndex, path: str) -> None:
 def load_index(path: str) -> PassageIndex:
     """Read an index file.
 
-    A format_version 2 file is read as it was saved, without tokenizing, and
-    each term's postings dict is built on first use. A format_version 1 file
-    holds only k1, b and the passages, which are indexed again.
+    A format_version 2 file is read as it was saved, without tokenizing. A
+    format_version 1 file holds only k1, b and the passages, which are indexed
+    again.
     """
     with open(path, "rb") as fh:
         try:
@@ -347,12 +340,12 @@ def load_index(path: str) -> PassageIndex:
               f"expected format_version 1 or {FORMAT_VERSION}, got {version}")
         k1, b = header.get("k1"), header.get("b")
         _need(type(k1) in (int, float) and type(b) in (int, float), path, "needs numeric k1 and b")
+        _need(0 <= k1 < math.inf and 0 <= b <= 1, path, "needs k1 >= 0 and b in [0, 1]")
         passages = _passages(path, header.get("passages"))
         if version == 1:
             return build_index(passages, k1=k1, b=b)
         offsets, ordinals, tfs, norms = _read_arrays(path, fh, header)
     terms, avg, n = header.get("terms"), header.get("avg_doc_length"), len(passages)
-    _need(0 <= k1 < math.inf and 0 <= b <= 1, path, "needs k1 >= 0 and b in [0, 1]")
     _need(type(avg) in (int, float) and 0 <= avg < math.inf, path, "needs avg_doc_length >= 0")
     _need(
         type(terms) is list and all(type(t) is str for t in terms)
@@ -371,14 +364,7 @@ def load_index(path: str) -> PassageIndex:
         len(norms) == n and all(0 <= norm < math.inf for norm in norms),
         path, "needs one finite norm >= 0 per passage",
     )
-    return PassageIndex(
-        passages=passages,
-        postings=_Postings({t: i for i, t in enumerate(terms)}, offsets, ordinals, tfs, n),
-        norms=norms,
-        avg_doc_length=avg,
-        k1=k1,
-        b=b,
-    )
+    return PassageIndex(passages, terms, offsets, ordinals, tfs, norms, avg, k1, b)
 
 
 def _need(ok: bool, path: str, what: str) -> None:

@@ -1,7 +1,8 @@
 """Line-delimited record I/O shared by the CLI commands.
 
 Every input file is one JSON object per line with an ``id``. ``check`` is the
-one decision on a record's shape; ``read_jsonl`` applies it to a whole file.
+one decision on a record's shape; ``read_jsonl`` applies it to a whole file,
+in which each id is unique.
 """
 
 from __future__ import annotations
@@ -85,16 +86,24 @@ def read_jsonl(
     """Every record of a file, each checked, with its id turned into a string.
 
     The first record that does not fit raises RecordFormatError
-    ``<path>:<line>: <what> record must be ...``, or ``<path>:<line>: not UTF-8 text``.
+    ``<path>:<line>: <what> record must be ...``, ``<path>:<line>: not UTF-8
+    text`` or, for an id already read, ``<path>:<line>: <what> record id <id>
+    repeats line <n>``.
     """
     rows = []
+    lines: dict[str, int] = {}  # id -> the first line it is on
     for lineno, record in iter_jsonl(path):
         if type(record) is bytes:
             raise RecordFormatError(f"{path}:{lineno}: not UTF-8 text")
         problem = check(record, required, optional)
         if problem:
             raise RecordFormatError(f"{path}:{lineno}: {what} record {problem}")
-        record["id"] = str(record["id"])
+        rid = record["id"] = str(record["id"])
+        first = lines.setdefault(rid, lineno)
+        if first != lineno:
+            raise RecordFormatError(
+                f"{path}:{lineno}: {what} record id {rid} repeats line {first}"
+            )
         rows.append(record)
     return rows
 

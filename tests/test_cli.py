@@ -570,8 +570,8 @@ def _dataset_scalar_line(tmp_path):
     return ["score", "--predictions", preds, "--dataset", str(path)]
 
 
-def _dataset(tmp_path, row):
-    path = write_jsonl(tmp_path / "bad_dataset.jsonl", [row])
+def _dataset(tmp_path, *rows):
+    path = write_jsonl(tmp_path / "bad_dataset.jsonl", list(rows))
     return ["run", "--dataset", path, "--scripts", str(tmp_path / "scripts.jsonl"),
             "--out-dir", str(tmp_path / "o")]
 
@@ -614,6 +614,8 @@ def _reward_samples(tmp_path, text):
     [
         (lambda tmp: _index_file(tmp, {}), ["bad_index.json", "passages"]),
         (lambda tmp: _index_file(tmp, {"passages": [{"id": "p1"}]}), ["passage 0"]),
+        (lambda tmp: _index_file(tmp, {"b": 2, "passages": CORPUS}),
+         ["bad_index.json", "b in [0, 1]"]),
         (_transcripts_without_rounds, ["no_rounds.jsonl:1", "rounds_used"]),
         (_dataset_scalar_line, ["scalar.jsonl:2", "JSON object"]),
         (lambda tmp: _dataset(tmp, {"id": "q1", "question": "q?", "answers": [5]}),
@@ -622,7 +624,11 @@ def _reward_samples(tmp_path, text):
          ["bad_dataset.jsonl:1", "question"]),
         (lambda tmp: _dataset(tmp, {"id": "q1", "question": "", "answers": ["a"]}),
          ["bad_dataset.jsonl", "question"]),
+        (lambda tmp: _dataset(tmp, DATASET[0], DATASET[1], DATASET[0]),
+         ["bad_dataset.jsonl:3", "dataset record id q1 repeats line 1"]),
         (_corpus_title_not_string, ["bad_corpus.jsonl:2", "title"]),
+        (lambda tmp: _corpus_bytes(tmp, (json.dumps(CORPUS[0]) + "\n").encode() * 2),
+         ["bad_corpus.jsonl:2", "corpus record id p1 repeats line 1"]),
         (lambda tmp: _reward_samples(tmp, '{"question": "q", "target": "[SOLVED]"}\n'),
          ["bad_samples.jsonl:1", "id"]),
         (lambda tmp: _reward_samples(tmp, '{"id": "r1"}\n\n[1, 2]\n'),
@@ -654,10 +660,11 @@ def _reward_samples(tmp_path, text):
         (lambda tmp: _corpus_bytes(tmp, json.dumps(CORPUS[0]).encode() + b"\n\xff\n"),
          ["bad_corpus.jsonl:2", "not UTF-8"]),
     ],
-    ids=["index_without_passages", "passage_without_text", "transcript_without_rounds",
+    ids=["index_without_passages", "passage_without_text", "index_v1_b_out_of_range",
+         "transcript_without_rounds",
          "dataset_line_not_object", "dataset_answer_not_string", "dataset_question_not_string",
-         "dataset_question_empty",
-         "corpus_title_not_string", "sample_without_id", "sample_line_not_object",
+         "dataset_question_empty", "dataset_id_repeated", "corpus_title_not_string",
+         "corpus_id_repeated", "sample_without_id", "sample_line_not_object",
          "prediction_without_id", "prediction_line_not_object", "replay_script_not_object",
          "replay_turns_not_list", "probe_script_not_object", "probe_turns_not_list",
          "sample_kind_not_allowed", "config_budget_null", "config_budget_list",
