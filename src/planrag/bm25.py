@@ -160,6 +160,8 @@ class PassageIndex:
            next term is added to the candidates left. This repeats until every
            term is added or at most ``_RESCORE_WITHIN * k`` candidates are left,
            and the candidates are pruned once more after the last term added.
+           Both phases run in one loop over the terms, which takes the k-th
+           largest partial sum at most once per term added.
         3. Rescore: each survivor gets its exact score and the top k by
            (-score, id) are returned.
 
@@ -192,30 +194,33 @@ class PassageIndex:
             # the k-th largest partial sum; 0.0, which prunes nothing, below k
             return heapq.nlargest(k, acc.values())[-1] if len(acc) >= k else 0.0
 
-        # accumulate: every passage in a visited posting gets a partial sum
+        # accumulate while admitting; after that prune, then add the next term to
+        # the candidates left, until every term is added or few candidates are left
         acc: dict[int, float] = {}
-        added = 0
-        for posting, idf in visits:
-            get = acc.get
-            for ordinal, tf in posting.items():
-                acc[ordinal] = get(ordinal, 0.0) + idf * tf * k1p / (tf + norms[ordinal])
-            added += 1
-            tail = tails[added]
-            # no partial sum exceeds the visited bounds: the test passes only below them
-            if tail < tails[0] - tail and tail * (1 + _SLACK) < kth(acc):
-                break
-        # prune, then add the next term to the candidates left, until few are left
-        while True:
-            floor = kth(acc) * (1 - _SLACK)
+        admitting = True
+        for added, (posting, idf) in enumerate(visits, 1):
+            if admitting:
+                get = acc.get
+                for ordinal, tf in posting.items():
+                    acc[ordinal] = get(ordinal, 0.0) + idf * tf * k1p / (tf + norms[ordinal])
+            else:
+                for ordinal in acc.keys() & posting.keys():
+                    tf = posting[ordinal]
+                    acc[ordinal] += idf * tf * k1p / (tf + norms[ordinal])
             rest = tails[added]
+            # no partial sum exceeds the visited bounds: the test passes only below them
+            if admitting and rest >= tails[0] - rest:
+                continue
+            floor = kth(acc)
+            # after the last term rest is 0.0, and only a floor of 0.0, which
+            # prunes nothing, goes on admitting
+            if admitting and rest * (1 + _SLACK) >= floor:
+                continue
+            admitting = False
+            floor *= 1 - _SLACK
             acc = {o: a for o, a in acc.items() if (a + rest) * (1 + _SLACK) >= floor}
-            if added == len(visits) or len(acc) <= _RESCORE_WITHIN * k:
+            if len(acc) <= _RESCORE_WITHIN * k:
                 break
-            posting, idf = visits[added]
-            added += 1
-            for ordinal in acc.keys() & posting.keys():
-                tf = posting[ordinal]
-                acc[ordinal] += idf * tf * k1p / (tf + norms[ordinal])
         # rescore: exact sums over the sorted terms from 0.0, as score makes them
         scores: dict[int, float] = {}
         for ordinal in acc:

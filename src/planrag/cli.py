@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import operator
 import os
@@ -38,9 +37,11 @@ from .supervision import (
     teacher_followup_query,
 )
 
-# setting -> (kind, default), each kind as records.fits takes it. A command's
-# flag of the same name, where it has one, wins over the config file, which
-# wins over the default; the README lists which commands have which flags.
+# setting -> (kind, default), each kind as records.fits takes it. main resolves
+# every setting once and hands the result to the command: a flag of the same
+# name, where the command has one, wins over the config file, which wins over
+# the default; the README lists which commands have which flags. compare's
+# --a and --b name its two transcript files, so its --b is side B, not BM25 b.
 SETTINGS: dict[str, tuple[records.Kind, object]] = {
     "budget": (int, 3),
     "top_k": (int, 3),
@@ -87,22 +88,13 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _setting(args, config: dict, key: str):
-    """Precedence: command-line flag, then config file, then the SETTINGS default."""
-    kind, default = SETTINGS[key]
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    return float(value) if kind is float else value
-
-
-def _gateways(rows: list[dict], args, config, what: str, fields: tuple[str, ...]) -> list:
+def _gateways(rows: list[dict], settings, what: str, fields: tuple[str, ...]) -> list:
     """One ``f(position) -> gateway`` per script field: replay scripts when given, else chat.
 
     Without scripts each field's chat backend is shared by every position; a
     ``teacher_`` field's backend takes the teacher_endpoint and teacher_model.
     """
-    path = _setting(args, config, "scripts")
+    path = settings.scripts
     if path:
         scripts = {
             rec["id"]: rec
@@ -114,15 +106,14 @@ def _gateways(rows: list[dict], args, config, what: str, fields: tuple[str, ...]
         # ReplayGenerator is looked up when called, so that it can be patched
         return [lambda i, f=f: ReplayGenerator(scripts[rows[i]["id"]].get(f, [])) for f in fields]
     roles = ["teacher_" if f.startswith("teacher_") else "" for f in fields]
-    chats = [_chat_generator(args, config, role) for role in roles]
+    chats = [_chat_generator(settings, role) for role in roles]
     return [lambda i, chat=chat: chat for chat in chats]
 
 
-def _chat_generator(args, config, role: str) -> HttpChatGenerator:
+def _chat_generator(settings, role: str) -> HttpChatGenerator:
     """Chat backend from the settings; role "teacher_" prefers teacher_endpoint/model."""
     endpoint, model = (
-        _setting(args, config, role + key) or _setting(args, config, key)
-        for key in ("endpoint", "model")
+        getattr(settings, role + key) or getattr(settings, key) for key in ("endpoint", "model")
     )
     if not endpoint or not model:
         raise CliError("need --scripts for replay, or endpoint+model in --config")
@@ -130,27 +121,15 @@ def _chat_generator(args, config, role: str) -> HttpChatGenerator:
         GeneratorSettings(
             endpoint=endpoint,
             model=model,
-            temperature=_setting(args, config, "temperature"),
-            max_tokens=_setting(args, config, "max_tokens"),
-            auth_env=_setting(args, config, "auth_env"),
+            temperature=settings.temperature,
+            max_tokens=settings.max_tokens,
+            auth_env=settings.auth_env,
         )
     )
 
 
-def _run_setup(args, config):
-    """What a run and every budget of a sweep share: rows, index, generator, config."""
-    rows = records.load_dataset(args.dataset)
-    idx = bm25.load_index(args.index) if args.index else None
-    cfg = PlannerConfig(
-        max_rounds=_setting(args, config, "budget"),
-        top_k=_setting(args, config, "top_k"),
-        fallback_policy=FallbackPolicy(_setting(args, config, "fallback")),
-    )
-    mode = NormalizationMode(_setting(args, config, "normalization"))
-    [factory] = _gateways(rows, args, config, "replay", ("turns",))
-    name = args.name or os.path.splitext(os.path.basename(args.dataset))[0]
-    parallelism = _setting(args, config, "parallelism")
-    return rows, idx, factory, cfg, mode, name, parallelism
+def _dataset_name(args) -> str:
+    return args.name or os.path.splitext(os.path.basename(args.dataset))[0]
 
 
 def _score_report(name, predictions, rows, mode, episodes=None) -> tuple[dict, str]:
@@ -159,14 +138,8 @@ def _score_report(name, predictions, rows, mode, episodes=None) -> tuple[dict, s
     With ``episodes`` the report also holds their retrieval stats and answer presence.
     """
     if not rows:
-        empty = {
-            "normalization": mode.value,
-            "rows": [],
-            "avg_score": None,
-            "retrieval_stats": {},
-            "presence_at_k": {},
-        }
-        return empty, "Dataset  EM  ROUGE  F1\n(no rows)\n"
+        empty = ScoreReport(rows=[], avg_score=None, normalization=mode.value)
+        return empty.to_dict(), "Dataset  EM  ROUGE  F1\n(no rows)\n"
     row = score_row(name, predictions, [r["answers"] for r in rows], mode)
     report = ScoreReport(rows=[row], avg_score=avg_score([row]), normalization=mode.value)
     if episodes is not None:
@@ -181,40 +154,61 @@ def _score_report(name, predictions, rows, mode, episodes=None) -> tuple[dict, s
     return report.to_dict(), report.render_table()
 
 
-def _run_once(rows, idx, factory, cfg, mode, name, parallelism, out_dir):
+def _write_report(out_dir: str, payload: dict, table: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    episodes = batch_run([r["question"] for r in rows], cfg, factory, idx, parallelism)
-    ids = [row["id"] for row in rows]
-    transcripts = map(episode_record, episodes, ids)
-    records.write_jsonl(os.path.join(out_dir, "transcripts.jsonl"), transcripts)
-    # step durations go to a sidecar, so that transcripts stay byte-identical
-    timings = (
-        {"id": qid, "step_ms": [round(s.duration_s * 1000, 3) for s in ep.steps]}
-        for qid, ep in zip(ids, episodes)
-    )
-    records.write_jsonl(os.path.join(out_dir, "timings.jsonl"), timings)
-    report_dict, table = _score_report(
-        name, [ep.final_answer for ep in episodes], rows, mode, episodes
-    )
-    run_info = {
-        "dataset": name,
-        "budget": cfg.max_rounds,
-        "top_k": cfg.top_k,
-        "normalization": mode.value,
-    }
-    report = {"run": run_info, "report": report_dict}
-    records.write_json(os.path.join(out_dir, "report.json"), report)
+    records.write_json(os.path.join(out_dir, "report.json"), payload)
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(table)
-    return episodes, report_dict, table
 
 
-def cmd_index(args) -> int:
-    config = _load_config(args.config)
+def _run_budgets(args, settings, runs: list[tuple[int, str]]):
+    """Run the dataset at each ``(budget, out_dir)`` of ``runs`` in turn.
+
+    Rows, index and gateways are loaded once. Each budget writes its
+    transcripts.jsonl, timings.jsonl and report to its out_dir, and its
+    episodes, report payload and table are yielded before the next budget
+    runs, not all returned at the end.
+    """
+    rows = records.load_dataset(args.dataset)
+    idx = bm25.load_index(args.index) if args.index else None
+    fallback = FallbackPolicy(settings.fallback)
+    # every budget is checked before the gateways are built and any runs
+    cfgs = [
+        PlannerConfig(max_rounds=budget, top_k=settings.top_k, fallback_policy=fallback)
+        for budget, _ in runs
+    ]
+    mode = NormalizationMode(settings.normalization)
+    [factory] = _gateways(rows, settings, "replay", ("turns",))
+    name = _dataset_name(args)
+    questions = [row["question"] for row in rows]
+    ids = [row["id"] for row in rows]
+    for cfg, (_, out_dir) in zip(cfgs, runs):
+        os.makedirs(out_dir, exist_ok=True)
+        episodes = batch_run(questions, cfg, factory, idx, settings.parallelism)
+        transcripts = map(episode_record, episodes, ids)
+        records.write_jsonl(os.path.join(out_dir, "transcripts.jsonl"), transcripts)
+        # step durations go to a sidecar, so that transcripts stay byte-identical
+        timings = (
+            {"id": qid, "step_ms": [round(s.duration_s * 1000, 3) for s in ep.steps]}
+            for qid, ep in zip(ids, episodes)
+        )
+        records.write_jsonl(os.path.join(out_dir, "timings.jsonl"), timings)
+        report, table = _score_report(
+            name, [ep.final_answer for ep in episodes], rows, mode, episodes
+        )
+        run_info = {
+            "dataset": name,
+            "budget": cfg.max_rounds,
+            "top_k": cfg.top_k,
+            "normalization": mode.value,
+        }
+        _write_report(out_dir, {"run": run_info, "report": report}, table)
+        yield episodes, report, table
+
+
+def cmd_index(args, settings) -> int:
     passages = bm25.load_corpus(args.corpus)
-    index = bm25.build_index(
-        passages, k1=_setting(args, config, "k1"), b=_setting(args, config, "b")
-    )
+    index = bm25.build_index(passages, k1=settings.k1, b=settings.b)
     bm25.save_index(index, args.out)
     print(
         json.dumps(
@@ -224,12 +218,8 @@ def cmd_index(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    config = _load_config(args.config)
-    rows, idx, factory, cfg, mode, name, parallelism = _run_setup(args, config)
-    episodes, _, table = _run_once(
-        rows, idx, factory, cfg, mode, name, parallelism, args.out_dir
-    )
+def cmd_run(args, settings) -> int:
+    [(episodes, _, table)] = _run_budgets(args, settings, [(settings.budget, args.out_dir)])
     print(table, end="")
     failed = [ep for ep in episodes if ep.status != "completed"]
     if failed:
@@ -238,8 +228,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+def cmd_sweep(args, settings) -> int:
     try:
         budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
     except ValueError:
@@ -250,22 +239,17 @@ def cmd_sweep(args) -> int:
     for budget in budgets:
         if budget < 0:
             raise CliError(f"--budgets: {budget} is not a budget >= 0")
-    rows, idx, factory, base_cfg, mode, name, parallelism = _run_setup(args, config)
-    os.makedirs(args.out_dir, exist_ok=True)
+    name = _dataset_name(args)
+    runs = [(budget, os.path.join(args.out_dir, f"b{budget}")) for budget in budgets]
     sweep_rows = []
     exit_code = 0
-    for budget in budgets:
-        cfg = dataclasses.replace(base_cfg, max_rounds=budget)
-        sub_dir = os.path.join(args.out_dir, f"b{budget}")
-        episodes, report_dict, _ = _run_once(
-            rows, idx, factory, cfg, mode, name, parallelism, sub_dir
-        )
-        stats = report_dict["retrieval_stats"].get(name, {"mean": 0.0, "distribution": {}})
+    for budget, (episodes, report, _) in zip(budgets, _run_budgets(args, settings, runs)):
+        stats = report["retrieval_stats"].get(name, {"mean": 0.0, "distribution": {}})
         sweep_rows.append(
             {
                 "budget": budget,
                 "mean_count": stats["mean"],
-                "avg_score": report_dict["avg_score"],
+                "avg_score": report["avg_score"],
                 "distribution": {str(k): v for k, v in stats["distribution"].items()},
             }
         )
@@ -326,12 +310,11 @@ def _read_transcripts(path: str) -> dict:
     return {rec["id"]: rec for rec in records.read_jsonl(path, "transcript", shape, {})}
 
 
-def cmd_compare(args) -> int:
-    config = _load_config(args.config)
-    mode = NormalizationMode(_setting(args, config, "normalization"))
+def cmd_compare(args, settings) -> int:
+    mode = NormalizationMode(settings.normalization)
     atoms = parse_subset_spec(args.subset)
-    side_a = _read_transcripts(args.a)
-    side_b = _read_transcripts(args.b)
+    side_a = _read_transcripts(args.side_a)
+    side_b = _read_transcripts(args.side_b)
     if set(side_a) != set(side_b):
         only_a = sorted(set(side_a) - set(side_b))[:5]
         only_b = sorted(set(side_b) - set(side_a))[:5]
@@ -377,22 +360,19 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_supervise(args) -> int:
-    config = _load_config(args.config)
+def cmd_supervise(args, settings) -> int:
     rows = records.load_dataset(args.questions)
     idx = bm25.load_index(args.index) if args.index else None
-    mode = NormalizationMode(_setting(args, config, "normalization"))
-    attempts_n = _setting(args, config, "attempts")
-    top_k = _setting(args, config, "top_k")
-    split = Split(_setting(args, config, "split"))
-    model, teacher = _gateways(rows, args, config, "probe", ("probe_turns", "teacher_turns"))
+    mode = NormalizationMode(settings.normalization)
+    split = Split(settings.split)
+    model, teacher = _gateways(rows, settings, "probe", ("probe_turns", "teacher_turns"))
     samples = []
     skipped = []
     for i, row in enumerate(rows):
         question, refs, gen = row["question"], row["answers"], model(i)
         try:
-            parametric = probe_parametric(question, refs, gen, attempts_n, mode)
-            retrieval = probe_retrieval(question, refs, gen, idx, top_k, mode)
+            parametric = probe_parametric(question, refs, gen, settings.attempts, mode)
+            retrieval = probe_retrieval(question, refs, gen, idx, settings.top_k, mode)
             kind = classify(parametric, retrieval)
             teacher_query = None
             if kind is SupervisionKind.GAMMA:
@@ -415,9 +395,7 @@ def cmd_supervise(args) -> int:
     return 0
 
 
-def cmd_reward(args) -> int:
-    config = _load_config(args.config)
-    budget = _setting(args, config, "budget")
+def cmd_reward(args, settings) -> int:
     kinds = tuple(k.value for k in SupervisionKind)
     sample_fields = {"question": str, "kind": kinds, "target": str, "references": list}
     sample_by_id = {
@@ -444,7 +422,7 @@ def cmd_reward(args) -> int:
             errors += 1
             continue
         try:
-            breakdown = total_reward(parse_trajectory(rec["text"]), sample, budget)
+            breakdown = total_reward(parse_trajectory(rec["text"]), sample, settings.budget)
         except ValueError as exc:
             entries.append({"id": qid, "error": str(exc)})
             errors += 1
@@ -462,9 +440,8 @@ def cmd_reward(args) -> int:
     return 1 if errors else 0
 
 
-def cmd_score(args) -> int:
-    config = _load_config(args.config)
-    mode = NormalizationMode(_setting(args, config, "normalization"))
+def cmd_score(args, settings) -> int:
+    mode = NormalizationMode(settings.normalization)
     rows = records.load_dataset(args.dataset)
     preds = {
         rec["id"]: rec.get("prediction", "")
@@ -473,13 +450,9 @@ def cmd_score(args) -> int:
     missing = [r["id"] for r in rows if r["id"] not in preds]
     if missing:
         raise CliError(f"predictions missing for ids: {', '.join(missing[:5])}")
-    name = args.name or os.path.splitext(os.path.basename(args.dataset))[0]
-    payload, table = _score_report(name, [preds[r["id"]] for r in rows], rows, mode)
+    payload, table = _score_report(_dataset_name(args), [preds[r["id"]] for r in rows], rows, mode)
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        records.write_json(os.path.join(args.out_dir, "report.json"), payload)
-        with open(os.path.join(args.out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(table)
+        _write_report(args.out_dir, payload, table)
     print(table, end="")
     return 0
 
@@ -531,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="score two transcript files on a subset")
     common(p)
-    p.add_argument("--a", required=True, help="transcripts for side A")
-    p.add_argument("--b", required=True, help="transcripts for side B")
+    p.add_argument("--a", dest="side_a", required=True, help="transcripts for side A")
+    p.add_argument("--b", dest="side_b", required=True, help="transcripts for side B")
     p.add_argument("--dataset", required=True)
     p.add_argument("--subset", required=True, help='e.g. "a>=1,b==0"')
     p.add_argument("--out")
@@ -569,7 +542,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(args.config)
+        settings = argparse.Namespace()
+        for key, (kind, default) in SETTINGS.items():
+            value = getattr(args, key, None)
+            if value is None:
+                value = config.get(key, default)
+            setattr(settings, key, float(value) if kind is float else value)
+        return args.func(args, settings)
     except (CliError, GeneratorError, OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -266,6 +266,31 @@ class TestSweepCmd:
         assert "--budgets" in err and "-1" in err
         assert not out_dir.exists()
 
+    def test_budget_setting_not_read(self, workspace, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"budget": -1}))
+        out_dir = workspace["root"] / "sweep_cfg"
+        code = main(
+            ["sweep", "--dataset", workspace["dataset"], "--scripts", workspace["scripts"],
+             "--index", workspace["index"], "--out-dir", str(out_dir), "--budgets", "1",
+             "--config", str(config)]
+        )
+        assert code == 0
+        assert (out_dir / "b1" / "transcripts.jsonl").exists()
+        assert json.loads((out_dir / "b1" / "report.json").read_text())["run"]["budget"] == 1
+
+    def test_run_is_a_sweep_of_one_budget(self, workspace):
+        code, run_dir = run_cmd(workspace, "run2", ["--budget", "2"])
+        assert code == 0
+        sweep_dir = workspace["root"] / "sweep2"
+        code = main(
+            ["sweep", "--dataset", workspace["dataset"], "--scripts", workspace["scripts"],
+             "--index", workspace["index"], "--out-dir", str(sweep_dir), "--budgets", "2"]
+        )
+        assert code == 0
+        for name in ("transcripts.jsonl", "report.json", "report.txt"):
+            assert (run_dir / name).read_bytes() == (sweep_dir / "b2" / name).read_bytes()
+
 
 def synth_transcripts(tmp_path, name, rounds, answers):
     rows = [
