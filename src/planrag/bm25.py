@@ -10,18 +10,23 @@ import os
 import re
 import sys
 from array import array
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain
 from typing import Iterable
 
 from . import records
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-# the flat arrays after a format_version 2 header, in file order, with the
-# typecodes each may have: postings as unsigned integers, norms as float64
+# the flat arrays after a format_version 3 header, in file order, with the typecodes
+# each may have: postings and field offsets unsigned, norms float64 and the
+# passages' UTF-8 text bytes; a format_version 2 file holds the first four
 _UNSIGNED = ("B", "H", "I", "Q")
-_ARRAYS = {"offsets": _UNSIGNED, "ordinals": _UNSIGNED, "tfs": _UNSIGNED, "norms": ("d",)}
+_ARRAYS = {"offsets": _UNSIGNED, "ordinals": _UNSIGNED, "tfs": _UNSIGNED, "norms": ("d",),
+           "fields": _UNSIGNED, "text": ("B",)}
+# lone surrogates, which a corpus can hold through JSON escapes, pass the UTF-8 codec
+_UTF8 = "utf-8", "surrogatepass"
 
 # a corpus line and a passage of an index file: {id, title?, text}
 _PASSAGE = {"text": str}, {"title": str}
@@ -70,17 +75,50 @@ def tokenize(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower().replace("_", " "))
 
 
+class _Passages(Sequence):
+    """An index's passages by ordinal, each decoded when first read and then kept.
+
+    A Passage is published with one assignment, as PassageIndex.posting publishes its dicts.
+    """
+
+    def __init__(self, ids: list[str], fields: array, text: bytes, path: str | None) -> None:
+        self._ids, self._fields, self._text, self._path = ids, fields, text, path
+        self._memo: list[Passage | None] = [None] * len(ids)
+
+    def __len__(self) -> int:
+        return len(self._memo)
+
+    def __getitem__(self, ordinal: int) -> Passage:
+        passage = self._memo[operator.index(ordinal)]  # IndexError outside [-n, n)
+        if passage is None:
+            ordinal %= len(self._memo)
+            lo, mid, hi = self._fields[2 * ordinal:2 * ordinal + 3]
+            try:
+                title, text = self._text[lo:mid].decode(*_UTF8), self._text[mid:hi].decode(*_UTF8)
+            except UnicodeDecodeError:
+                raise IndexFormatError(f"{self._path}: passage {ordinal} is not UTF-8 text") from None
+            passage = self._memo[ordinal] = Passage(self._ids[ordinal], title, text)
+        return passage
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, _Passages) else NotImplemented
+
+
 @dataclass
 class PassageIndex:
     """Inverted index with BM25 statistics over an immutable passage corpus.
 
-    Term i of ``terms`` has its postings at ordinals[offsets[i]:offsets[i + 1]],
-    with their term frequencies at the same places in tfs. The integer arrays
-    are in the narrowest unsigned typecode that holds them, as save_index
-    writes them.
+    Passage o is ids[o] with the UTF-8 title text[fields[2o]:fields[2o + 1]] and
+    text up to fields[2o + 2]. Term i of ``terms`` has its postings at
+    ordinals[offsets[i]:offsets[i + 1]], with their term frequencies at the same
+    places in tfs. The integer arrays are in the narrowest unsigned typecode
+    that holds them, as save_index writes them. A loaded index keeps its file's
+    ``path`` for the checks done on first use.
     """
 
-    passages: list[Passage]
+    ids: list[str]
+    fields: array
+    text: bytes
     terms: list[str]
     offsets: array
     ordinals: array
@@ -89,22 +127,25 @@ class PassageIndex:
     avg_doc_length: float
     k1: float
     b: float
+    path: str | None = None
 
     def __post_init__(self) -> None:
         self._slots = {t: i for i, t in enumerate(self.terms)}
         # one int object per ordinal, the key in every posting dict: search looks
         # an ordinal from one posting up in the others, and a key of the same
         # object matches without a value comparison
-        self._keys = list(range(len(self.passages)))
+        self._keys = list(range(len(self.ids)))
         self._built: dict[str, dict[int, int]] = {}
+        self.passages = _Passages(self.ids, self.fields, self.text, self.path)
 
     def posting(self, term: str) -> dict[int, int] | None:
         """The term's {ordinal: tf}, or None for a term no passage holds.
 
         The dict is built from the term's slice of the arrays on first use and
-        cached. Threads sharing an index may both build one term's dict; each
-        builds its own and publishes it with one assignment, so no reader sees
-        a dict half built.
+        cached; that is when a loaded file's ordinals and term frequencies for
+        the term are checked. Threads sharing an index may both build one
+        term's dict; each builds its own and publishes it with one assignment,
+        so no reader sees a dict half built.
         """
         posting = self._built.get(term)
         if posting is None:
@@ -112,14 +153,20 @@ class PassageIndex:
             if i is None:
                 return None
             lo, hi = self.offsets[i], self.offsets[i + 1]
-            keys = map(self._keys.__getitem__, self.ordinals[lo:hi])
-            posting = dict(zip(keys, self.tfs[lo:hi]))
+            tfs = self.tfs[lo:hi]
+            # the tfs are unsigned, so all nonzero is all >= 1; all() scans fastest
+            _need(all(tfs), self.path, f"term {term!r} has a term frequency below 1")
+            try:
+                posting = dict(zip(map(self._keys.__getitem__, self.ordinals[lo:hi]), tfs))
+            except IndexError:
+                raise IndexFormatError(
+                    f"{self.path}: term {term!r} has an ordinal past the passages") from None
             self._built[term] = posting
         return posting
 
     @property
     def doc_count(self) -> int:
-        return len(self.passages)
+        return len(self.ids)
 
     def _idf(self, df: int) -> float:
         # non-negative variant: ln((N - df + 0.5) / (df + 0.5) + 1); df is the
@@ -231,7 +278,8 @@ class PassageIndex:
                 if tf:
                     total += idf * tf * k1p / (tf + norm)
             scores[ordinal] = total
-        ranked = heapq.nsmallest(k, scores, key=lambda o: (-scores[o], self.passages[o].id))
+        ids = self.ids
+        ranked = heapq.nsmallest(k, scores, key=lambda o: (-scores[o], ids[o]))
         return [
             RetrievedPassage(passage=self.passages[o], score=scores[o], rank=r)
             for r, o in enumerate(ranked, 1)
@@ -267,19 +315,15 @@ def build_index(
     avg_len = sum(doc_lengths) / len(doc_lengths)
     # an all-empty corpus has no postings, so no score depends on its norms
     avg = avg_len or 1.0
-    dicts = postings.values()
+    terms, dicts = list(postings), postings.values()
     # one flat list at a time, each packed and dropped before the next
-    return PassageIndex(
-        passages=passages,
-        terms=list(postings),
-        offsets=_packed(list(accumulate(map(len, dicts), initial=0))),
-        ordinals=_packed(list(chain.from_iterable(dicts))),
-        tfs=_packed(list(chain.from_iterable(map(dict.values, dicts)))),
-        norms=array("d", [k1 * (1 - b + b * length / avg) for length in doc_lengths]),
-        avg_doc_length=avg_len,
-        k1=k1,
-        b=b,
-    )
+    offsets, ordinals, tfs = (_packed(list(values)) for values in (
+        accumulate(map(len, dicts), initial=0), chain.from_iterable(dicts),
+        chain.from_iterable(map(dict.values, dicts))))
+    # drop the dicts before the text is encoded, so the text adds nothing to the build's peak
+    del postings, dicts
+    norms = array("d", [k1 * (1 - b + b * length / avg) for length in doc_lengths])
+    return PassageIndex(*_encoded(passages), terms, offsets, ordinals, tfs, norms, avg_len, k1, b)
 
 
 def load_corpus(path: str) -> list[Passage]:
@@ -294,6 +338,13 @@ def load_corpus(path: str) -> list[Passage]:
     return passages
 
 
+def _encoded(passages: list[Passage]) -> tuple[list[str], array, bytes]:
+    """The ids, field offsets and UTF-8 text that hold these passages in a PassageIndex."""
+    parts = [field.encode(*_UTF8) for p in passages for field in (p.title, p.text)]
+    fields = _packed(list(accumulate(map(len, parts), initial=0)))
+    return [p.id for p in passages], fields, b"".join(parts)
+
+
 def _packed(values: list[int]) -> array:
     """The values in the narrowest unsigned typecode that holds them."""
     top = max(values, default=0)
@@ -301,39 +352,40 @@ def _packed(values: list[int]) -> array:
 
 
 def save_index(index: PassageIndex, path: str) -> None:
-    """Write a format_version 2 file: one JSON header line, then four flat arrays.
+    """Write a format_version 3 file: one JSON header line, then six flat arrays.
 
-    The header holds k1, b, avg_doc_length, the passages, the terms in postings
-    order, the byte order and each array's typecode and item count. The arrays
-    follow in _ARRAYS order: term offsets, ordinals, term frequencies, norms.
+    The header holds k1, b, avg_doc_length, the passage ids, the terms in
+    postings order, the byte order and each array's typecode and item count.
+    The arrays follow in _ARRAYS order: term offsets, ordinals, term
+    frequencies, norms, field offsets and the passages' UTF-8 text.
     """
-    arrays = {name: getattr(index, name) for name in _ARRAYS}
+    views = {name: memoryview(getattr(index, name)) for name in _ARRAYS}
     header = {
         "format_version": FORMAT_VERSION,
         "k1": index.k1,
         "b": index.b,
         "avg_doc_length": index.avg_doc_length,
-        "passages": [
-            {"id": p.id, "title": p.title, "text": p.text} for p in index.passages
-        ],
+        "ids": index.ids,
         "terms": index.terms,
         "byteorder": sys.byteorder,
-        "arrays": {name: [a.typecode, len(a)] for name, a in arrays.items()},
+        "arrays": {name: [view.format, len(view)] for name, view in views.items()},
     }
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(header, fh)  # streamed, so the passages never sit in memory as one string
+        json.dump(header, fh)
         fh.write("\n")
         fh.flush()
-        for a in arrays.values():
-            a.tofile(fh.buffer)
+        for view in views.values():
+            fh.buffer.write(view)  # as the items lie in memory, without a copy
 
 
 def load_index(path: str) -> PassageIndex:
     """Read an index file.
 
-    A format_version 2 file is read as it was saved, without tokenizing. A
-    format_version 1 file holds only k1, b and the passages, which are indexed
-    again.
+    A format_version 3 or 2 file is read as it was saved, without tokenizing; a
+    v2 header's passages are encoded as v3 holds them. A format_version 1 file
+    holds only k1, b and the passages, which are indexed again. Each term's
+    postings are checked when posting first reads them, each passage's UTF-8
+    when it is first decoded.
     """
     with open(path, "rb") as fh:
         try:
@@ -341,16 +393,25 @@ def load_index(path: str) -> PassageIndex:
         except ValueError as exc:  # not UTF-8 or not JSON
             raise IndexFormatError(f"{path}: not a readable index file") from exc
         version = header.get("format_version") if type(header) is dict else type(header).__name__
-        _need(version in (1, FORMAT_VERSION), path,
-              f"expected format_version 1 or {FORMAT_VERSION}, got {version}")
+        _need(version in (1, 2, FORMAT_VERSION), path,
+              f"expected format_version 1, 2 or {FORMAT_VERSION}, got {version}")
         k1, b = header.get("k1"), header.get("b")
         _need(type(k1) in (int, float) and type(b) in (int, float), path, "needs numeric k1 and b")
         _need(0 <= k1 < math.inf and 0 <= b <= 1, path, "needs k1 >= 0 and b in [0, 1]")
-        passages = _passages(path, header.get("passages"))
         if version == 1:
-            return build_index(passages, k1=k1, b=b)
-        offsets, ordinals, tfs, norms = _read_arrays(path, fh, header)
-    terms, avg, n = header.get("terms"), header.get("avg_doc_length"), len(passages)
+            return replace(build_index(_passages(path, header.get("passages")), k1, b), path=path)
+        offsets, ordinals, tfs, norms, *fields_text = _read_arrays(path, fh, header, version)
+    if version == 2:
+        ids, fields, text = _encoded(_passages(path, header.get("passages")))
+    else:
+        ids = header.get("ids")
+        fields, text = fields_text
+        _need(type(ids) is list and len(ids) > 0 and all(type(i) is str for i in ids)
+              and len(set(ids)) == len(ids), path, "needs a non-empty list of unique string ids")
+        _need(len(fields) == 2 * len(ids) + 1 and fields[0] == 0 and fields[-1] == len(text)
+              and all(map(operator.le, fields, fields[1:])), path,
+              "needs two field offsets per passage and one more, rising from 0 to the text length")
+    terms, avg = header.get("terms"), header.get("avg_doc_length")
     _need(type(avg) in (int, float) and 0 <= avg < math.inf, path, "needs avg_doc_length >= 0")
     _need(
         type(terms) is list and all(type(t) is str for t in terms)
@@ -363,13 +424,9 @@ def load_index(path: str) -> PassageIndex:
         and offsets[-1] == len(ordinals) == len(tfs),
         path, "needs one offset per term and one more, rising from 0 to the posting count",
     )
-    _need(max(ordinals, default=0) < n, path, "has an ordinal past the passages")
-    _need(min(tfs, default=1) >= 1, path, "has a term frequency below 1")
-    _need(
-        len(norms) == n and all(0 <= norm < math.inf for norm in norms),
-        path, "needs one finite norm >= 0 per passage",
-    )
-    return PassageIndex(passages, terms, offsets, ordinals, tfs, norms, avg, k1, b)
+    _need(len(norms) == len(ids) and all(0 <= norm < math.inf for norm in norms), path,
+          "needs one finite norm >= 0 per passage")
+    return PassageIndex(ids, fields, text, terms, offsets, ordinals, tfs, norms, avg, k1, b, path)
 
 
 def _need(ok: bool, path: str, what: str) -> None:
@@ -390,25 +447,26 @@ def _passages(path: str, entries) -> list[Passage]:
     return passages
 
 
-def _read_arrays(path: str, fh, header: dict) -> list[array]:
-    """The arrays after a format_version 2 header, in _ARRAYS order and native byte order."""
-    specs = header.get("arrays")
+def _read_arrays(path: str, fh, header: dict, version: int) -> list:
+    """The arrays after a v2 or v3 header, in _ARRAYS order and native byte order."""
+    specs, names = header.get("arrays"), list(_ARRAYS)[: 4 if version == 2 else None]
     _need(
         header.get("byteorder") in ("little", "big")
-        and type(specs) is dict and list(specs) == list(_ARRAYS)
+        and type(specs) is dict and list(specs) == names
         and all(
             type(spec) is list and len(spec) == 2 and spec[0] in _ARRAYS[name]
             and type(spec[1]) is int and spec[1] >= 0
             for name, spec in specs.items()
         ),
-        path, "needs a byteorder and the typecode and count of each of " + ", ".join(_ARRAYS),
+        path, "needs a byteorder and the typecode and count of each of " + ", ".join(names),
     )
     arrays = [(array(code), count) for code, count in specs.values()]
     size = sum(a.itemsize * count for a, count in arrays)
     rest = os.fstat(fh.fileno()).st_size - fh.tell()
     _need(rest == size, path, f"holds {rest} bytes of arrays, its header {size}")
-    for a, count in arrays:
+    for a, count in arrays[:5]:
         a.fromfile(fh, count)
         if header["byteorder"] != sys.byteorder:
             a.byteswap()
-    return [a for a, _ in arrays]
+    # a v3 file's text, the last array, is read as one bytes object
+    return [a for a, _ in arrays[:5]] + [fh.read(count) for _, count in arrays[5:]]

@@ -332,6 +332,27 @@ def _set(name, position, value):
     return edit
 
 
+def _set_id(position, value):
+    def edit(header, arrays):
+        header["ids"][position] = value
+    return edit
+
+
+def _field_past_the_next(header, arrays):
+    arrays["fields"][1] = arrays["fields"][2] + 1
+
+
+def _not_utf8_at(ordinal):
+    def edit(header, arrays):
+        arrays["text"][arrays["fields"][2 * ordinal + 1]] = 0xFF
+    return edit
+
+
+def _first_posting(index):
+    # the corrupted posting is at position 0 of the arrays, in the first term's slice
+    return index.posting(index.terms[0])
+
+
 def _truncate_header(path):
     payload = Path(path).read_bytes()
     Path(path).write_bytes(payload[: payload.index(b"\n") // 2])
@@ -350,6 +371,8 @@ class TestPersistence:
         st.sampled_from([0, 1.2]),
         st.sampled_from([0, 0.75, 1]),
     )
+    # lone surrogates, which a JSON corpus line can hold, round trip too
+    @example([("\ud800 w0", "w1 \udfff")], ["w0 w1"], 1, 1.2, 0.75)
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_round_trip_property(self, texts, queries, k, k1, b):
         passages = [Passage(f"p{i:02d}", title, text) for i, (title, text) in enumerate(texts)]
@@ -359,7 +382,7 @@ class TestPersistence:
         for name in ("terms", "offsets", "ordinals", "tfs", "norms"):
             assert getattr(loaded, name) == getattr(built, name), name
         assert loaded.avg_doc_length == built.avg_doc_length
-        assert loaded.passages == built.passages
+        assert list(loaded.passages) == list(built.passages)
         for query in queries:
             got = [(r.passage.id, r.score, r.rank) for r in loaded.search(query, k)]
             assert got == [(r.passage.id, r.score, r.rank) for r in built.search(query, k)]
@@ -394,28 +417,74 @@ class TestPersistence:
             got = [(r.passage.id, r.score) for r in loaded.search(query, 3)]
             assert got == [(r.passage.id, r.score) for r in built.search(query, 3)]
 
+    def test_version_2_file_still_loads(self, tmp_path):
+        passages, vocab = random_corpus(random.Random(41), 60)
+        built = build_index(passages, 0.9, 0.4)
+        # a v2 file: the passages in the header, then four arrays
+        arrays = {name: getattr(built, name) for name in ("offsets", "ordinals", "tfs", "norms")}
+        header = {
+            "format_version": 2, "k1": 0.9, "b": 0.4, "avg_doc_length": built.avg_doc_length,
+            "passages": [{"id": p.id, "title": p.title, "text": p.text} for p in passages],
+            "terms": built.terms, "byteorder": sys.byteorder,
+            "arrays": {name: [a.typecode, len(a)] for name, a in arrays.items()},
+        }
+        path = tmp_path / "v2.json"
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n")
+            for a in arrays.values():
+                a.tofile(fh)
+        loaded = load_index(str(path))
+        assert list(loaded.passages) == passages
+        for name in ("terms", "offsets", "ordinals", "tfs", "norms"):
+            assert getattr(loaded, name) == getattr(built, name), name
+        for query in (" ".join(vocab[i:i + 3]) for i in range(0, 30, 3)):
+            got = [(r.passage, r.score, r.rank) for r in loaded.search(query, 10)]
+            assert got == [(r.passage, r.score, r.rank) for r in built.search(query, 10)]
+            terms = tokenize(query)
+            for ordinal in range(built.doc_count):
+                assert loaded.score(terms, ordinal) == built.score(terms, ordinal)
+        from_v2, from_built = tmp_path / "from_v2.json", tmp_path / "from_built.json"
+        save_index(loaded, str(from_v2))
+        save_index(built, str(from_built))
+        assert from_v2.read_bytes() == from_built.read_bytes()
+
     @pytest.mark.parametrize(
-        "corrupt, message",
+        "corrupt, message, first_use",
         [
-            (_truncate_header, "not a readable index file"),
-            (_truncate_arrays, "bytes of arrays"),
-            (lambda path: rewrite_index(path, _set("offsets", 2, 1)), "offset"),
-            (lambda path: rewrite_index(path, _set("ordinals", 0, 12)), "ordinal"),
-            (lambda path: rewrite_index(path, _set("tfs", 0, 0)), "term frequency"),
+            (_truncate_header, "not a readable index file", None),
+            (_truncate_arrays, "bytes of arrays", None),
+            (lambda path: rewrite_index(path, _set("offsets", 2, 1)), "offset", None),
+            (lambda path: rewrite_index(path, _set("ordinals", 0, 12)), "ordinal",
+             _first_posting),
+            (lambda path: rewrite_index(path, _set("tfs", 0, 0)), "term frequency",
+             _first_posting),
             (lambda path: rewrite_index(path, lambda header, arrays: arrays["norms"].pop()),
-             "norm"),
+             "norm", None),
+            (lambda path: rewrite_index(path, _set_id(1, "p0000")), "unique string ids", None),
+            (lambda path: rewrite_index(path, _set_id(0, 5)), "unique string ids", None),
+            (lambda path: rewrite_index(path, _field_past_the_next), "field offsets", None),
+            (lambda path: rewrite_index(path, lambda header, arrays: arrays["text"].pop()),
+             "text length", None),
+            (lambda path: rewrite_index(path, _not_utf8_at(3)), "passage 3 is not UTF-8",
+             lambda index: index.passages[3]),
         ],
         ids=["truncated_header", "truncated_arrays", "offsets_not_rising",
-             "ordinal_past_doc_count", "tf_below_1", "norms_count"],
+             "ordinal_past_doc_count", "tf_below_1", "norms_count", "id_repeated",
+             "id_not_string", "fields_not_rising", "fields_past_text", "passage_not_utf8"],
     )
-    def test_corrupt_file(self, tmp_path, corrupt, message):
+    def test_corrupt_file(self, tmp_path, corrupt, message, first_use):
         # 12 passages, so ordinal 12 is one past the last
         passages, _ = random_corpus(random.Random(29), 12)
         path = str(tmp_path / "index.json")
         save_index(build_index(passages), path)
         corrupt(path)
-        with pytest.raises(IndexFormatError, match=message) as caught:
-            load_index(path)
+        if first_use is None:
+            with pytest.raises(IndexFormatError, match=message) as caught:
+                load_index(path)
+        else:  # the load passes, and the first read of the corrupted part fails
+            index = load_index(path)
+            with pytest.raises(IndexFormatError, match=message) as caught:
+                first_use(index)
         assert str(caught.value).startswith(path)
 
     def test_file_of_the_other_byte_order(self, tmp_path):
@@ -444,7 +513,7 @@ class TestPersistence:
         queries = [" ".join(rng.choices(vocab, k=rng.randint(1, 5))) for _ in range(60)]
 
         def results(index):
-            return [[(r.passage.id, r.score) for r in index.search(q, 5)] for q in queries]
+            return [[(r.passage, r.score, r.rank) for r in index.search(q, 5)] for q in queries]
 
         want = results(load_index(path))
         shared = load_index(path)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior with replay backends in a temp workspace."""
 
 import json
+from array import array
 
 import pytest
 
@@ -566,6 +567,29 @@ def _index_bytes(tmp_path, payload):
             "--scripts", str(tmp_path / "scripts.jsonl"), "--out-dir", str(tmp_path / "o")]
 
 
+def _corrupt_index(tmp_path, edit):
+    """The workspace index with edit(header, arrays) applied, read by a replay run."""
+    with open(tmp_path / "index.json", "rb") as fh:
+        header = json.loads(fh.readline())
+        arrays = {}
+        for name, (code, count) in header["arrays"].items():
+            arrays[name] = array(code)
+            arrays[name].fromfile(fh, count)
+    edit(header, arrays)
+    payload = json.dumps(header).encode() + b"\n" + b"".join(map(bytes, arrays.values()))
+    return _index_bytes(tmp_path, payload)
+
+
+def _ordinal_past_passages(header, arrays):
+    # q2's script retrieves "capital of Germany"; 4 is one past the last passage
+    arrays["ordinals"][arrays["offsets"][header["terms"].index("capital")]] = 4
+
+
+def _hit_not_utf8(header, arrays):
+    # p2 (ordinal 1) is the one hit of q2's "capital of Germany"
+    arrays["text"][arrays["fields"][3]] = 0xFF
+
+
 def _config(tmp_path, config, command="run"):
     """A config-driven command: settings such as scripts come from the config alone."""
     path = tmp_path / "bad_config.json"
@@ -684,6 +708,10 @@ def _reward_samples(tmp_path, text):
         (lambda tmp: _index_bytes(tmp, b"\xff"), ["bad_index.json", "not a readable index"]),
         (lambda tmp: _corpus_bytes(tmp, json.dumps(CORPUS[0]).encode() + b"\n\xff\n"),
          ["bad_corpus.jsonl:2", "not UTF-8"]),
+        (lambda tmp: _corrupt_index(tmp, _ordinal_past_passages),
+         ["bad_index.json", "'capital' has an ordinal past the passages"]),
+        (lambda tmp: _corrupt_index(tmp, _hit_not_utf8),
+         ["bad_index.json", "passage 1 is not UTF-8"]),
     ],
     ids=["index_without_passages", "passage_without_text", "index_v1_b_out_of_range",
          "transcript_without_rounds",
@@ -695,7 +723,8 @@ def _reward_samples(tmp_path, text):
          "sample_kind_not_allowed", "config_budget_null", "config_budget_list",
          "config_scripts_list", "config_scripts_bool", "config_split_not_allowed",
          "config_endpoint_int", "config_key_unknown",
-         "index_not_utf8", "corpus_not_utf8"],
+         "index_not_utf8", "corpus_not_utf8", "index_ordinal_past_passages",
+         "index_hit_not_utf8"],
 )
 def test_malformed_input_file_is_one_error_line(workspace, capsys, make_argv, names):
     code = main(make_argv(workspace["root"]))
