@@ -207,10 +207,16 @@ class HttpChatGenerator:
         body = self._request(self._payload(ctx))
         try:
             choice = body["choices"][0]
-            text = choice["message"]["content"] or ""
+            text = choice["message"]["content"]
             finish = choice.get("finish_reason", "stop")
         except (KeyError, IndexError, TypeError) as exc:
             raise GeneratorError(f"malformed backend response: {exc}") from exc
+        if text is None:
+            text = ""
+        elif not isinstance(text, str):
+            raise GeneratorError(
+                f"malformed backend response: message content is {type(text).__name__}, not text"
+            )
         stop_reason = StopReason.END_OF_TURN
         if finish == "length":
             stop_reason = StopReason.LENGTH_LIMIT

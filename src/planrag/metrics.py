@@ -37,12 +37,21 @@ class EmptyInputError(ValueError):
     pass
 
 
-def normalize(s: str, mode: NormalizationMode = NormalizationMode.SQUAD_STYLE) -> str:
+def _fold(s: str, mode: NormalizationMode) -> str:
+    """The first steps of ``normalize``: lowercase, and in squad mode drop ASCII punctuation."""
     s = s.lower()
+    return s.translate(_PUNC_TABLE) if mode is NormalizationMode.SQUAD_STYLE else s
+
+
+def _finish(folded: str, mode: NormalizationMode) -> str:
+    """The rest of ``normalize``: blank out articles, collapse whitespace."""
     if mode is NormalizationMode.SQUAD_STYLE:
-        s = s.translate(_PUNC_TABLE)
-        s = _ARTICLE_RE.sub(" ", s)
-    return " ".join(s.split())
+        folded = _ARTICLE_RE.sub(" ", folded)
+    return " ".join(folded.split())
+
+
+def normalize(s: str, mode: NormalizationMode = NormalizationMode.SQUAD_STYLE) -> str:
+    return _finish(_fold(s, mode), mode)
 
 
 def _tokens(s: str, mode: NormalizationMode) -> list[str]:
@@ -54,12 +63,21 @@ def _require_refs(refs: list[str]) -> None:
         raise EmptyReferencesError("at least one reference answer is required")
 
 
+def _ref_tokens(refs: list[str], mode: NormalizationMode) -> list[list[str]]:
+    _require_refs(refs)
+    return [_tokens(r, mode) for r in refs]
+
+
+def _exact(pred_toks: list[str], refs_toks: list[list[str]]) -> int:
+    # normalize joins its tokens with single spaces: equal token lists are equal strings
+    return int(pred_toks in refs_toks)
+
+
 def exact_match(
     pred: str, refs: list[str], mode: NormalizationMode = NormalizationMode.SQUAD_STYLE
 ) -> int:
-    _require_refs(refs)
-    p = normalize(pred, mode)
-    return int(any(p == normalize(r, mode) for r in refs))
+    refs_toks = _ref_tokens(refs, mode)
+    return _exact(_tokens(pred, mode), refs_toks)
 
 
 def cover_em(
@@ -79,20 +97,6 @@ def _f1_from_counts(overlap: int, n_pred: int, n_ref: int) -> float:
     precision = overlap / n_pred
     recall = overlap / n_ref
     return 2 * precision * recall / (precision + recall)
-
-
-def token_f1(
-    pred: str, refs: list[str], mode: NormalizationMode = NormalizationMode.SQUAD_STYLE
-) -> float:
-    """Max over references of the multiset token-overlap F1."""
-    _require_refs(refs)
-    pred_toks = _tokens(pred, mode)
-    best = 0.0
-    for ref in refs:
-        ref_toks = _tokens(ref, mode)
-        overlap = sum((Counter(pred_toks) & Counter(ref_toks)).values())
-        best = max(best, _f1_from_counts(overlap, len(pred_toks), len(ref_toks)))
-    return best
 
 
 def _ngrams(tokens: list[str], n: int) -> list[tuple[str, ...]]:
@@ -126,20 +130,38 @@ class RougeScores:
     avg: float
 
 
+def _overlap_scores(
+    pred_toks: list[str], refs_toks: list[list[str]]
+) -> tuple[float, RougeScores]:
+    """Token F1 and ROUGE-1/2/L of one prediction, each the max over references."""
+    f1 = r1 = r2 = rl = 0.0
+    pred_counts = Counter(pred_toks)
+    pred_bigrams = _ngrams(pred_toks, 2)
+    for ref in refs_toks:
+        overlap = sum((pred_counts & Counter(ref)).values())
+        unigram = _f1_from_counts(overlap, len(pred_toks), len(ref))
+        f1 = max(f1, unigram)
+        if pred_toks or ref:  # both empty: token F1 is 1.0, ROUGE-1 is 0.0
+            r1 = max(r1, unigram)
+        r2 = max(r2, _overlap_f(pred_bigrams, _ngrams(ref, 2)))
+        rl = max(rl, _f1_from_counts(_lcs_len(pred_toks, ref), len(pred_toks), len(ref)))
+    return f1, RougeScores(r1=r1, r2=r2, rl=rl, avg=(r1 + r2 + rl) / 3)
+
+
+def token_f1(
+    pred: str, refs: list[str], mode: NormalizationMode = NormalizationMode.SQUAD_STYLE
+) -> float:
+    """Max over references of the multiset token-overlap F1."""
+    refs_toks = _ref_tokens(refs, mode)
+    return _overlap_scores(_tokens(pred, mode), refs_toks)[0]
+
+
 def rouge(
     pred: str, refs: list[str], mode: NormalizationMode = NormalizationMode.SQUAD_STYLE
 ) -> RougeScores:
     """ROUGE-1/2/L F-measures, each the max over references, plus their mean."""
-    _require_refs(refs)
-    pred_toks = _tokens(pred, mode)
-    r1 = r2 = rl = 0.0
-    for ref in refs:
-        ref_toks = _tokens(ref, mode)
-        r1 = max(r1, _overlap_f(_ngrams(pred_toks, 1), _ngrams(ref_toks, 1)))
-        r2 = max(r2, _overlap_f(_ngrams(pred_toks, 2), _ngrams(ref_toks, 2)))
-        lcs = _lcs_len(pred_toks, ref_toks)
-        rl = max(rl, _f1_from_counts(lcs, len(pred_toks), len(ref_toks)))
-    return RougeScores(r1=r1, r2=r2, rl=rl, avg=(r1 + r2 + rl) / 3)
+    refs_toks = _ref_tokens(refs, mode)
+    return _overlap_scores(_tokens(pred, mode), refs_toks)[1]
 
 
 def bleu(pred: str, ref: str) -> float:
@@ -204,11 +226,16 @@ def score_row(
         raise EmptyInputError("no predictions to score")
     if len(predictions) != len(references):
         raise ValueError("predictions and references are misaligned")
+    ems, rgs, f1s = [], [], []
+    for pred, refs in zip(predictions, references):
+        refs_toks = _ref_tokens(refs, mode)
+        pred_toks = _tokens(pred, mode)
+        f1, scores = _overlap_scores(pred_toks, refs_toks)
+        ems.append(_exact(pred_toks, refs_toks))
+        rgs.append(scores.avg)
+        f1s.append(f1)
     n = len(predictions)
-    em = sum(exact_match(p, r, mode) for p, r in zip(predictions, references)) / n
-    rg = sum(rouge(p, r, mode).avg for p, r in zip(predictions, references)) / n
-    f1 = sum(token_f1(p, r, mode) for p, r in zip(predictions, references)) / n
-    return MetricRow(dataset=dataset, em=em, rouge_avg=rg, f1=f1)
+    return MetricRow(dataset=dataset, em=sum(ems) / n, rouge_avg=sum(rgs) / n, f1=sum(f1s) / n)
 
 
 def answer_presence_at_k(
@@ -220,12 +247,17 @@ def answer_presence_at_k(
     """1 iff a normalized reference appears in any of the first k passages of a round."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    targets = [normalize(r, mode) for r in refs]
+    targets = [t for t in (normalize(r, mode) for r in refs) if t]
+    target_words = [t.split() for t in targets]
     for block in episode.memory:
         for hit in block.results[:k]:
-            haystack = normalize(hit.passage.title + " " + hit.passage.text, mode)
-            if any(t and t in haystack for t in targets):
-                return 1
+            folded = _fold(hit.passage.title + " " + hit.passage.text, mode)
+            # _finish only blanks out words and collapses whitespace, so a target can occur in
+            # the normalized hit only if each of its words occurs in the folded one
+            if any(all(w in folded for w in words) for words in target_words):
+                haystack = _finish(folded, mode)
+                if any(t in haystack for t in targets):
+                    return 1
     return 0
 
 

@@ -213,6 +213,101 @@ class TestRunCmd:
         assert err.startswith("error:") and err.count("\n") == 1 and "force_finalize" in err
 
 
+# A replay run whose hits hold the answers: q1's at rank 1 as written, q2's at rank 1
+# only after punctuation and articles are dropped, q3's only at rank 2; q4 never
+# retrieves. The expected files are the bytes the report has always had.
+PRESENCE_CORPUS = [
+    {"id": "c1", "title": "Paris", "text": "Paris is the capital of France"},
+    {"id": "c2", "title": "Tower", "text": "an Eiffel, the  Tower... stands on the Champ de Mars"},
+    {"id": "c3", "title": "Seine", "text": "The Seine river flows past many towns"},
+    {"id": "c4", "title": "Rivers", "text": "The Loire river is the longest river of France"},
+    {"id": "c5", "title": "Valley", "text": "The Loire valley holds many castles"},
+    {"id": "c6", "title": "Alps", "text": "Mont Blanc is the highest mountain of the Alps"},
+]
+PRESENCE_DATASET = [
+    {"id": "q1", "question": "What is the capital of France?", "answers": ["Paris"]},
+    {"id": "q2", "question": "What stands on the Champ de Mars?",
+     "answers": ["The Eiffel Tower!", "tour Eiffel"]},
+    {"id": "q3", "question": "Which river is the longest?", "answers": ["Loire", "the Loire river"]},
+    {"id": "q4", "question": "What is the highest mountain?", "answers": ["Mont Blanc", "Blanc"]},
+]
+PRESENCE_SCRIPTS = [
+    {"id": "q1", "turns": ["[INTERMEDIARY] look it up [RETRIEVE] capital of France",
+                           "[ANSWER] Paris [SOLVED]"]},
+    {"id": "q2", "turns": ["[INTERMEDIARY] a landmark [RETRIEVE] Champ de Mars stands",
+                           "[ANSWER] the Eiffel tower in Paris [SOLVED]"]},
+    {"id": "q3", "turns": ["[INTERMEDIARY] rivers [RETRIEVE] river flows past towns",
+                           "[ANSWER] The Seine [SOLVED]"]},
+    {"id": "q4", "turns": ["[ANSWER] Mont Blanc. [SOLVED]"]},
+]
+PINNED_REPORT = """{{
+  "run": {{
+    "dataset": "dataset",
+    "budget": 3,
+    "top_k": 3,
+    "normalization": "{mode}"
+  }},
+  "report": {{
+    "normalization": "{mode}",
+    "rows": [
+      {{
+        "dataset": "dataset",
+        "em": {em},
+        "rouge": {rouge},
+        "f1": {f1}
+      }}
+    ],
+    "avg_score": {avg},
+    "retrieval_stats": {{
+      "dataset": {{
+        "mean": 0.75,
+        "distribution": {{
+          "0": 0.25,
+          "1": 0.75
+        }}
+      }}
+    }},
+    "presence_at_k": {{
+      "1": {at1},
+      "3": {at3}
+    }}
+  }}
+}}
+"""
+PINNED = {
+    "squad": (
+        dict(em="0.5", rouge="0.5694444444444444", f1="0.6666666666666666",
+             avg="0.5787037037037037", at1="0.5", at3="0.75"),
+        "Dataset      EM   ROUGE      F1\ndataset    50.0    56.9    66.7\nAvg.Score    57.9\n",
+    ),
+    "minimal": (
+        dict(em="0.25", rouge="0.42777777777777776", f1="0.6",
+             avg="0.4259259259259259", at1="0.25", at3="0.5"),
+        "Dataset      EM   ROUGE      F1\ndataset    25.0    42.8    60.0\nAvg.Score    42.6\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED))
+def test_report_bytes_of_a_run_whose_hits_hold_answers(tmp_path, mode):
+    index = str(tmp_path / "index.bin")
+    assert main(["index", "--corpus", write_jsonl(tmp_path / "corpus.jsonl", PRESENCE_CORPUS),
+                 "--out", index]) == 0
+    out_dir = tmp_path / "out"
+    code = main([
+        "run", "--dataset", write_jsonl(tmp_path / "dataset.jsonl", PRESENCE_DATASET),
+        "--index", index, "--scripts", write_jsonl(tmp_path / "scripts.jsonl", PRESENCE_SCRIPTS),
+        "--out-dir", str(out_dir), "--normalization", mode,
+    ])
+    assert code == 0
+    hits = [[[p["id"] for p in r["passages"]] for r in json.loads(line)["rounds"]]
+            for line in (out_dir / "transcripts.jsonl").read_text().splitlines()]
+    assert hits == [[["c1", "c4", "c6"]], [["c2"]], [["c3", "c4"]], []]
+    fields, table = PINNED[mode]
+    assert (out_dir / "report.json").read_text() == PINNED_REPORT.format(mode=mode, **fields)
+    assert (out_dir / "report.txt").read_text() == table
+
+
 class TestSweepCmd:
     def test_budget_sweep_counts(self, workspace, tmp_path):
         # scripts retrieve four times before answering on the fifth turn;

@@ -21,6 +21,7 @@ from planrag.generator import (
     render_user_prompt,
     truncate_at_branch,
 )
+from planrag.planner import PlannerConfig, batch_run
 
 CTX = GenerationContext(system_preamble="preamble", question="who?")
 
@@ -191,6 +192,35 @@ class TestHttpGenerator:
         transport = transport_script([(200, {"nope": True})])
         with pytest.raises(GeneratorError):
             HttpChatGenerator(settings(), transport).emit_turn(CTX)
+
+    @pytest.mark.parametrize("content", [5, [{"type": "text", "text": "[ANSWER] hi [SOLVED]"}],
+                                         {"text": "[ANSWER] hi [SOLVED]"}])
+    def test_content_that_is_not_text_is_malformed(self, content):
+        transport = transport_script([(200, chat_body(content))])
+        with pytest.raises(GeneratorError, match="malformed backend response") as err:
+            HttpChatGenerator(settings(), transport).emit_turn(CTX)
+        assert not isinstance(err.value, BackendUnavailableError)
+        assert len(transport.calls) == 1
+
+    def test_null_content_is_empty_text(self):
+        transport = transport_script([(200, chat_body(None))])
+        assert HttpChatGenerator(settings(), transport).emit_turn(CTX).text == ""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_content_that_is_not_text_fails_only_its_episode(self, parallelism):
+        def transport(url, headers, payload, timeout):
+            if "Question: q2" in payload["messages"][1]["content"]:
+                return 200, chat_body(["[ANSWER] x [SOLVED]"])
+            return 200, chat_body("[ANSWER] x [SOLVED]")
+
+        gen = HttpChatGenerator(settings(), transport)
+        questions = [f"q{i}" for i in range(5)]
+        out = batch_run(questions, PlannerConfig(), lambda i: gen, None, parallelism)
+        assert [ep.status for ep in out] == ["completed"] * 2 + ["generator_failure"] + [
+            "completed"
+        ] * 2
+        assert out[2].failure.startswith("malformed backend response")
+        assert [ep.final_answer for i, ep in enumerate(out) if i != 2] == ["x"] * 4
 
     def test_auth_header_from_env(self, monkeypatch):
         monkeypatch.setenv("PLANRAG_API_KEY", "sekrit")

@@ -5,7 +5,7 @@ import random
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planrag.bm25 import Passage, RetrievedPassage
@@ -370,3 +370,101 @@ class TestPresenceAndStats:
     def test_stats_empty(self):
         with pytest.raises(EmptyInputError):
             retrieval_stats([])
+
+
+# --- presence@k and score_row against today's definitions --------------------
+
+# word pieces with ASCII punctuation inside and around them, articles, mixed case and
+# non-ASCII letters and punctuation; separators with runs of whitespace and none at all
+PIECES = ["paris", "Paris", "PA-RIS", "paris!", "the", "The", "a", "An", "new", "York",
+          "new-york", "İstanbul", "istanbul", "straße", "STRASSE", "l’état", "ΣΑΣ", "it's",
+          "...", "theatre", "a.b", "x"]
+SEPARATORS = [" ", "  ", "\t", "\n ", ",", " - ", "\u00a0", "’", ""]
+pieced = st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(SEPARATORS)),
+                  max_size=8).map(lambda xs: "".join(w + sep for w, sep in xs))
+texts = st.one_of(pieced, st.text(max_size=12))
+references = st.lists(
+    st.one_of(pieced, st.sampled_from(["The", "...", "", " the  a "])), min_size=1, max_size=3
+)
+hits = st.lists(st.tuples(texts, texts), max_size=4)
+MODES = st.sampled_from([MIN, SQUAD])
+
+
+def episode_of(rounds: list[list[tuple[str, str]]]) -> Episode:
+    memory = [
+        RetrievalRound(
+            query=f"q{qn}",
+            results=[
+                RetrievedPassage(Passage(f"p{qn}-{i}", title, text), 1.0, i + 1)
+                for i, (title, text) in enumerate(round_hits)
+            ],
+        )
+        for qn, round_hits in enumerate(rounds)
+    ]
+    return Episode(question="q", memory=memory)
+
+
+def presence_reference(episode, refs, k, mode):
+    """answer_presence_at_k as first written: normalize every hit in full."""
+    targets = [normalize(r, mode) for r in refs]
+    for block in episode.memory:
+        for hit in block.results[:k]:
+            haystack = normalize(hit.passage.title + " " + hit.passage.text, mode)
+            if any(t and t in haystack for t in targets):
+                return 1
+    return 0
+
+
+# answers that appear only after normalization: punctuation inside a word, an article
+# between words, a run of whitespace; the last one passes the word test and still misses
+NORMALIZED_ONLY = [
+    ([[("Capital", "the PA-RIS of France")]], ["Paris!"], 1, SQUAD, 1),
+    ([[("x", "NEW the york")]], ["new york"], 1, SQUAD, 1),
+    ([[("x", "in NEW\t\tYORK city")]], ["new   york"], 1, MIN, 1),
+    ([[("a", "b"), ("c", "d"), ("x", "ISTANBUL, İstanbul’s")]], ["İstanbul"], 3, SQUAD, 1),
+    ([[("a", "b"), ("c", "d"), ("x", "ISTANBUL, İstanbul’s")]], ["İstanbul"], 2, SQUAD, 0),
+    ([[("x", "york new")]], ["New York"], 1, MIN, 0),
+]
+
+
+class TestPresenceEquivalence:
+    @pytest.mark.parametrize("rounds, refs, k, mode, want", NORMALIZED_ONLY)
+    def test_answer_found_only_after_normalization(self, rounds, refs, k, mode, want):
+        episode = episode_of(rounds)
+        assert answer_presence_at_k(episode, refs, k, mode) == want
+        assert presence_reference(episode, refs, k, mode) == want
+
+    @given(st.lists(hits, max_size=3), references, st.integers(1, 3), MODES)
+    @settings(max_examples=600, derandomize=True)
+    @example(*NORMALIZED_ONLY[0][:4])
+    @example(*NORMALIZED_ONLY[2][:4])
+    @example(*NORMALIZED_ONLY[5][:4])
+    def test_equals_full_normalization(self, rounds, refs, k, mode):
+        episode = episode_of(rounds)
+        assert answer_presence_at_k(episode, refs, k, mode) == presence_reference(
+            episode, refs, k, mode
+        )
+
+
+class TestScoreRowEquivalence:
+    predictions = st.one_of(texts, st.sampled_from(["", "...", "!?", "  ", "The a"]))
+
+    @given(
+        st.lists(st.tuples(predictions, references), min_size=1, max_size=6), MODES
+    )
+    @settings(max_examples=300, derandomize=True)
+    @example([("", [""]), ("...", ["The", "x"]), ("a b", ["b a", "a b c"])], SQUAD)
+    def test_means_of_the_pairwise_metrics(self, pairs, mode):
+        preds = [p for p, _ in pairs]
+        refs = [r for _, r in pairs]
+        n = len(pairs)
+        row = score_row("d", preds, refs, mode)
+        em = sum(exact_match(p, r, mode) for p, r in pairs) / n
+        rg = sum(rouge(p, r, mode).avg for p, r in pairs) / n
+        f1 = sum(token_f1(p, r, mode) for p, r in pairs) / n
+        assert (row.em.hex(), row.rouge_avg.hex(), row.f1.hex()) == (em.hex(), rg.hex(), f1.hex())
+
+    def test_f1_and_rouge1_part_only_when_both_are_empty(self):
+        assert token_f1("...", ["The"]) == 1.0
+        assert rouge("...", ["The"]).r1 == 0.0
+        assert token_f1("...", ["x"]) == rouge("...", ["x"]).r1 == 0.0
