@@ -11,7 +11,7 @@ import re
 import sys
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterable
 
@@ -21,14 +21,14 @@ FORMAT_VERSION = 3
 
 # the flat arrays after a format_version 3 header, in file order, with the typecodes
 # each may have: postings and field offsets unsigned, norms float64 and the
-# passages' UTF-8 text bytes; a format_version 2 file holds the first four
+# passages' UTF-8 text bytes
 _UNSIGNED = ("B", "H", "I", "Q")
 _ARRAYS = {"offsets": _UNSIGNED, "ordinals": _UNSIGNED, "tfs": _UNSIGNED, "norms": ("d",),
            "fields": _UNSIGNED, "text": ("B",)}
 # lone surrogates, which a corpus can hold through JSON escapes, pass the UTF-8 codec
 _UTF8 = "utf-8", "surrogatepass"
 
-# a corpus line and a passage of an index file: {id, title?, text}
+# a corpus line: {id, title?, text}
 _PASSAGE = {"text": str}, {"title": str}
 
 _WORD_RE = re.compile(r"\w+")
@@ -99,9 +99,6 @@ class _Passages(Sequence):
                 raise IndexFormatError(f"{self._path}: passage {ordinal} is not UTF-8 text") from None
             passage = self._memo[ordinal] = Passage(self._ids[ordinal], title, text)
         return passage
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == list(other) if isinstance(other, _Passages) else NotImplemented
 
 
 @dataclass
@@ -379,13 +376,11 @@ def save_index(index: PassageIndex, path: str) -> None:
 
 
 def load_index(path: str) -> PassageIndex:
-    """Read an index file.
+    """Read a format_version 3 file as save_index wrote it, without tokenizing.
 
-    A format_version 3 or 2 file is read as it was saved, without tokenizing; a
-    v2 header's passages are encoded as v3 holds them. A format_version 1 file
-    holds only k1, b and the passages, which are indexed again. Each term's
-    postings are checked when posting first reads them, each passage's UTF-8
-    when it is first decoded.
+    A file of any other version raises IndexFormatError; rebuild it with
+    ``planrag index``. Each term's postings are checked when posting first
+    reads them, each passage's UTF-8 when it is first decoded.
     """
     with open(path, "rb") as fh:
         try:
@@ -393,25 +388,18 @@ def load_index(path: str) -> PassageIndex:
         except ValueError as exc:  # not UTF-8 or not JSON
             raise IndexFormatError(f"{path}: not a readable index file") from exc
         version = header.get("format_version") if type(header) is dict else type(header).__name__
-        _need(version in (1, 2, FORMAT_VERSION), path,
-              f"expected format_version 1, 2 or {FORMAT_VERSION}, got {version}")
+        _need(version == FORMAT_VERSION, path, f"expected format_version {FORMAT_VERSION}, "
+              f"got {version}; rebuild it with planrag index")
         k1, b = header.get("k1"), header.get("b")
         _need(type(k1) in (int, float) and type(b) in (int, float), path, "needs numeric k1 and b")
         _need(0 <= k1 < math.inf and 0 <= b <= 1, path, "needs k1 >= 0 and b in [0, 1]")
-        if version == 1:
-            return replace(build_index(_passages(path, header.get("passages")), k1, b), path=path)
-        offsets, ordinals, tfs, norms, *fields_text = _read_arrays(path, fh, header, version)
-    if version == 2:
-        ids, fields, text = _encoded(_passages(path, header.get("passages")))
-    else:
-        ids = header.get("ids")
-        fields, text = fields_text
-        _need(type(ids) is list and len(ids) > 0 and all(type(i) is str for i in ids)
-              and len(set(ids)) == len(ids), path, "needs a non-empty list of unique string ids")
-        _need(len(fields) == 2 * len(ids) + 1 and fields[0] == 0 and fields[-1] == len(text)
-              and all(map(operator.le, fields, fields[1:])), path,
-              "needs two field offsets per passage and one more, rising from 0 to the text length")
-    terms, avg = header.get("terms"), header.get("avg_doc_length")
+        offsets, ordinals, tfs, norms, fields, text = _read_arrays(path, fh, header)
+    ids, terms, avg = header.get("ids"), header.get("terms"), header.get("avg_doc_length")
+    _need(type(ids) is list and len(ids) > 0 and all(type(i) is str for i in ids)
+          and len(set(ids)) == len(ids), path, "needs a non-empty list of unique string ids")
+    _need(len(fields) == 2 * len(ids) + 1 and fields[0] == 0 and fields[-1] == len(text)
+          and all(map(operator.le, fields, fields[1:])), path,
+          "needs two field offsets per passage and one more, rising from 0 to the text length")
     _need(type(avg) in (int, float) and 0 <= avg < math.inf, path, "needs avg_doc_length >= 0")
     _need(
         type(terms) is list and all(type(t) is str for t in terms)
@@ -434,39 +422,27 @@ def _need(ok: bool, path: str, what: str) -> None:
         raise IndexFormatError(f"{path}: {what}")
 
 
-def _passages(path: str, entries) -> list[Passage]:
-    """The checked passages of an index file: at least one, with unique ids."""
-    _need(type(entries) is list and len(entries) > 0, path, "needs a non-empty passages list")
-    passages = []
-    for n, p in enumerate(entries):
-        problem = records.check(p, *_PASSAGE)
-        if problem:
-            raise IndexFormatError(f"{path}: passage {n} {problem}")
-        passages.append(Passage(str(p["id"]), p.get("title", ""), p["text"]))
-    _need(len({p.id for p in passages}) == len(passages), path, "passage ids are not unique")
-    return passages
-
-
-def _read_arrays(path: str, fh, header: dict, version: int) -> list:
-    """The arrays after a v2 or v3 header, in _ARRAYS order and native byte order."""
-    specs, names = header.get("arrays"), list(_ARRAYS)[: 4 if version == 2 else None]
+def _read_arrays(path: str, fh, header: dict) -> list:
+    """The arrays after the header, in _ARRAYS order and native byte order."""
+    specs = header.get("arrays")
     _need(
         header.get("byteorder") in ("little", "big")
-        and type(specs) is dict and list(specs) == names
+        and type(specs) is dict and list(specs) == list(_ARRAYS)
         and all(
             type(spec) is list and len(spec) == 2 and spec[0] in _ARRAYS[name]
             and type(spec[1]) is int and spec[1] >= 0
             for name, spec in specs.items()
         ),
-        path, "needs a byteorder and the typecode and count of each of " + ", ".join(names),
+        path, "needs a byteorder and the typecode and count of each of " + ", ".join(_ARRAYS),
     )
     arrays = [(array(code), count) for code, count in specs.values()]
     size = sum(a.itemsize * count for a, count in arrays)
     rest = os.fstat(fh.fileno()).st_size - fh.tell()
     _need(rest == size, path, f"holds {rest} bytes of arrays, its header {size}")
-    for a, count in arrays[:5]:
+    *numbers, (_, text_size) = arrays
+    for a, count in numbers:
         a.fromfile(fh, count)
         if header["byteorder"] != sys.byteorder:
             a.byteswap()
-    # a v3 file's text, the last array, is read as one bytes object
-    return [a for a, _ in arrays[:5]] + [fh.read(count) for _, count in arrays[5:]]
+    # the text, the last array, is read as one bytes object
+    return [a for a, _ in numbers] + [fh.read(text_size)]

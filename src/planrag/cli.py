@@ -236,9 +236,11 @@ def cmd_sweep(args, settings) -> int:
     if not budgets:
         raise CliError("at least one budget is required")
     # every budget is checked before any runs, so a bad one writes nothing
-    for budget in budgets:
+    for i, budget in enumerate(budgets):
         if budget < 0:
             raise CliError(f"--budgets: {budget} is not a budget >= 0")
+        if budget in budgets[:i]:
+            raise CliError(f"--budgets: {budget} repeats")
     name = _dataset_name(args)
     runs = [(budget, os.path.join(args.out_dir, f"b{budget}")) for budget in budgets]
     sweep_rows = []

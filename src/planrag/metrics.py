@@ -141,10 +141,10 @@ def _overlap_scores(
         overlap = sum((pred_counts & Counter(ref)).values())
         unigram = _f1_from_counts(overlap, len(pred_toks), len(ref))
         f1 = max(f1, unigram)
-        if pred_toks or ref:  # both empty: token F1 is 1.0, ROUGE-1 is 0.0
+        if pred_toks or ref:  # both empty: token F1 is 1.0, every ROUGE 0.0
             r1 = max(r1, unigram)
+            rl = max(rl, _f1_from_counts(_lcs_len(pred_toks, ref), len(pred_toks), len(ref)))
         r2 = max(r2, _overlap_f(pred_bigrams, _ngrams(ref, 2)))
-        rl = max(rl, _f1_from_counts(_lcs_len(pred_toks, ref), len(pred_toks), len(ref)))
     return f1, RougeScores(r1=r1, r2=r2, rl=rl, avg=(r1 + r2 + rl) / 3)
 
 

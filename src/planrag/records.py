@@ -61,7 +61,7 @@ def check(record: Any, required: dict[str, Kind], optional: dict[str, Kind]) -> 
     The shape is a JSON object with a string or integer ``id``, every
     ``required`` field, and the ``optional`` fields that are present, each of
     its kind: str, int, list (of strings) or a tuple of the strings allowed.
-    Plain loops, not all(): an index file checks every passage on load.
+    Plain loops, not all(): read_jsonl calls it once per record.
     """
     if type(record) is not dict or type(record.get("id")) not in (str, int):
         return _shape(required, optional)

@@ -1,6 +1,28 @@
+import json
+from array import array
+
 import pytest
 
 from planrag.bm25 import Passage, build_index
+
+
+def rewrite_index(path, edit, out=None):
+    """Apply edit(header, arrays) to a saved index and write it, consistently framed, to out.
+
+    out defaults to path, so the file is rewritten in place.
+    """
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        arrays = {}
+        for name, (code, count) in header["arrays"].items():
+            arrays[name] = array(code)
+            arrays[name].fromfile(fh, count)
+    edit(header, arrays)
+    header["arrays"] = {name: [a.typecode, len(a)] for name, a in arrays.items()}
+    with open(path if out is None else out, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for a in arrays.values():
+            a.tofile(fh)
 
 
 @pytest.fixture(scope="session")

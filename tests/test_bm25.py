@@ -10,13 +10,13 @@ import string
 import sys
 import tempfile
 import threading
-from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import rewrite_index
 from planrag.bm25 import (
     DuplicateIdError,
     EmptyCorpusError,
@@ -310,22 +310,6 @@ def saved_then_loaded(index, directory):
     return load_index(path)
 
 
-def rewrite_index(path, edit):
-    """Apply edit(header, arrays) to a saved index and write it back consistently framed."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline())
-        arrays = {}
-        for name, (code, count) in header["arrays"].items():
-            arrays[name] = array(code)
-            arrays[name].fromfile(fh, count)
-    edit(header, arrays)
-    header["arrays"] = {name: [a.typecode, len(a)] for name, a in arrays.items()}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
-        for a in arrays.values():
-            a.tofile(fh)
-
-
 def _set(name, position, value):
     def edit(header, arrays):
         arrays[name][position] = value
@@ -397,56 +381,6 @@ class TestPersistence:
         again = tmp_path / "again.json"
         save_index(load_index(str(path)), str(again))
         assert again.read_bytes() == path.read_bytes()
-
-    def test_version_1_file_still_loads(self, tmp_path):
-        path = tmp_path / "v1.json"
-        path.write_text(
-            '{"format_version": 1, "k1": 1.2, "b": 0.75, "passages": ['
-            '{"id": "a", "title": "Eiffel", "text": "tower in paris"}, '
-            '{"id": 7, "title": "", "text": "paris is a city in france"}, '
-            '{"id": "c", "text": "the tower of pisa"}]}'
-        )
-        loaded = load_index(str(path))
-        built = build_index([
-            Passage("a", "Eiffel", "tower in paris"),
-            Passage("7", "", "paris is a city in france"),
-            Passage("c", "", "the tower of pisa"),
-        ])
-        assert loaded.passages == built.passages and loaded.norms == built.norms
-        for query in ("paris tower", "city", "pisa eiffel", "nothing"):
-            got = [(r.passage.id, r.score) for r in loaded.search(query, 3)]
-            assert got == [(r.passage.id, r.score) for r in built.search(query, 3)]
-
-    def test_version_2_file_still_loads(self, tmp_path):
-        passages, vocab = random_corpus(random.Random(41), 60)
-        built = build_index(passages, 0.9, 0.4)
-        # a v2 file: the passages in the header, then four arrays
-        arrays = {name: getattr(built, name) for name in ("offsets", "ordinals", "tfs", "norms")}
-        header = {
-            "format_version": 2, "k1": 0.9, "b": 0.4, "avg_doc_length": built.avg_doc_length,
-            "passages": [{"id": p.id, "title": p.title, "text": p.text} for p in passages],
-            "terms": built.terms, "byteorder": sys.byteorder,
-            "arrays": {name: [a.typecode, len(a)] for name, a in arrays.items()},
-        }
-        path = tmp_path / "v2.json"
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header).encode() + b"\n")
-            for a in arrays.values():
-                a.tofile(fh)
-        loaded = load_index(str(path))
-        assert list(loaded.passages) == passages
-        for name in ("terms", "offsets", "ordinals", "tfs", "norms"):
-            assert getattr(loaded, name) == getattr(built, name), name
-        for query in (" ".join(vocab[i:i + 3]) for i in range(0, 30, 3)):
-            got = [(r.passage, r.score, r.rank) for r in loaded.search(query, 10)]
-            assert got == [(r.passage, r.score, r.rank) for r in built.search(query, 10)]
-            terms = tokenize(query)
-            for ordinal in range(built.doc_count):
-                assert loaded.score(terms, ordinal) == built.score(terms, ordinal)
-        from_v2, from_built = tmp_path / "from_v2.json", tmp_path / "from_built.json"
-        save_index(loaded, str(from_v2))
-        save_index(built, str(from_built))
-        assert from_v2.read_bytes() == from_built.read_bytes()
 
     @pytest.mark.parametrize(
         "corrupt, message, first_use",
@@ -558,11 +492,27 @@ class TestPersistence:
         with pytest.raises((IndexFormatError, OSError)):
             load_index(str(path))
 
-    def test_version_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 999])
+    def test_version_mismatch(self, tmp_path, version):
         path = tmp_path / "index.json"
-        path.write_text('{"format_version": 999, "k1": 1.2, "b": 0.75, "passages": []}')
-        with pytest.raises(IndexFormatError):
+        if version == 2:
+            # a v2 file: the passages in the header, then four arrays
+            passages, _ = random_corpus(random.Random(41), 60)
+            save_index(build_index(passages, 0.9, 0.4), str(path))
+
+            def to_v2(header, arrays):
+                header.update(format_version=2, passages=[
+                    {"id": p.id, "title": p.title, "text": p.text} for p in passages])
+                del header["ids"], arrays["fields"], arrays["text"]
+
+            rewrite_index(path, to_v2)
+        else:
+            path.write_text(json.dumps({"format_version": version, "k1": 1.2, "b": 0.75,
+                                        "passages": [{"id": "a", "text": "tower in paris"}]}))
+        with pytest.raises(IndexFormatError) as caught:
             load_index(str(path))
+        assert str(caught.value) == (f"{path}: expected format_version 3, got {version}; "
+                                     "rebuild it with planrag index")
 
     def test_save_path_error(self, tmp_path):
         idx = build_index([Passage("a", "", "x")])

@@ -1,10 +1,10 @@
 """End-to-end CLI behavior with replay backends in a temp workspace."""
 
 import json
-from array import array
 
 import pytest
 
+from conftest import rewrite_index
 from planrag.cli import SETTINGS, main, parse_subset_spec, CliError
 from planrag.generator import GeneratorEmission
 
@@ -362,6 +362,16 @@ class TestSweepCmd:
         assert "--budgets" in err and "-1" in err
         assert not out_dir.exists()
 
+    def test_repeated_budget_runs_no_budget(self, workspace, capsys):
+        out_dir = workspace["root"] / "sweep_repeat"
+        code = main(
+            ["sweep", "--dataset", workspace["dataset"], "--scripts", workspace["scripts"],
+             "--index", workspace["index"], "--out-dir", str(out_dir), "--budgets", "1,3,01"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --budgets: 1 repeats\n"
+        assert not out_dir.exists()
+
     def test_budget_setting_not_read(self, workspace, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"budget": -1}))
@@ -648,31 +658,21 @@ class TestScoreCmd:
         assert main(["score", "--predictions", preds, "--dataset", dataset]) == 1
 
 
-def _index_file(tmp_path, payload):
-    path = tmp_path / "bad_index.json"
-    path.write_text(json.dumps({"format_version": 1, "k1": 1.2, "b": 0.75, **payload}))
-    return ["run", "--dataset", str(tmp_path / "dataset.jsonl"), "--index", str(path),
+def _run_on_bad_index(tmp_path):
+    return ["run", "--dataset", str(tmp_path / "dataset.jsonl"),
+            "--index", str(tmp_path / "bad_index.json"),
             "--scripts", str(tmp_path / "scripts.jsonl"), "--out-dir", str(tmp_path / "o")]
 
 
 def _index_bytes(tmp_path, payload):
-    path = tmp_path / "bad_index.json"
-    path.write_bytes(payload)
-    return ["run", "--dataset", str(tmp_path / "dataset.jsonl"), "--index", str(path),
-            "--scripts", str(tmp_path / "scripts.jsonl"), "--out-dir", str(tmp_path / "o")]
+    (tmp_path / "bad_index.json").write_bytes(payload)
+    return _run_on_bad_index(tmp_path)
 
 
 def _corrupt_index(tmp_path, edit):
     """The workspace index with edit(header, arrays) applied, read by a replay run."""
-    with open(tmp_path / "index.json", "rb") as fh:
-        header = json.loads(fh.readline())
-        arrays = {}
-        for name, (code, count) in header["arrays"].items():
-            arrays[name] = array(code)
-            arrays[name].fromfile(fh, count)
-    edit(header, arrays)
-    payload = json.dumps(header).encode() + b"\n" + b"".join(map(bytes, arrays.values()))
-    return _index_bytes(tmp_path, payload)
+    rewrite_index(tmp_path / "index.json", edit, tmp_path / "bad_index.json")
+    return _run_on_bad_index(tmp_path)
 
 
 def _ordinal_past_passages(header, arrays):
@@ -756,9 +756,10 @@ def _reward_samples(tmp_path, text):
 @pytest.mark.parametrize(
     "make_argv, names",
     [
-        (lambda tmp: _index_file(tmp, {}), ["bad_index.json", "passages"]),
-        (lambda tmp: _index_file(tmp, {"passages": [{"id": "p1"}]}), ["passage 0"]),
-        (lambda tmp: _index_file(tmp, {"b": 2, "passages": CORPUS}),
+        (lambda tmp: _index_bytes(tmp, json.dumps(
+            {"format_version": 1, "k1": 1.2, "b": 0.75, "passages": CORPUS}).encode()),
+         ["bad_index.json", "format_version 3", "planrag index"]),
+        (lambda tmp: _corrupt_index(tmp, lambda header, arrays: header.update(b=2)),
          ["bad_index.json", "b in [0, 1]"]),
         (_transcripts_without_rounds, ["no_rounds.jsonl:1", "rounds_used"]),
         (_dataset_scalar_line, ["scalar.jsonl:2", "JSON object"]),
@@ -808,7 +809,7 @@ def _reward_samples(tmp_path, text):
         (lambda tmp: _corrupt_index(tmp, _hit_not_utf8),
          ["bad_index.json", "passage 1 is not UTF-8"]),
     ],
-    ids=["index_without_passages", "passage_without_text", "index_v1_b_out_of_range",
+    ids=["index_old_version", "index_b_out_of_range",
          "transcript_without_rounds",
          "dataset_line_not_object", "dataset_answer_not_string", "dataset_question_not_string",
          "dataset_question_empty", "dataset_id_repeated", "corpus_title_not_string",

@@ -15,6 +15,7 @@ from planrag.metrics import (
     EmptyRowsError,
     MetricRow,
     NormalizationMode,
+    RougeScores,
     ScoreReport,
     answer_presence_at_k,
     avg_score,
@@ -237,6 +238,11 @@ class TestRouge:
     def test_empty_pred(self):
         scores = rouge("", ["a b"], MIN)
         assert scores.r1 == scores.r2 == scores.rl == scores.avg == 0.0
+
+    def test_both_empty_after_normalizing_scores_zero(self):
+        # token F1 and EM give such a pair 1.0 (the SQuAD rule); every ROUGE gives 0.0
+        assert rouge("...", ["The"], SQUAD) == RougeScores(r1=0.0, r2=0.0, rl=0.0, avg=0.0)
+        assert exact_match("...", ["The"], SQUAD) == token_f1("...", ["The"], SQUAD) == 1.0
 
     def test_avg_is_mean_of_components(self):
         rng = random.Random(7)
