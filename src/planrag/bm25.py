@@ -40,21 +40,6 @@ _RESCORE_WITHIN = 4
 _SLACK = 1e-9
 
 
-class EmptyCorpusError(ValueError):
-    pass
-
-
-class DuplicateIdError(ValueError):
-    pass
-
-
-class OrdinalOutOfRangeError(IndexError):
-    pass
-
-
-IndexFormatError = records.RecordFormatError
-
-
 @dataclass(frozen=True)
 class Passage:
     id: str
@@ -96,7 +81,7 @@ class _Passages(Sequence):
             try:
                 title, text = self._text[lo:mid].decode(*_UTF8), self._text[mid:hi].decode(*_UTF8)
             except UnicodeDecodeError:
-                raise IndexFormatError(f"{self._path}: passage {ordinal} is not UTF-8 text") from None
+                raise ValueError(f"{self._path}: passage {ordinal} is not UTF-8 text") from None
             passage = self._memo[ordinal] = Passage(self._ids[ordinal], title, text)
         return passage
 
@@ -156,7 +141,7 @@ class PassageIndex:
             try:
                 posting = dict(zip(map(self._keys.__getitem__, self.ordinals[lo:hi]), tfs))
             except IndexError:
-                raise IndexFormatError(
+                raise ValueError(
                     f"{self.path}: term {term!r} has an ordinal past the passages") from None
             self._built[term] = posting
         return posting
@@ -174,7 +159,7 @@ class PassageIndex:
     def score(self, query_terms: list[str], ordinal: int) -> float:
         """BM25 score of one passage; absent terms contribute 0."""
         if not 0 <= ordinal < self.doc_count:
-            raise OrdinalOutOfRangeError(f"ordinal {ordinal} not in [0, {self.doc_count})")
+            raise IndexError(f"ordinal {ordinal} not in [0, {self.doc_count})")
         norm = self.norms[ordinal]
         total = 0.0
         # sorted unique terms keep float accumulation order canonical
@@ -295,7 +280,7 @@ def build_index(
     seen_ids: set[str] = set()
     for passage in corpus:
         if passage.id in seen_ids:
-            raise DuplicateIdError(f"duplicate passage id: {passage.id}")
+            raise ValueError(f"duplicate passage id: {passage.id}")
         ordinal = len(passages)
         seen_ids.add(passage.id)
         passages.append(passage)
@@ -308,7 +293,7 @@ def build_index(
             else:
                 posting[ordinal] = posting.get(ordinal, 0) + 1
     if not passages:
-        raise EmptyCorpusError("cannot build an index over an empty corpus")
+        raise ValueError("cannot build an index over an empty corpus")
     avg_len = sum(doc_lengths) / len(doc_lengths)
     # an all-empty corpus has no postings, so no score depends on its norms
     avg = avg_len or 1.0
@@ -331,7 +316,7 @@ def load_corpus(path: str) -> list[Passage]:
     ]
     empty = next((p.id for p in passages if not p.text), None)
     if empty is not None:
-        raise IndexFormatError(f"{path}: corpus record {empty} needs non-empty text")
+        raise ValueError(f"{path}: corpus record {empty} needs non-empty text")
     return passages
 
 
@@ -378,7 +363,7 @@ def save_index(index: PassageIndex, path: str) -> None:
 def load_index(path: str) -> PassageIndex:
     """Read a format_version 3 file as save_index wrote it, without tokenizing.
 
-    A file of any other version raises IndexFormatError; rebuild it with
+    A file of any other version raises ValueError; rebuild it with
     ``planrag index``. Each term's postings are checked when posting first
     reads them, each passage's UTF-8 when it is first decoded.
     """
@@ -386,7 +371,7 @@ def load_index(path: str) -> PassageIndex:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
         except ValueError as exc:  # not UTF-8 or not JSON
-            raise IndexFormatError(f"{path}: not a readable index file") from exc
+            raise ValueError(f"{path}: not a readable index file") from exc
         version = header.get("format_version") if type(header) is dict else type(header).__name__
         _need(version == FORMAT_VERSION, path, f"expected format_version {FORMAT_VERSION}, "
               f"got {version}; rebuild it with planrag index")
@@ -419,7 +404,7 @@ def load_index(path: str) -> PassageIndex:
 
 def _need(ok: bool, path: str, what: str) -> None:
     if not ok:
-        raise IndexFormatError(f"{path}: {what}")
+        raise ValueError(f"{path}: {what}")
 
 
 def _read_arrays(path: str, fh, header: dict) -> list:

@@ -28,7 +28,6 @@ from .supervision import (
     Split,
     SupervisionKind,
     SupervisionSample,
-    TeacherFailureError,
     build_sample,
     classify,
     export_dataset,
@@ -172,7 +171,9 @@ def _run_budgets(args, settings, runs: list[tuple[int, str]]):
     rows = records.load_dataset(args.dataset)
     idx = bm25.load_index(args.index) if args.index else None
     fallback = FallbackPolicy(settings.fallback)
-    # every budget is checked before the gateways are built and any runs
+    # every budget and the parallelism are checked before the gateways are built and any runs
+    if settings.parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     cfgs = [
         PlannerConfig(max_rounds=budget, top_k=settings.top_k, fallback_policy=fallback)
         for budget, _ in runs
@@ -384,9 +385,7 @@ def cmd_supervise(args, settings) -> int:
             samples.append(
                 build_sample(question, refs, parametric, retrieval, teacher_query, qid=row["id"])
             )
-        except (
-            GeneratorError, TeacherFailureError, EmptyTeacherQueryError, EmptyTargetQueryError
-        ) as exc:
+        except (GeneratorError, EmptyTeacherQueryError, EmptyTargetQueryError) as exc:
             skipped.append(row["id"])
             print(f"skipping {row['id']}: {exc}", file=sys.stderr)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -398,6 +397,8 @@ def cmd_supervise(args, settings) -> int:
 
 
 def cmd_reward(args, settings) -> int:
+    if settings.budget < 0:
+        raise CliError(f"budget must be >= 0, got {settings.budget}")
     kinds = tuple(k.value for k in SupervisionKind)
     sample_fields = {"question": str, "kind": kinds, "target": str, "references": list}
     sample_by_id = {

@@ -32,14 +32,6 @@ class GeneratorError(Exception):
     pass
 
 
-class BackendUnavailableError(GeneratorError):
-    pass
-
-
-class ScriptExhaustedError(GeneratorError):
-    pass
-
-
 class StopReason(Enum):
     CONTROL_BOUNDARY = "control_boundary"
     END_OF_TURN = "end_of_turn"
@@ -108,7 +100,7 @@ class ReplayGenerator:
     """Deterministic scripted stand-in for the generative policy.
 
     Turns are consumed strictly in order; requesting past the end raises
-    ScriptExhaustedError. One script serves exactly one episode.
+    GeneratorError. One script serves exactly one episode.
     """
 
     def __init__(self, turns: list[str]):
@@ -117,9 +109,7 @@ class ReplayGenerator:
 
     def emit_turn(self, ctx: GenerationContext) -> GeneratorEmission:
         if self.cursor >= len(self.turns):
-            raise ScriptExhaustedError(
-                f"replay script exhausted after {len(self.turns)} turns"
-            )
+            raise GeneratorError(f"replay script exhausted after {len(self.turns)} turns")
         text = self.turns[self.cursor]
         self.cursor += 1
         return GeneratorEmission(text=text, stop_reason=StopReason.END_OF_TURN)
@@ -155,8 +145,9 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
 class HttpChatGenerator:
     """Chat-completions client with bounded exponential-backoff retries.
 
-    Only transport-level failures (connection errors, timeouts, 5xx) are
-    retried; a semantic backend rejection (4xx, malformed body) never is.
+    Only transport-level failures (connection errors, timeouts, replies cut
+    short, 5xx) are retried; a semantic backend rejection (4xx, malformed
+    body) never is.
     """
 
     def __init__(self, settings: GeneratorSettings, transport: Transport | None = None):
@@ -190,7 +181,11 @@ class HttpChatGenerator:
                 status, body = self.transport(
                     self.settings.endpoint, self._headers(), payload, TIMEOUT_S
                 )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except (
+                requests.ConnectionError,
+                requests.Timeout,
+                requests.exceptions.ChunkedEncodingError,  # reply ended before its Content-Length
+            ) as exc:
                 last_error = str(exc) or type(exc).__name__
                 continue
             if status >= 500:
@@ -199,9 +194,7 @@ class HttpChatGenerator:
             if status >= 400:
                 raise GeneratorError(f"backend rejected request with status {status}")
             return body
-        raise BackendUnavailableError(
-            f"backend unavailable after {MAX_ATTEMPTS} attempts: {last_error}"
-        )
+        raise GeneratorError(f"backend unavailable after {MAX_ATTEMPTS} attempts: {last_error}")
 
     def emit_turn(self, ctx: GenerationContext) -> GeneratorEmission:
         body = self._request(self._payload(ctx))

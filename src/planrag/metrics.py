@@ -25,18 +25,6 @@ _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNC_TABLE = str.maketrans("", "", string.punctuation)
 
 
-class EmptyReferencesError(ValueError):
-    pass
-
-
-class EmptyRowsError(ValueError):
-    pass
-
-
-class EmptyInputError(ValueError):
-    pass
-
-
 def _fold(s: str, mode: NormalizationMode) -> str:
     """The first steps of ``normalize``: lowercase, and in squad mode drop ASCII punctuation."""
     s = s.lower()
@@ -60,7 +48,7 @@ def _tokens(s: str, mode: NormalizationMode) -> list[str]:
 
 def _require_refs(refs: list[str]) -> None:
     if not refs:
-        raise EmptyReferencesError("at least one reference answer is required")
+        raise ValueError("at least one reference answer is required")
 
 
 def _ref_tokens(refs: list[str], mode: NormalizationMode) -> list[list[str]]:
@@ -210,7 +198,7 @@ class MetricRow:
 def avg_score(rows: list[MetricRow]) -> float:
     """Unweighted mean over every (dataset, metric) cell."""
     if not rows:
-        raise EmptyRowsError("avg_score needs at least one row")
+        raise ValueError("avg_score needs at least one row")
     cells = [v for row in rows for v in (row.em, row.rouge_avg, row.f1)]
     return sum(cells) / len(cells)
 
@@ -223,7 +211,7 @@ def score_row(
 ) -> MetricRow:
     """Average EM / ROUGE / F1 of aligned predictions against reference sets."""
     if not predictions:
-        raise EmptyInputError("no predictions to score")
+        raise ValueError("no predictions to score")
     if len(predictions) != len(references):
         raise ValueError("predictions and references are misaligned")
     ems, rgs, f1s = [], [], []
@@ -265,7 +253,7 @@ def retrieval_stats(episodes: Iterable["Episode"]) -> dict:
     """Mean retrieval count and the fraction of episodes per realized count."""
     counts = [ep.rounds_used for ep in episodes]
     if not counts:
-        raise EmptyInputError("no episodes")
+        raise ValueError("no episodes")
     dist = Counter(counts)
     total = len(counts)
     return {

@@ -47,14 +47,6 @@ class FallbackPolicy(Enum):
     FORCE_FINALIZE = "finalize"
 
 
-class BudgetExhaustedError(RuntimeError):
-    pass
-
-
-class EmptyQueryError(ValueError):
-    pass
-
-
 class MissingIndexError(RuntimeError):
     pass
 
@@ -191,10 +183,10 @@ def handle_retrieve(
     Memory is an append-only log; duplicate passages across rounds are kept.
     """
     if ep.rounds_used >= cfg.max_rounds:
-        raise BudgetExhaustedError(f"budget of {cfg.max_rounds} retrieval rounds already used")
+        raise RuntimeError(f"budget of {cfg.max_rounds} retrieval rounds already used")
     query = query.strip()
     if not query:
-        raise EmptyQueryError("retrieval query is empty")
+        raise ValueError("retrieval query is empty")
     if idx is None:
         raise MissingIndexError("generator requested retrieval but no index is configured")
     ep.memory.append(RetrievalRound(query=query, results=idx.search(query, cfg.top_k)))

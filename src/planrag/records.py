@@ -16,10 +16,6 @@ _KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list o
 Kind = type | tuple[str, ...]
 
 
-class RecordFormatError(ValueError):
-    pass
-
-
 def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
     """(line number, parsed value) for each non-blank line.
 
@@ -85,7 +81,7 @@ def read_jsonl(
 ) -> list[dict]:
     """Every record of a file, each checked, with its id turned into a string.
 
-    The first record that does not fit raises RecordFormatError
+    The first record that does not fit raises ValueError
     ``<path>:<line>: <what> record must be ...``, ``<path>:<line>: not UTF-8
     text`` or, for an id already read, ``<path>:<line>: <what> record id <id>
     repeats line <n>``.
@@ -94,16 +90,14 @@ def read_jsonl(
     lines: dict[str, int] = {}  # id -> the first line it is on
     for lineno, record in iter_jsonl(path):
         if type(record) is bytes:
-            raise RecordFormatError(f"{path}:{lineno}: not UTF-8 text")
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text")
         problem = check(record, required, optional)
         if problem:
-            raise RecordFormatError(f"{path}:{lineno}: {what} record {problem}")
+            raise ValueError(f"{path}:{lineno}: {what} record {problem}")
         rid = record["id"] = str(record["id"])
         first = lines.setdefault(rid, lineno)
         if first != lineno:
-            raise RecordFormatError(
-                f"{path}:{lineno}: {what} record id {rid} repeats line {first}"
-            )
+            raise ValueError(f"{path}:{lineno}: {what} record id {rid} repeats line {first}")
         rows.append(record)
     return rows
 
@@ -128,11 +122,7 @@ def load_dataset(path: str) -> list[dict]:
     rows = read_jsonl(path, "dataset", {"question": str, "answers": list}, {})
     for row in rows:
         if not row["question"]:
-            raise RecordFormatError(
-                f"{path}: dataset record {row['id']} needs a non-empty question"
-            )
+            raise ValueError(f"{path}: dataset record {row['id']} needs a non-empty question")
         if not row["answers"]:
-            raise RecordFormatError(
-                f"{path}: dataset record {row['id']} needs a non-empty answers list"
-            )
+            raise ValueError(f"{path}: dataset record {row['id']} needs a non-empty answers list")
     return rows

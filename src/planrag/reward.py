@@ -12,14 +12,6 @@ CONTROL_MATCH_BONUS = 0.5
 INVALID_PENALTY = -0.5
 
 
-class InvalidTargetError(ValueError):
-    pass
-
-
-class EmptyReferenceError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RewardBreakdown:
     r_ans: float
@@ -29,14 +21,14 @@ class RewardBreakdown:
 
 def answer_fidelity(rollout_answer: str, reference: str) -> float:
     if not reference:
-        raise EmptyReferenceError("reference answer is empty")
+        raise ValueError("reference answer is empty")
     return bleu(rollout_answer, reference)
 
 
 def control_accuracy(rollout: Trajectory, target: Trajectory, max_rounds: int) -> float:
     """Three-level control reward: exact pattern match, valid-but-off, invalid."""
     if not validate(target, max_rounds).valid:
-        raise InvalidTargetError("target trajectory does not satisfy the grammar")
+        raise ValueError("target trajectory does not satisfy the grammar")
     if not validate(rollout, max_rounds).valid:
         return INVALID_PENALTY
     if control_sequence(rollout) == control_sequence(target):
@@ -53,7 +45,7 @@ def total_reward(
     rollout: Trajectory, sample: SupervisionSample, max_rounds: int = 3
 ) -> RewardBreakdown:
     if not sample.references:
-        raise EmptyReferenceError("sample has no reference answers")
+        raise ValueError("sample has no reference answers")
     r_ans = answer_fidelity(final_answer_text(rollout), sample.references[0])
     r_ctrl = control_accuracy(rollout, sample.target, max_rounds)
     return RewardBreakdown(r_ans=r_ans, r_ctrl=r_ctrl, total=r_ans + r_ctrl)

@@ -20,7 +20,7 @@ from .control import (
     last_answer,
     parse_trajectory,
 )
-from .generator import EvidenceBlock, GenerationContext, GeneratorError
+from .generator import EvidenceBlock, GenerationContext
 from .metrics import NormalizationMode, cover_em, exact_match
 from .records import write_json, write_jsonl
 
@@ -46,10 +46,6 @@ class SupervisionKind(Enum):
 class Split(Enum):
     SFT = "sft"
     RL = "rl"
-
-
-class TeacherFailureError(RuntimeError):
-    pass
 
 
 class EmptyTeacherQueryError(ValueError):
@@ -169,11 +165,7 @@ def teacher_followup_query(
         evidence_blocks=(EvidenceBlock(query=question, passages=passages),),
         prior_segments=(Segment(ControlToken.INTERMEDIARY, " " + intermediary),),
     )
-    try:
-        emission = teacher.emit_turn(ctx)
-    except GeneratorError as exc:
-        raise TeacherFailureError(str(exc)) from exc
-    query = emission.text.strip()
+    query = teacher.emit_turn(ctx).text.strip()
     if not _strip_control_tokens(query):
         raise EmptyTeacherQueryError("teacher returned an empty follow-up query")
     return query

@@ -372,6 +372,18 @@ class TestSweepCmd:
         assert capsys.readouterr().err == "error: --budgets: 1 repeats\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--budgets", "1"]])
+    def test_parallelism_below_1_writes_nothing(self, workspace, capsys, command):
+        out_dir = workspace["root"] / "par0"
+        code = main(
+            command + ["--dataset", workspace["dataset"], "--scripts", workspace["scripts"],
+                       "--index", workspace["index"], "--out-dir", str(out_dir),
+                       "--parallelism", "0"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: parallelism must be >= 1\n"
+        assert not out_dir.exists()
+
     def test_budget_setting_not_read(self, workspace, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"budget": -1}))
@@ -508,7 +520,7 @@ class TestSuperviseCmd:
         code, out_dir = self.run_supervise(tmp_path, scripts, "sup2")
         assert code == 0
         captured = capsys.readouterr()
-        assert "skipping s3" in captured.err
+        assert "skipping s3: replay script exhausted after 0 turns" in captured.err.splitlines()
         summary = json.loads(captured.out.strip().splitlines()[-1])
         assert summary["skipped"] == 1
         assert summary["counts"]["gamma"] == 0
@@ -627,6 +639,15 @@ class TestRewardCmd:
         entries = [json.loads(line) for line in out.read_text().splitlines()]
         assert entries[:2] == [{"line": n, "error": "malformed rollout record"} for n in (1, 2)]
         assert entries[2]["id"] == "r2" and entries[2]["total"] == pytest.approx(1.5)
+
+    def test_negative_budget_writes_no_rewards(self, tmp_path, capsys):
+        samples = self.make_samples(tmp_path)
+        rollouts = write_jsonl(tmp_path / "rollouts.jsonl", [{"id": "r1", "text": "[SOLVED]"}])
+        out = tmp_path / "rewards.jsonl"
+        assert main(["reward", "--rollouts", rollouts, "--samples", samples,
+                     "--out", str(out), "--budget", "-1"]) == 1
+        assert capsys.readouterr().err == "error: budget must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_empty_rollouts(self, tmp_path):
         samples = self.make_samples(tmp_path)

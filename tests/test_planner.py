@@ -12,12 +12,10 @@ from planrag.control import validate
 from planrag.generator import (
     GenerationContext,
     GeneratorEmission,
+    GeneratorError,
     ReplayGenerator,
-    ScriptExhaustedError,
 )
 from planrag.planner import (
-    BudgetExhaustedError,
-    EmptyQueryError,
     Episode,
     FallbackPolicy,
     MissingIndexError,
@@ -170,7 +168,7 @@ class TestRunEpisode:
         assert any("empty retrieval query" in (s.note or "") for s in ep.steps)
 
     def test_generator_failure_propagates(self, tiny_index):
-        with pytest.raises(ScriptExhaustedError):
+        with pytest.raises(GeneratorError, match="replay script exhausted after 0 turns"):
             run_episode("q?", PlannerConfig(), ReplayGenerator([]), tiny_index)
 
     def test_missing_index_raises(self):
@@ -269,11 +267,11 @@ class TestOps:
         for expected in (1, 2, 3):
             handle_retrieve(ep, "paris", tiny_index, PlannerConfig(top_k=2))
             assert ep.rounds_used == expected
-        with pytest.raises(BudgetExhaustedError):
+        with pytest.raises(RuntimeError, match="budget of 3 retrieval rounds already used"):
             handle_retrieve(ep, "paris", tiny_index, PlannerConfig(top_k=2))
 
     def test_handle_retrieve_empty_query(self, tiny_index):
-        with pytest.raises(EmptyQueryError):
+        with pytest.raises(ValueError, match="retrieval query is empty"):
             handle_retrieve(Episode(question="q"), "   ", tiny_index, PlannerConfig())
 
     def test_force_finalize_at_budget(self, tiny_index):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planrag.control import ControlToken, control_sequence, parse_trajectory, validate
-from planrag.generator import ReplayGenerator
+from planrag.generator import GeneratorError, ReplayGenerator
 from planrag.supervision import (
     EmptyTargetQueryError,
     EmptyTeacherQueryError,
@@ -16,7 +16,6 @@ from planrag.supervision import (
     ProbeOutcome,
     Split,
     SupervisionKind,
-    TeacherFailureError,
     build_sample,
     classify,
     export_dataset,
@@ -133,7 +132,7 @@ class TestTeacher:
                 teacher_followup_query("q?", "partial", [], ReplayGenerator([reply]))
 
     def test_transport_failure_wrapped(self):
-        with pytest.raises(TeacherFailureError):
+        with pytest.raises(GeneratorError, match="replay script exhausted after 0 turns"):
             teacher_followup_query("q?", "partial", [], ReplayGenerator([]))
 
 
