@@ -180,10 +180,10 @@ class PassageIndex:
         0 and at most its bound ``idf * (k1 + 1)``.
 
         1. Accumulate: terms are visited by descending bound, and each passage
-           of a visited posting adds the term's share to its partial sum in
-           ``acc``. Once k passages are held and the bounds of the terms not yet
-           visited sum to less than the k-th largest partial sum, no new
-           passage is admitted.
+           of a visited posting adds the term's share
+           ``bound * tf / (tf + norm)`` to its partial sum in ``acc``. Once k
+           passages are held and the bounds of the terms not yet visited sum to
+           less than the k-th largest partial sum, no new passage is admitted.
         2. Prune: a candidate whose partial sum plus the bounds of the terms not
            yet added is below the k-th largest partial sum is dropped, and the
            next term is added to the candidates left. This repeats until every
@@ -201,11 +201,21 @@ class PassageIndex:
         sum plus the bounds of the terms it missed, which lies strictly below
         the k-th largest partial sum and so strictly below the k-th exact score:
         it cannot enter the top k, not even on an id tie. Partial sums add in
-        visit order, not sorted order, so they may round apart from a full sum;
-        every bound test gets a relative slack of ``_SLACK`` on both sides, far
-        more than that rounding. ``acc`` values are only ever bounds: rescoring
-        sums over the sorted terms from 0.0 with ``score``'s expression, so the
-        scores returned are bitwise those of ``score``.
+        visit order, not sorted order, and each share is computed as
+        ``bound * tf / (tf + norm)``, with ``bound = idf * (k1 + 1)`` taken once
+        per term, not in ``score``'s order ``idf * tf * (k1 + 1) / (tf + norm)``;
+        so a partial sum may round apart from a full sum, by a few units in the
+        last place per term. Every bound test gets a relative slack of
+        ``_SLACK`` on both sides, far more than that rounding. A prune keeps a
+        candidate when ``(a + rest) * (1 + _SLACK) >= floor * (1 - _SLACK)``,
+        and tests it as ``a >= cut``, that inequality solved for ``a`` once per
+        prune: ``cut = floor * (1 - _SLACK) / (1 + _SLACK) - rest``, whose own
+        rounding is relative to ``floor`` and again far below the slack. A prune
+        whose cut is at most the smallest partial sum, as every cut <= 0 is,
+        would keep every candidate, so ``acc`` is left as it is. ``acc`` values
+        are only ever bounds: rescoring sums over the sorted terms from 0.0
+        with ``score``'s expression, so the scores returned are bitwise those
+        of ``score``.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -227,15 +237,18 @@ class PassageIndex:
         # the candidates left, until every term is added or few candidates are left
         acc: dict[int, float] = {}
         admitting = True
-        for added, (posting, idf) in enumerate(visits, 1):
-            if admitting:
+        for added, ((posting, _), bound) in enumerate(zip(visits, bounds), 1):
+            if added == 1:
+                acc = {ordinal: bound * tf / (tf + norms[ordinal])
+                       for ordinal, tf in posting.items()}
+            elif admitting:
                 get = acc.get
                 for ordinal, tf in posting.items():
-                    acc[ordinal] = get(ordinal, 0.0) + idf * tf * k1p / (tf + norms[ordinal])
+                    acc[ordinal] = get(ordinal, 0.0) + bound * tf / (tf + norms[ordinal])
             else:
                 for ordinal in acc.keys() & posting.keys():
                     tf = posting[ordinal]
-                    acc[ordinal] += idf * tf * k1p / (tf + norms[ordinal])
+                    acc[ordinal] += bound * tf / (tf + norms[ordinal])
             rest = tails[added]
             # no partial sum exceeds the visited bounds: the test passes only below them
             if admitting and rest >= tails[0] - rest:
@@ -246,8 +259,11 @@ class PassageIndex:
             if admitting and rest * (1 + _SLACK) >= floor:
                 continue
             admitting = False
-            floor *= 1 - _SLACK
-            acc = {o: a for o, a in acc.items() if (a + rest) * (1 + _SLACK) >= floor}
+            # (a + rest) * (1 + _SLACK) >= floor * (1 - _SLACK), solved for a
+            cut = floor * (1 - _SLACK) / (1 + _SLACK) - rest
+            # rebuild only when some candidate falls below the cut; a cut <= 0 drops none
+            if min(acc.values()) < cut:
+                acc = {o: a for o, a in acc.items() if a >= cut}
             if len(acc) <= _RESCORE_WITHIN * k:
                 break
         # rescore: exact sums over the sorted terms from 0.0, as score makes them

@@ -143,13 +143,13 @@ def _score_report(name, predictions, rows, mode, episodes=None) -> tuple[dict, s
     report = ScoreReport(rows=[row], avg_score=avg_score([row]), normalization=mode.value)
     if episodes is not None:
         report.retrieval_stats = {name: retrieval_stats(episodes)}
-        report.presence_at_k = {
-            k: sum(
-                answer_presence_at_k(ep, r["answers"], k, mode) for ep, r in zip(episodes, rows)
-            )
-            / len(episodes)
-            for k in (1, 3)
-        }
+        pairs = [(ep, r["answers"]) for ep, r in zip(episodes, rows)]
+        at3 = [answer_presence_at_k(ep, refs, 3, mode) for ep, refs in pairs]
+        # a hit in the first passage of a round is one in its first three: only those
+        # episodes can have presence@1
+        at1 = [hit and answer_presence_at_k(ep, refs, 1, mode)
+               for (ep, refs), hit in zip(pairs, at3)]
+        report.presence_at_k = {1: sum(at1) / len(episodes), 3: sum(at3) / len(episodes)}
     return report.to_dict(), report.render_table()
 
 

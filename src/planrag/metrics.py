@@ -22,13 +22,19 @@ class NormalizationMode(Enum):
 
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
-_PUNC_TABLE = str.maketrans("", "", string.punctuation)
+_PUNC_BYTES = string.punctuation.encode("ascii")
+# lone surrogates, which JSON escapes can put in a string, pass the UTF-8 codec
+_UTF8 = "utf-8", "surrogatepass"
 
 
 def _fold(s: str, mode: NormalizationMode) -> str:
     """The first steps of ``normalize``: lowercase, and in squad mode drop ASCII punctuation."""
     s = s.lower()
-    return s.translate(_PUNC_TABLE) if mode is NormalizationMode.SQUAD_STYLE else s
+    if mode is NormalizationMode.SQUAD_STYLE:
+        # an ASCII byte never occurs inside a multi-byte UTF-8 sequence, so deleting the
+        # punctuation bytes deletes exactly the punctuation characters
+        s = s.encode(*_UTF8).translate(None, _PUNC_BYTES).decode(*_UTF8)
+    return s
 
 
 def _finish(folded: str, mode: NormalizationMode) -> str:

@@ -262,6 +262,28 @@ class TestSearch:
         got = [(r.passage.id, r.score) for r in build_index(passages, k1, b).search(query, k)]
         assert got == oracle_rank(passages, query, k1, b)[:k]
 
+    def test_stopword_only_queries_equal_exhaustive(self):
+        # every query term is in more than half the passages: each bound is below ln 2 * (k1 + 1),
+        # the first term visited admits most passages, and a prune often drops none of them
+        rng = random.Random(16)
+        common = [f"c{j:02d}" for j in range(16)]
+        ids = [f"p{i:03d}" for i in range(300)]
+        rng.shuffle(ids)
+        passages = []
+        for pid in ids:
+            words = [w for w in common if rng.random() < 0.7] * rng.randint(1, 2)
+            words += [f"r{rng.randrange(400)}" for _ in range(rng.randint(0, 12))]
+            rng.shuffle(words)
+            passages.append(Passage(pid, "", " ".join(words)))
+        idx = build_index(passages)
+        assert all(len(idx.posting(w)) > len(passages) / 2 for w in common)
+        for n in (1, 2, 4, 8, 16):
+            query = " ".join(rng.sample(common, n))
+            want = oracle_rank(passages, query)
+            for k in (1, 3, 10):
+                got = [(r.passage.id, r.score) for r in idx.search(query, k)]
+                assert got == want[:k]
+
     def test_rescores_only_the_top_k_left(self):
         # one pass over the posting, then exact scores for the k passages the last
         # prune leaves, not for every passage the pass met

@@ -5,8 +5,19 @@ import json
 import pytest
 
 from conftest import rewrite_index
+from planrag import cli
+from planrag.bm25 import Passage, RetrievedPassage
 from planrag.cli import SETTINGS, main, parse_subset_spec, CliError
 from planrag.generator import GeneratorEmission
+from planrag.metrics import (
+    NormalizationMode,
+    ScoreReport,
+    answer_presence_at_k,
+    avg_score,
+    retrieval_stats,
+    score_row,
+)
+from planrag.planner import Episode, RetrievalRound
 
 CORPUS = [
     {"id": "p1", "title": "Eiffel Tower", "text": "The Eiffel Tower was completed in 1889 in Paris"},
@@ -306,6 +317,52 @@ def test_report_bytes_of_a_run_whose_hits_hold_answers(tmp_path, mode):
     fields, table = PINNED[mode]
     assert (out_dir / "report.json").read_text() == PINNED_REPORT.format(mode=mode, **fields)
     assert (out_dir / "report.txt").read_text() == table
+
+
+def _episode(*rounds):
+    """An episode whose rounds hold passages with these texts, in rank order."""
+    memory = [
+        RetrievalRound(f"q{n}", [RetrievedPassage(Passage(f"p{n}-{r}", "", text), 1.0, r)
+                                 for r, text in enumerate(texts, 1)])
+        for n, texts in enumerate(rounds)
+    ]
+    return Episode(question="q", memory=memory, final_answer="Paris")
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+def test_report_presence_runs_k1_only_where_k3_hits(tmp_path, monkeypatch, mode):
+    episodes = [
+        _episode(["in PARIS, France", "x", "y"]),  # rank 1
+        _episode(["x", "paris!", "y"]),  # rank 2 only
+        _episode(["x", "y", "Paris"]),  # rank 3 only
+        _episode(["x", "y", "z"], ["Paris"]),  # a later round only, at rank 1
+        _episode(["x"], ["y", "z", "paris"]),  # a later round only, at rank 3
+        _episode(["x", "y", "z", "Paris"]),  # nowhere in the first three
+        _episode(),  # no retrieval
+    ]
+    rows = [{"id": f"q{i}", "answers": ["Paris"]} for i in range(len(episodes))]
+    want = {k: [answer_presence_at_k(ep, ["Paris"], k, mode) for ep in episodes] for k in (1, 3)}
+    calls = []
+
+    def counted(ep, refs, k, mode):
+        calls.append((episodes.index(ep), k))
+        return answer_presence_at_k(ep, refs, k, mode)
+
+    # cli calls it through its own namespace, where the benchmark's tracer wraps it
+    monkeypatch.setattr(cli, "answer_presence_at_k", counted)
+    preds = [ep.final_answer for ep in episodes]
+    payload, table = cli._score_report("d", preds, rows, mode, episodes)
+    hits = [i for i, hit in enumerate(want[3]) if hit]
+    assert sorted(calls) == sorted([(i, 3) for i in range(len(episodes))] + [(i, 1) for i in hits])
+    assert payload["presence_at_k"] == {str(k): sum(v) / len(episodes) for k, v in want.items()}
+    # the two-pass rule: every episode at k = 1 and again at k = 3
+    row = score_row("d", preds, [r["answers"] for r in rows], mode)
+    two_pass = ScoreReport([row], avg_score([row]), {"d": retrieval_stats(episodes)},
+                           {k: sum(v) / len(episodes) for k, v in want.items()}, mode.value)
+    cli._write_report(str(tmp_path / "one"), payload, table)
+    cli._write_report(str(tmp_path / "two"), two_pass.to_dict(), two_pass.render_table())
+    for name in ("report.json", "report.txt"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
 class TestSweepCmd:

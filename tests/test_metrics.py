@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import string
 
 import pytest
@@ -38,10 +39,11 @@ phrases = st.lists(words, min_size=0, max_size=8).map(" ".join)
 
 
 def ref_norm(s, mode):
+    """SQuAD's normalize_answer: lowercase, drop punctuation, blank out articles, fix spaces."""
     s = s.lower()
     if mode is SQUAD:
         s = "".join(c for c in s if c not in set(string.punctuation))
-        s = " ".join(w for w in s.split() if w not in ("a", "an", "the"))
+        s = re.sub(r"\b(a|an|the)\b", " ", s)
     return " ".join(s.split())
 
 
@@ -160,6 +162,24 @@ class TestNormalize:
         for pred, refs in CURATED_PAIRS:
             for mode in (MIN, SQUAD):
                 assert normalize(pred, mode) == ref_norm(pred, mode)
+
+    # any code point, lone surrogates included, every ASCII punctuation character,
+    # non-ASCII punctuation, İ (two code points once lowercased), ß and articles
+    @given(
+        st.lists(
+            st.text(st.characters() | st.characters(categories=["Cs"])
+                    | st.sampled_from(string.punctuation + "’“”«»¿¡—…、。·İß"), max_size=5)
+            | st.sampled_from([" the ", "a", "An", " "]),
+            max_size=8,
+        ).map("".join),
+        st.sampled_from([MIN, SQUAD]),
+    )
+    @settings(max_examples=500, derandomize=True)
+    # an article next to a non-word character; a surrogate pair split by punctuation
+    @example("the€ a-b", SQUAD)
+    @example("\ud83d!\ude00", SQUAD)
+    def test_matches_reference_on_any_text(self, s, mode):
+        assert normalize(s, mode) == ref_norm(s, mode)
 
 
 class TestExactAndCover:
