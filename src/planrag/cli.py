@@ -17,11 +17,12 @@ from .metrics import (
     ScoreReport,
     answer_presence_at_k,
     avg_score,
+    normalize_refs,
     retrieval_stats,
     score_row,
 )
 from .planner import FallbackPolicy, PlannerConfig, batch_run, episode_record
-from .reward import total_reward
+from .reward import prepare, total_reward
 from .supervision import (
     EmptyTargetQueryError,
     EmptyTeacherQueryError,
@@ -373,9 +374,10 @@ def cmd_supervise(args, settings) -> int:
     skipped = []
     for i, row in enumerate(rows):
         question, refs, gen = row["question"], row["answers"], model(i)
+        normalized = normalize_refs(refs, mode)
         try:
-            parametric = probe_parametric(question, refs, gen, settings.attempts, mode)
-            retrieval = probe_retrieval(question, refs, gen, idx, settings.top_k, mode)
+            parametric = probe_parametric(question, normalized, gen, settings.attempts, mode)
+            retrieval = probe_retrieval(question, normalized, gen, idx, settings.top_k, mode)
             kind = classify(parametric, retrieval)
             teacher_query = None
             if kind is SupervisionKind.GAMMA:
@@ -411,6 +413,7 @@ def cmd_reward(args, settings) -> int:
         )
         for rec in records.read_jsonl(args.samples, "sample", {}, sample_fields)
     }
+    prepared = {}  # sample id -> its PreparedSample, or the text of why it scores nothing
     entries = []
     errors = 0
     for lineno, rec in records.iter_jsonl(args.rollouts):
@@ -420,16 +423,18 @@ def cmd_reward(args, settings) -> int:
             continue
         qid = str(rec["id"])
         sample = sample_by_id.get(qid)
-        if sample is None:
-            entries.append({"id": qid, "error": "no matching sample id"})
+        if sample is not None and qid not in prepared:
+            try:
+                prepared[qid] = prepare(sample, settings.budget)
+            except ValueError as exc:
+                prepared[qid] = str(exc)
+        # a str says why the rollout scores nothing
+        ready = prepared.get(qid, "no matching sample id")
+        if type(ready) is str:
+            entries.append({"id": qid, "error": ready})
             errors += 1
             continue
-        try:
-            breakdown = total_reward(parse_trajectory(rec["text"]), sample, settings.budget)
-        except ValueError as exc:
-            entries.append({"id": qid, "error": str(exc)})
-            errors += 1
-            continue
+        breakdown = total_reward(parse_trajectory(rec["text"]), sample, settings.budget, ready)
         entries.append(
             {
                 "id": qid,

@@ -21,6 +21,10 @@ class ControlToken(Enum):
     ANSWER = "[ANSWER]"
     SOLVED = "[SOLVED]"
 
+    # members are singletons compared by identity, so hash them by identity in C;
+    # Enum.__hash__ is a Python call on every TRANSITIONS lookup
+    __hash__ = object.__hash__
+
     @property
     def surface(self) -> str:
         return self.value
@@ -28,9 +32,10 @@ class ControlToken(Enum):
 
 _SURFACE_TO_TOKEN = {t.value: t for t in ControlToken}
 # No surface form is a prefix or substring of another, so a plain alternation
-# scan is unambiguous; longest-match ordering is kept anyway.
+# scan is unambiguous; longest-match ordering is kept anyway. The group makes
+# re.split keep each token between the texts around it.
 _TOKEN_RE = re.compile(
-    "|".join(re.escape(s) for s in sorted(_SURFACE_TO_TOKEN, key=len, reverse=True))
+    "(" + "|".join(re.escape(s) for s in sorted(_SURFACE_TO_TOKEN, key=len, reverse=True)) + ")"
 )
 _MAX_SURFACE_LEN = max(len(s) for s in _SURFACE_TO_TOKEN)
 
@@ -65,17 +70,10 @@ def render_segments(segments: tuple[Segment, ...] | list[Segment]) -> str:
 
 def parse_trajectory(text: str) -> Trajectory:
     """Split text into segments at control-token occurrences. Lossless and total."""
-    segments: list[Segment] = []
-    matches = list(_TOKEN_RE.finditer(text))
-    if not matches:
-        if text:
-            segments.append(Segment(None, text))
-        return Trajectory(tuple(segments), text)
-    if matches[0].start() > 0:
-        segments.append(Segment(None, text[: matches[0].start()]))
-    for i, m in enumerate(matches):
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
-        segments.append(Segment(_SURFACE_TO_TOKEN[m.group(0)], text[m.end() : end]))
+    # [leading text, token, its text, token, its text, ...]
+    parts = _TOKEN_RE.split(text)
+    segments = [Segment(None, parts[0])] if parts[0] else []
+    segments += map(Segment, map(_SURFACE_TO_TOKEN.__getitem__, parts[1::2]), parts[2::2])
     return Trajectory(tuple(segments), text)
 
 

@@ -142,6 +142,19 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
     return resp.status_code, body
 
 
+def _transport_failure(exc: Exception) -> str:
+    """One plain sentence for a retried transport failure.
+
+    ``str(exc)`` of a ``requests`` error is that of the urllib3 error it wraps,
+    often a tuple repr, so it is not recorded.
+    """
+    if isinstance(exc, requests.Timeout):  # ConnectTimeout is also a ConnectionError
+        return f"timed out after {TIMEOUT_S:g} s"
+    if isinstance(exc, requests.exceptions.ChunkedEncodingError):
+        return "reply ended before its Content-Length"
+    return "connection to the backend failed"
+
+
 class HttpChatGenerator:
     """Chat-completions client with bounded exponential-backoff retries.
 
@@ -184,9 +197,9 @@ class HttpChatGenerator:
             except (
                 requests.ConnectionError,
                 requests.Timeout,
-                requests.exceptions.ChunkedEncodingError,  # reply ended before its Content-Length
+                requests.exceptions.ChunkedEncodingError,
             ) as exc:
-                last_error = str(exc) or type(exc).__name__
+                last_error = _transport_failure(exc)
                 continue
             if status >= 500:
                 last_error = f"backend returned {status}"

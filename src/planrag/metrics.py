@@ -67,20 +67,49 @@ def _exact(pred_toks: list[str], refs_toks: list[list[str]]) -> int:
     return int(pred_toks in refs_toks)
 
 
+@dataclass(frozen=True)
+class References:
+    """A question's reference answers normalized once in one mode.
+
+    ``exact_match`` and ``cover_em`` score the question's many answers against them.
+    """
+
+    mode: NormalizationMode
+    texts: tuple[str, ...]
+
+
+def normalize_refs(refs: list[str] | References, mode: NormalizationMode) -> References:
+    """``refs`` normalized in ``mode``; References of that mode are returned as they are."""
+    if isinstance(refs, References):
+        if refs.mode is not mode:
+            raise ValueError(f"references normalized in {refs.mode.value} mode, not {mode.value}")
+        return refs
+    _require_refs(refs)
+    return References(mode, tuple(normalize(r, mode) for r in refs))
+
+
 def exact_match(
-    pred: str, refs: list[str], mode: NormalizationMode = NormalizationMode.SQUAD_STYLE
+    pred: str, refs: list[str] | References, mode: NormalizationMode = NormalizationMode.SQUAD_STYLE
 ) -> int:
-    refs_toks = _ref_tokens(refs, mode)
-    return _exact(_tokens(pred, mode), refs_toks)
+    """1 iff the normalized prediction equals a normalized reference.
+
+    With ``References``, ``pred`` is taken as already normalized in their mode.
+    """
+    if not isinstance(refs, References):
+        pred, refs = normalize(pred, mode), normalize_refs(refs, mode)
+    return int(pred in refs.texts)
 
 
 def cover_em(
-    pred: str, refs: list[str], mode: NormalizationMode = NormalizationMode.SQUAD_STYLE
+    pred: str, refs: list[str] | References, mode: NormalizationMode = NormalizationMode.SQUAD_STYLE
 ) -> int:
-    """1 iff the normalized prediction contains a normalized reference as a substring."""
-    _require_refs(refs)
-    p = normalize(pred, mode)
-    return int(any(normalize(r, mode) in p for r in refs))
+    """1 iff the normalized prediction contains a normalized reference as a substring.
+
+    With ``References``, ``pred`` is taken as already normalized in their mode.
+    """
+    if not isinstance(refs, References):
+        pred, refs = normalize(pred, mode), normalize_refs(refs, mode)
+    return int(any(r in pred for r in refs.texts))
 
 
 def _f1_from_counts(overlap: int, n_pred: int, n_ref: int) -> float:
@@ -158,24 +187,42 @@ def rouge(
     return _overlap_scores(_tokens(pred, mode), refs_toks)[1]
 
 
-def bleu(pred: str, ref: str) -> float:
+@dataclass(frozen=True)
+class BleuReference:
+    """A BLEU reference tokenized once: its length and its 1- to 4-gram counts."""
+
+    length: int
+    counts: tuple[Counter, ...]
+
+
+def bleu_reference(ref: str) -> BleuReference:
+    toks = _tokens(ref, NormalizationMode.MINIMAL)
+    return BleuReference(len(toks), tuple(Counter(_ngrams(toks, n)) for n in range(1, 5)))
+
+
+def bleu(pred: str, ref: str | BleuReference) -> float:
     """Sentence BLEU up to order 4 (capped at the prediction length).
 
     Uniform weights, add-one smoothing on orders >= 2, brevity penalty.
-    A zero unigram match or an empty prediction scores 0.
+    A zero unigram match or an empty prediction scores 0. ``ref`` may be
+    counted once by ``bleu_reference`` for scoring many predictions.
     """
+    if isinstance(ref, str):
+        ref = bleu_reference(ref)
     pred_toks = _tokens(pred, NormalizationMode.MINIMAL)
-    ref_toks = _tokens(ref, NormalizationMode.MINIMAL)
     if not pred_toks:
         return 0.0
     max_order = min(4, len(pred_toks))
     log_sum = 0.0
     for n in range(1, max_order + 1):
         pred_grams = _ngrams(pred_toks, n)
-        ref_counts = Counter(_ngrams(ref_toks, n))
-        matches = sum(
-            min(c, ref_counts[g]) for g, c in Counter(pred_grams).items()
-        )
+        ref_counts = ref.counts[n - 1]
+        # clipped counts, summed only over the n-grams the two share
+        shared = ref_counts.keys() & pred_grams
+        matches = 0
+        if shared:
+            pred_counts = Counter(pred_grams)
+            matches = sum(min(pred_counts[g], ref_counts[g]) for g in shared)
         if n == 1:
             if matches == 0:
                 return 0.0
@@ -183,10 +230,10 @@ def bleu(pred: str, ref: str) -> float:
         else:
             p_n = (matches + 1) / (len(pred_grams) + 1)
         log_sum += math.log(p_n) / max_order
-    if len(pred_toks) > len(ref_toks):
+    if len(pred_toks) > ref.length:
         bp = 1.0
     else:
-        bp = math.exp(1 - len(ref_toks) / len(pred_toks))
+        bp = math.exp(1 - ref.length / len(pred_toks))
     return bp * math.exp(log_sum)
 
 

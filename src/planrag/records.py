@@ -14,6 +14,8 @@ from typing import Any, Iterable, Iterator
 # is a list of strings, and a tuple of strings as a kind allows just those strings
 _KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list of strings"}
 Kind = type | tuple[str, ...]
+# json.dumps(record, ensure_ascii=False) builds this encoder again for every call
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
@@ -106,7 +108,7 @@ def write_jsonl(path: str, records: Iterable[dict]) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(_ENCODER.encode(record) + "\n")
             count += 1
     return count
 

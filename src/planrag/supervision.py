@@ -21,7 +21,7 @@ from .control import (
     parse_trajectory,
 )
 from .generator import EvidenceBlock, GenerationContext
-from .metrics import NormalizationMode, cover_em, exact_match
+from .metrics import NormalizationMode, References, cover_em, exact_match, normalize, normalize_refs
 from .records import write_json, write_jsonl
 
 PARAMETRIC_PROBE_PREAMBLE = "Answer the question directly and concisely."
@@ -91,43 +91,48 @@ def _extract_answer(text: str) -> str:
     return (text if answer is None else answer).strip()
 
 
-def _attempt(answer: str, refs: list[str], mode: NormalizationMode) -> ProbeAttempt:
-    return ProbeAttempt(
-        answer=answer,
-        em=exact_match(answer, refs, mode),
-        cover_em=cover_em(answer, refs, mode),
-    )
+def _attempt(answer: str, refs: References) -> ProbeAttempt:
+    pred = normalize(answer, refs.mode)
+    return ProbeAttempt(answer=answer, em=exact_match(pred, refs), cover_em=cover_em(pred, refs))
 
 
 def probe_parametric(
     question: str,
-    refs: list[str],
+    refs: list[str] | References,
     gen,
     attempts_n: int = 3,
     mode: NormalizationMode = NormalizationMode.SQUAD_STYLE,
 ) -> ProbeOutcome:
-    """Generate attempts_n answers without evidence and score each one."""
+    """Generate attempts_n answers without evidence and score each one.
+
+    ``refs`` may be ``metrics.normalize_refs(refs, mode)``, normalized once per question.
+    """
     if attempts_n < 1:
         raise ValueError("attempts_n must be >= 1")
+    refs = normalize_refs(refs, mode)
     attempts = []
     for _ in range(attempts_n):
         ctx = GenerationContext(
             system_preamble=PARAMETRIC_PROBE_PREAMBLE, question=question
         )
         emission = gen.emit_turn(ctx)
-        attempts.append(_attempt(_extract_answer(emission.text), refs, mode))
+        attempts.append(_attempt(_extract_answer(emission.text), refs))
     return ProbeOutcome(attempts=tuple(attempts), with_retrieval=False)
 
 
 def probe_retrieval(
     question: str,
-    refs: list[str],
+    refs: list[str] | References,
     gen,
     idx: PassageIndex | None,
     top_k: int = 3,
     mode: NormalizationMode = NormalizationMode.SQUAD_STYLE,
 ) -> ProbeOutcome:
-    """One generation with the question's top-k passages in context."""
+    """One generation with the question's top-k passages in context.
+
+    ``refs`` as for probe_parametric.
+    """
+    refs = normalize_refs(refs, mode)
     hits = idx.search(question, top_k) if idx is not None else []
     passages = [h.passage for h in hits]
     ctx = GenerationContext(
@@ -137,7 +142,7 @@ def probe_retrieval(
     )
     emission = gen.emit_turn(ctx)
     return ProbeOutcome(
-        attempts=(_attempt(_extract_answer(emission.text), refs, mode),),
+        attempts=(_attempt(_extract_answer(emission.text), refs),),
         with_retrieval=True,
         passages=tuple(passages),
     )

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior with replay backends in a temp workspace."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import rewrite_index
 from planrag import cli
 from planrag.bm25 import Passage, RetrievedPassage
 from planrag.cli import SETTINGS, main, parse_subset_spec, CliError
+from planrag.control import validate
 from planrag.generator import GeneratorEmission
 from planrag.metrics import (
     NormalizationMode,
@@ -705,6 +707,52 @@ class TestRewardCmd:
                      "--out", str(out), "--budget", "-1"]) == 1
         assert capsys.readouterr().err == "error: budget must be >= 0, got -1\n"
         assert not out.exists()
+
+    def test_each_sample_is_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_validate(t, max_rounds):
+            calls.append(t.source)
+            return validate(t, max_rounds)
+
+        monkeypatch.setattr("planrag.reward.validate", counting_validate)
+        samples = self.make_samples(tmp_path)
+        texts = ["[ANSWER] paris [SOLVED]", "[SOLVED]", "[ANSWER] berlin [SOLVED]"]
+        rollouts = write_jsonl(tmp_path / "rollouts.jsonl",
+                               [{"id": qid, "text": t} for t in texts for qid in ("r1", "r2")])
+        out = tmp_path / "rewards.jsonl"
+        assert main(["reward", "--rollouts", rollouts, "--samples", samples,
+                     "--out", str(out)]) == 0
+        # one call per rollout, and one per sample for its target
+        assert len(calls) == 3 * 2 + 2
+        assert Counter(calls) == {t: 3 if t != "[SOLVED]" else 2 for t in texts}
+
+    def test_samples_that_score_nothing_keep_their_error_on_every_rollout(self, tmp_path):
+        samples = write_jsonl(tmp_path / "samples.jsonl", [
+            {"id": "ok", "question": "q", "kind": "alpha",
+             "target": "[ANSWER] paris [SOLVED]", "references": ["paris"]},
+            {"id": "bad_target", "question": "q", "kind": "alpha",
+             "target": "[SOLVED]", "references": ["paris"]},
+            {"id": "empty_ref", "question": "q", "kind": "alpha",
+             "target": "[SOLVED]", "references": ["", "paris"]},
+            {"id": "no_refs", "question": "q", "kind": "alpha",
+             "target": "[SOLVED]", "references": []},
+        ])
+        ids = ["bad_target", "ok", "empty_ref", "no_refs", "missing"] * 2 + ["no_refs", "ok"]
+        rollouts = write_jsonl(tmp_path / "rollouts.jsonl",
+                               [{"id": qid, "text": "[ANSWER] paris [SOLVED]"} for qid in ids])
+        out = tmp_path / "rewards.jsonl"
+        assert main(["reward", "--rollouts", rollouts, "--samples", samples,
+                     "--out", str(out)]) == 1
+        errors = {
+            "bad_target": "target trajectory does not satisfy the grammar",
+            "empty_ref": "reference answer is empty",
+            "no_refs": "sample has no reference answers",
+            "missing": "no matching sample id",
+        }
+        want = [{"id": "ok", "r_ans": 1.0, "r_ctrl": 0.5, "total": 1.5} if qid == "ok"
+                else {"id": qid, "error": errors[qid]} for qid in ids]
+        assert [json.loads(line) for line in out.read_text().splitlines()] == want
 
     def test_empty_rollouts(self, tmp_path):
         samples = self.make_samples(tmp_path)

@@ -30,6 +30,27 @@ I, R, A, S = (
     ControlToken.SOLVED,
 )
 SURFACES = [t.surface for t in ControlToken]
+# text made of token surfaces, partial surfaces, whitespace and any other code points
+MIXED_TEXT = st.lists(
+    st.sampled_from(SURFACES + ["[RETRIE", "VE]", "[", "]", "[[", " ", "\n", "\t", "\u3000"])
+    | st.text(max_size=4),
+    max_size=12,
+).map("".join)
+_OLD_TOKEN_RE = re.compile("|".join(re.escape(s) for s in sorted(SURFACES, key=len, reverse=True)))
+
+
+def finditer_parse(text: str) -> tuple[Segment, ...]:
+    """parse_trajectory's segments as found by a scan of token matches."""
+    segments: list[Segment] = []
+    matches = list(_OLD_TOKEN_RE.finditer(text))
+    if not matches:
+        return (Segment(None, text),) if text else ()
+    if matches[0].start() > 0:
+        segments.append(Segment(None, text[: matches[0].start()]))
+    for i, m in enumerate(matches):
+        end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
+        segments.append(Segment(ControlToken(m.group(0)), text[m.end() : end]))
+    return tuple(segments)
 
 
 def scan_all(text: str, chunks: list[str]) -> list:
@@ -98,6 +119,13 @@ class TestParse:
     def test_round_trip_token_mix(self, parts):
         text = "".join(parts)
         assert parse_trajectory(text).render() == text
+
+    @given(MIXED_TEXT)
+    @settings(max_examples=500, derandomize=True)
+    def test_segments_equal_a_scan_of_token_matches(self, text):
+        t = parse_trajectory(text)
+        assert t.segments == finditer_parse(text)
+        assert t.source == text
 
     def test_from_segments_renders_source(self):
         segs = [Segment(A, " hi "), Segment(S, "")]

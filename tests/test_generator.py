@@ -2,6 +2,14 @@
 
 import pytest
 import requests
+from urllib3.exceptions import (
+    ConnectTimeoutError,
+    IncompleteRead,
+    MaxRetryError,
+    NewConnectionError,
+    ProtocolError,
+    ReadTimeoutError,
+)
 
 from planrag import generator
 from planrag.bm25 import Passage
@@ -154,8 +162,11 @@ class TestHttpGenerator:
     def test_transport_failures_exhaust_retries(self):
         transport = transport_script([requests.ConnectionError("boom")] * 5)
         gen = HttpChatGenerator(settings(), transport)
-        with pytest.raises(GeneratorError, match="backend unavailable after 3 attempts: boom"):
+        with pytest.raises(GeneratorError) as err:
             gen.emit_turn(CTX)
+        assert str(err.value) == (
+            "backend unavailable after 3 attempts: connection to the backend failed"
+        )
         assert len(transport.calls) == 3
 
     def test_recovers_after_transient_failure(self):
@@ -238,7 +249,35 @@ class TestHttpGenerator:
         questions = [f"q{i}" for i in range(4)]
         out = batch_run(questions, PlannerConfig(), lambda i: gen, None, parallelism)
         assert [ep.status for ep in out] == ["completed"] * 2 + ["generator_failure", "completed"]
-        assert out[2].failure == "backend unavailable after 3 attempts: cut short"
+        assert out[2].failure == (
+            "backend unavailable after 3 attempts: reply ended before its Content-Length"
+        )
+
+    # each error as requests raises it, wrapping the urllib3 error it caught
+    URL = "http://backend/v1/chat"
+    CUT_SHORT = IncompleteRead(20, 480)
+
+    @pytest.mark.parametrize("exc,reason", [
+        (requests.exceptions.ChunkedEncodingError(
+            ProtocolError(f"Connection broken: {CUT_SHORT!r}", CUT_SHORT)),
+         "reply ended before its Content-Length"),
+        (requests.ReadTimeout(
+            ReadTimeoutError(None, URL, "Read timed out. (read timeout=60.0)"), request=None),
+         "timed out after 60 s"),
+        (requests.ConnectTimeout(MaxRetryError(None, URL, ConnectTimeoutError(
+            None, "Connection to backend timed out. (connect timeout=60.0)")), request=None),
+         "timed out after 60 s"),
+        (requests.ConnectionError(MaxRetryError(None, URL, NewConnectionError(
+            None, "Failed to establish a new connection: [Errno 111] Connection refused")),
+            request=None),
+         "connection to the backend failed"),
+    ], ids=["cut_short", "read_timeout", "connect_timeout", "connection_refused"])
+    def test_transport_failure_is_one_plain_sentence(self, exc, reason):
+        transport = transport_script([exc])
+        with pytest.raises(GeneratorError) as err:
+            HttpChatGenerator(settings(), transport).emit_turn(CTX)
+        assert str(err.value) == f"backend unavailable after 3 attempts: {reason}"
+        assert len(transport.calls) == 3
 
     def test_auth_header_from_env(self, monkeypatch):
         monkeypatch.setenv("PLANRAG_API_KEY", "sekrit")

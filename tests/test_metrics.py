@@ -4,6 +4,7 @@ import math
 import random
 import re
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,9 +19,11 @@ from planrag.metrics import (
     answer_presence_at_k,
     avg_score,
     bleu,
+    bleu_reference,
     cover_em,
     exact_match,
     normalize,
+    normalize_refs,
     retrieval_stats,
     rouge,
     score_row,
@@ -33,6 +36,13 @@ SQUAD = NormalizationMode.SQUAD_STYLE
 
 words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
 phrases = st.lists(words, min_size=0, max_size=8).map(" ".join)
+# answers made of a few shared words, control-token surfaces and parts of them,
+# whitespace, punctuation and any other code points
+mixed_answers = st.lists(
+    st.sampled_from([" a", " b", " the", " An", " B.", " é", "[ANSWER]", "[RETRIE", "]", "\n"])
+    | st.text(max_size=3),
+    max_size=14,
+).map("".join)
 
 
 # --- reference implementations, written independently of the package ---------
@@ -116,6 +126,32 @@ def ref_bleu(pred, ref):
     geo = math.exp(sum(logs) / orders)
     bp = 1.0 if len(p) > len(r) else math.exp(1 - len(r) / max(len(p), 1))
     return bp * geo
+
+
+def counter_bleu(pred, ref):
+    """bleu as first written, looking each predicted n-gram up in a Counter of the reference's."""
+    pred_toks = normalize(pred, MIN).split()
+    ref_toks = normalize(ref, MIN).split()
+    if not pred_toks:
+        return 0.0
+    max_order = min(4, len(pred_toks))
+    log_sum = 0.0
+    for n in range(1, max_order + 1):
+        pred_grams = list(zip(*(pred_toks[i:] for i in range(n))))
+        ref_counts = Counter(zip(*(ref_toks[i:] for i in range(n))))
+        matches = sum(min(c, ref_counts[g]) for g, c in Counter(pred_grams).items())
+        if n == 1:
+            if matches == 0:
+                return 0.0
+            p_n = matches / len(pred_grams)
+        else:
+            p_n = (matches + 1) / (len(pred_grams) + 1)
+        log_sum += math.log(p_n) / max_order
+    if len(pred_toks) > len(ref_toks):
+        bp = 1.0
+    else:
+        bp = math.exp(1 - len(ref_toks) / len(pred_toks))
+    return bp * math.exp(log_sum)
 
 
 CURATED_PAIRS = [
@@ -213,6 +249,23 @@ class TestExactAndCover:
         assert rouge(np_, nrefs, mode).avg == pytest.approx(rouge(pred, refs, mode).avg)
 
 
+    @given(mixed_answers, st.lists(mixed_answers, min_size=1, max_size=3),
+           st.sampled_from([MIN, SQUAD]))
+    @settings(max_examples=200, derandomize=True)
+    def test_prepared_references_score_as_the_raw_list(self, pred, refs, mode):
+        prepared, normalized = normalize_refs(refs, mode), normalize(pred, mode)
+        assert normalize_refs(prepared, mode) is prepared
+        em = exact_match(normalized, prepared)
+        assert em == exact_match(pred, refs, mode)
+        # EM as first written: equal token lists
+        assert em == int(normalized.split() in [normalize(r, mode).split() for r in refs])
+        assert cover_em(normalized, prepared) == cover_em(pred, refs, mode)
+
+    def test_references_of_another_mode_rejected(self):
+        with pytest.raises(ValueError, match="normalized in squad mode, not minimal"):
+            normalize_refs(normalize_refs(["x"], SQUAD), MIN)
+
+
 class TestTokenF1:
     def test_two_thirds(self):
         assert token_f1("the cat sat", ["cat sat down"], MIN) == pytest.approx(2 / 3)
@@ -307,6 +360,16 @@ class TestBleu:
     def test_oracle(self):
         for pred, refs in CURATED_PAIRS:
             assert bleu(pred, refs[0]) == pytest.approx(ref_bleu(pred, refs[0]), abs=1e-9)
+
+    @given(mixed_answers, mixed_answers)
+    @settings(max_examples=200, derandomize=True)
+    # every order matches, with n-grams more often in the prediction, then in the reference
+    @example("b a b a b a", "a b a b")
+    @example("a b a b", "b a b a b a")
+    def test_counted_reference_is_bitwise_the_counter_scan(self, pred, ref):
+        want = counter_bleu(pred, ref)
+        assert bleu(pred, ref) == want
+        assert bleu(pred, bleu_reference(ref)) == want
 
     @given(phrases, phrases)
     @settings(max_examples=300, derandomize=True)
