@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import json
 import math
 import operator
 import os
 import re
+import string
 import sys
 from array import array
 from collections.abc import Sequence
@@ -32,6 +34,9 @@ _UTF8 = "utf-8", "surrogatepass"
 _PASSAGE = {"text": str}, {"title": str}
 
 _WORD_RE = re.compile(r"\w+")
+# ASCII text splits on every character but a-z and 0-9, the ASCII alphanumerics once lowercased
+_ASCII_SEPARATORS = {c: " " for c in range(128)
+                     if chr(c) not in string.ascii_lowercase + string.digits}
 
 # search stops adding terms to its candidates once at most this many times k
 # are left, and gives those their exact scores
@@ -56,8 +61,12 @@ class RetrievedPassage:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on any non-alphanumeric character."""
+    text = text.lower()
+    # tested after lowercasing, since some non-ASCII letters (U+212A) lowercase into ASCII
+    if text.isascii():
+        return text.translate(_ASCII_SEPARATORS).split()
     # \w is exactly the alphanumerics plus "_", so "_" is made a separator first
-    return _WORD_RE.findall(text.lower().replace("_", " "))
+    return _WORD_RE.findall(text.replace("_", " "))
 
 
 class _Passages(Sequence):
@@ -356,6 +365,9 @@ def save_index(index: PassageIndex, path: str) -> None:
     postings order, the byte order and each array's typecode and item count.
     The arrays follow in _ARRAYS order: term offsets, ordinals, term
     frequencies, norms, field offsets and the passages' UTF-8 text.
+
+    The file is written beside ``path`` and then moved onto it, so a save that
+    fails leaves any file already at ``path`` as it was.
     """
     views = {name: memoryview(getattr(index, name)) for name in _ARRAYS}
     header = {
@@ -368,12 +380,19 @@ def save_index(index: PassageIndex, path: str) -> None:
         "byteorder": sys.byteorder,
         "arrays": {name: [view.format, len(view)] for name, view in views.items()},
     }
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(header, fh)
-        fh.write("\n")
-        fh.flush()
-        for view in views.values():
-            fh.buffer.write(view)  # as the items lie in memory, without a copy
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        with open(partial, "w", encoding="ascii", newline="\n") as fh:
+            # dumps encodes in C; dump streams through the pure-Python encoder
+            fh.write(json.dumps(header) + "\n")
+            fh.flush()
+            for view in views.values():
+                fh.buffer.write(view)  # as the items lie in memory, without a copy
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def load_index(path: str) -> PassageIndex:

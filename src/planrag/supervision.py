@@ -13,6 +13,7 @@ from enum import Enum
 
 from .bm25 import PassageIndex, Passage
 from .control import (
+    _TOKEN_RE,
     ControlToken,
     Segment,
     Trajectory,
@@ -177,9 +178,8 @@ def teacher_followup_query(
 
 
 def _strip_control_tokens(text: str) -> str:
-    for token in ControlToken:
-        text = text.replace(token.surface, " ")
-    return " ".join(text.split())
+    # surfaces cannot overlap, so one pass removes what replacing each in turn would
+    return " ".join(_TOKEN_RE.sub(" ", text).split())
 
 
 def _partial_answer(outcome: ProbeOutcome) -> str:

@@ -1,6 +1,9 @@
 """BM25 index behavior against a brute-force full-scoring oracle."""
 
 import dataclasses
+import errno
+import hashlib
+import io
 import json
 import math
 import os
@@ -17,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rewrite_index
+from planrag import bm25
 from planrag.bm25 import (
     Passage,
     build_index,
@@ -92,6 +96,19 @@ class TestTokenize:
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_runs_of_alphanumerics(self, text):
         assert tokenize(text) == re.findall(r"[^\W_]+", text.lower())
+
+    # every ASCII code point, so "_", punctuation and the \x1c-\x1f separators all appear
+    @given(st.text(st.sampled_from([chr(c) for c in range(128)])))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_ascii_runs_of_alphanumerics(self, text):
+        assert tokenize(text) == re.findall(r"[^\W_]+", text.lower())
+
+    # KELVIN SIGN lowercases into ASCII, to "k"; "\u0130" lowercases out of it, to "i"
+    # and a combining dot, which is no alphanumeric
+    @pytest.mark.parametrize("text, tokens", [("\u212aelvin_Scale", ["kelvin", "scale"]),
+                                              ("\u0130stanbul_Bay", ["i", "stanbul", "bay"])])
+    def test_text_whose_lowercase_crosses_ascii(self, text, tokens):
+        assert tokenize(text) == re.findall(r"[^\W_]+", text.lower()) == tokens
 
 
 class TestBuild:
@@ -531,6 +548,43 @@ class TestPersistence:
             load_index(str(path))
         assert str(caught.value) == (f"{path}: expected format_version 3, got {version}; "
                                      "rebuild it with planrag index")
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        passages = [
+            Passage("p0", "The Eiffel Tower", "Built in 1889 for the World's Fair; 330 m tall."),
+            Passage("p1", "", "snake_case and CamelCase, tabs\tand\x1cfile\x1fseparators"),
+            Passage("p2", "Straße", "Die Straße ist lang. ÉTÉ à Paris, 日本語のテキスト"),
+            Passage("p3", "\u212aelvin", "\u0130stanbul and ǅx, digits ٣٤ and 42"),
+            Passage("p4", "...", "!?"),
+        ]
+        path = tmp_path / "index.json"
+        save_index(build_index(passages, 0.9, 0.4), str(path))
+        # the arrays are written in native byte order; this digest is the little-endian file
+        if sys.byteorder == "little":
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+                "204816ab7d22cef8e9edb4056c0e866c0277dd9c9e8a72804f85278b7b95745a")
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.json"
+        save_index(build_index([Passage("a", "", "old text")]), str(path))
+        before = path.read_bytes()
+
+        class DiskFull(io.BufferedWriter):
+            def write(self, data):
+                if isinstance(data, memoryview):  # the arrays after the header
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        def open_disk_full(file, mode, **kwargs):
+            return io.TextIOWrapper(DiskFull(io.FileIO(file, mode)), **kwargs)
+
+        monkeypatch.setattr(bm25, "open", open_disk_full, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_index(build_index([Passage("b", "", "new text")]), str(path))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_index(str(path)).ids == ["a"]
+        assert os.listdir(tmp_path) == ["index.json"]
 
     def test_save_path_error(self, tmp_path):
         idx = build_index([Passage("a", "", "x")])

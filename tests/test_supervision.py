@@ -21,6 +21,7 @@ from planrag.supervision import (
     export_dataset,
     probe_parametric,
     probe_retrieval,
+    _strip_control_tokens,
     teacher_followup_query,
 )
 
@@ -252,6 +253,20 @@ NOISY = st.lists(st.sampled_from(PIECES), max_size=6).map("".join)
 def has_text(text):
     """Whether text has anything but blanks outside its control tokens."""
     return any(seg.text.strip() for seg in parse_trajectory(text).segments)
+
+
+# every prefix and suffix of every surface, so texts hold tokens split and rejoined
+FRAGMENTS = PIECES + [piece for token in ControlToken for i in range(1, len(token.surface))
+                      for piece in (token.surface[:i], token.surface[i:])]
+
+
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=12).map("".join))
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_strip_control_tokens_equals_replacing_each_surface(text):
+    replaced = text
+    for token in ControlToken:
+        replaced = replaced.replace(token.surface, " ")
+    assert _strip_control_tokens(text) == " ".join(replaced.split())
 
 
 # em 1 implies cover_em 1
