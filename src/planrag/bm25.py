@@ -62,7 +62,7 @@ class RetrievedPassage:
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on any non-alphanumeric character."""
     text = text.lower()
-    # tested after lowercasing, since some non-ASCII letters (U+212A) lowercase into ASCII
+    # the table covers ASCII only, so the text it applies to, the lowered one, is tested
     if text.isascii():
         return text.translate(_ASCII_SEPARATORS).split()
     # \w is exactly the alphanumerics plus "_", so "_" is made a separator first

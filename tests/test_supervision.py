@@ -16,12 +16,12 @@ from planrag.supervision import (
     ProbeOutcome,
     Split,
     SupervisionKind,
+    _strip_control_tokens,
     build_sample,
     classify,
     export_dataset,
     probe_parametric,
     probe_retrieval,
-    _strip_control_tokens,
     teacher_followup_query,
 )
 
