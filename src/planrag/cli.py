@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import os
 import re
@@ -37,29 +38,29 @@ from .supervision import (
     teacher_followup_query,
 )
 
-# setting -> (kind, default), each kind as records.fits takes it. main resolves
-# every setting once and hands the result to the command: a flag of the same
-# name, where the command has one, wins over the config file, which wins over
-# the default; the README lists which commands have which flags. compare's
-# --a and --b name its two transcript files, so its --b is side B, not BM25 b.
-SETTINGS: dict[str, tuple[records.Kind, object]] = {
-    "budget": (int, 3),
-    "top_k": (int, 3),
-    "parallelism": (int, 1),
-    "attempts": (int, 3),
-    "normalization": (tuple(m.value for m in NormalizationMode), "squad"),
-    "fallback": (tuple(f.value for f in FallbackPolicy), "append"),
-    "split": (tuple(s.value for s in Split), "sft"),
-    "k1": (float, 1.2),
-    "b": (float, 0.75),
-    "scripts": (str, None),
-    "endpoint": (str, None),
-    "model": (str, None),
-    "teacher_endpoint": (str, None),
-    "teacher_model": (str, None),
-    "temperature": (float, 0.0),
-    "max_tokens": (int, 512),
-    "auth_env": (str, "PLANRAG_API_KEY"),
+# setting -> (kind, default, range): records.fits takes the kind, _check_range a
+# number's (low, high). main resolves every setting once and hands the result to the
+# command: a flag of the same name, where the command has one, wins over the config
+# file, which wins over the default; the README lists which commands have which flags.
+# compare's --a and --b name its two transcript files, so its --b is side B, not BM25 b.
+SETTINGS: dict[str, tuple[records.Kind, object, tuple[float, float] | None]] = {
+    "budget": (int, 3, (0, math.inf)),
+    "top_k": (int, 3, (1, math.inf)),
+    "parallelism": (int, 1, (1, math.inf)),
+    "attempts": (int, 3, (1, math.inf)),
+    "normalization": (tuple(m.value for m in NormalizationMode), "squad", None),
+    "fallback": (tuple(f.value for f in FallbackPolicy), "append", None),
+    "split": (tuple(s.value for s in Split), "sft", None),
+    "k1": (float, 1.2, (0, math.inf)),
+    "b": (float, 0.75, (0, 1)),
+    "scripts": (str, None, None),
+    "endpoint": (str, None, None),
+    "model": (str, None, None),
+    "teacher_endpoint": (str, None, None),
+    "teacher_model": (str, None, None),
+    "temperature": (float, 0.0, (0, math.inf)),
+    "max_tokens": (int, 512, (1, math.inf)),
+    "auth_env": (str, "PLANRAG_API_KEY", None),
 }
 
 
@@ -67,8 +68,21 @@ class CliError(Exception):
     pass
 
 
+def _check_range(where: str, key: str, value) -> None:
+    """Raise CliError, naming ``where``, if ``value`` is outside setting ``key``'s range.
+
+    A setting that is not a number has no range. NaN, the infinities and integers too
+    large for a float (which main would fail to convert) are outside every range.
+    """
+    bounds = SETTINGS[key][2]
+    if bounds and not (bounds[0] <= value <= bounds[1] and value <= sys.float_info.max):
+        low, high = bounds
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise CliError(f"{where} must be {bound}, got {value}")
+
+
 def _load_config(path: str | None) -> dict:
-    """The config file's settings, every one checked against its kind."""
+    """The config file's settings, every one checked against its kind and range."""
     if not path:
         return {}
     with open(path, "rb") as fh:
@@ -85,6 +99,7 @@ def _load_config(path: str | None) -> dict:
         if not records.fits(value, kind):
             got = json.dumps(value, ensure_ascii=False)
             raise CliError(f"{path}: {key} must be {records.kind_name(kind)}, got {got}")
+        _check_range(f"{path}: {key}", key, value)
     return config
 
 
@@ -172,19 +187,13 @@ def _run_budgets(args, settings, runs: list[tuple[int, str]]):
     rows = records.load_dataset(args.dataset)
     idx = bm25.load_index(args.index) if args.index else None
     fallback = FallbackPolicy(settings.fallback)
-    # every budget and the parallelism are checked before the gateways are built and any runs
-    if settings.parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
-    cfgs = [
-        PlannerConfig(max_rounds=budget, top_k=settings.top_k, fallback_policy=fallback)
-        for budget, _ in runs
-    ]
     mode = NormalizationMode(settings.normalization)
     [factory] = _gateways(rows, settings, "replay", ("turns",))
     name = _dataset_name(args)
     questions = [row["question"] for row in rows]
     ids = [row["id"] for row in rows]
-    for cfg, (_, out_dir) in zip(cfgs, runs):
+    for budget, out_dir in runs:
+        cfg = PlannerConfig(max_rounds=budget, top_k=settings.top_k, fallback_policy=fallback)
         os.makedirs(out_dir, exist_ok=True)
         episodes = batch_run(questions, cfg, factory, idx, settings.parallelism)
         transcripts = map(episode_record, episodes, ids)
@@ -239,8 +248,7 @@ def cmd_sweep(args, settings) -> int:
         raise CliError("at least one budget is required")
     # every budget is checked before any runs, so a bad one writes nothing
     for i, budget in enumerate(budgets):
-        if budget < 0:
-            raise CliError(f"--budgets: {budget} is not a budget >= 0")
+        _check_range("--budgets", "budget", budget)
         if budget in budgets[:i]:
             raise CliError(f"--budgets: {budget} repeats")
     name = _dataset_name(args)
@@ -399,8 +407,6 @@ def cmd_supervise(args, settings) -> int:
 
 
 def cmd_reward(args, settings) -> int:
-    if settings.budget < 0:
-        raise CliError(f"budget must be >= 0, got {settings.budget}")
     kinds = tuple(k.value for k in SupervisionKind)
     sample_fields = {"question": str, "kind": kinds, "target": str, "references": list}
     sample_by_id = {
@@ -552,10 +558,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         settings = argparse.Namespace()
-        for key, (kind, default) in SETTINGS.items():
+        for key, (kind, default, _) in SETTINGS.items():
             value = getattr(args, key, None)
             if value is None:
                 value = config.get(key, default)
+            else:
+                _check_range("--" + key.replace("_", "-"), key, value)
             setattr(settings, key, float(value) if kind is float else value)
         return args.func(args, settings)
     except (CliError, GeneratorError, OSError, RuntimeError, ValueError) as exc:

@@ -440,12 +440,12 @@ class TestSweepCmd:
                        "--parallelism", "0"]
         )
         assert code == 1
-        assert capsys.readouterr().err == "error: parallelism must be >= 1\n"
+        assert capsys.readouterr().err == "error: --parallelism must be >= 1, got 0\n"
         assert not out_dir.exists()
 
     def test_budget_setting_not_read(self, workspace, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"budget": -1}))
+        config.write_text(json.dumps({"budget": 7}))
         out_dir = workspace["root"] / "sweep_cfg"
         code = main(
             ["sweep", "--dataset", workspace["dataset"], "--scripts", workspace["scripts"],
@@ -705,7 +705,7 @@ class TestRewardCmd:
         out = tmp_path / "rewards.jsonl"
         assert main(["reward", "--rollouts", rollouts, "--samples", samples,
                      "--out", str(out), "--budget", "-1"]) == 1
-        assert capsys.readouterr().err == "error: budget must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: --budget must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_each_sample_is_validated_once(self, tmp_path, monkeypatch):
@@ -972,3 +972,78 @@ def test_config_setting_of_wrong_kind_is_one_error_line(workspace, capsys, key):
     assert capsys.readouterr().err == (
         f"error: {argv[-1]}: {key} must be {name}, got {json.dumps(value)}\n"
     )
+
+
+def test_every_number_setting_has_a_range_that_holds_its_default():
+    for key, (kind, default, bounds) in SETTINGS.items():
+        assert (bounds is not None) == (kind in (int, float)), key
+        cli._check_range(key, key, default)
+
+
+def _valid_argv(command, root):
+    """A valid command line of each command, its outputs under root/out."""
+    out = str(root / "out")
+    replay = ["--dataset", str(root / "dataset.jsonl"), "--index", str(root / "index.json"),
+              "--scripts", str(root / "scripts.jsonl"), "--out-dir", out]
+    if command == "index":
+        return ["index", "--corpus", str(root / "corpus.jsonl"), "--out", out]
+    if command in ("run", "sweep"):
+        return [command, *replay] + (["--budgets", "1"] if command == "sweep" else [])
+    if command == "supervise":
+        questions = write_jsonl(root / "questions.jsonl", SUPERVISE_QUESTIONS)
+        probes = write_jsonl(root / "probes.jsonl", SUPERVISE_SCRIPTS)
+        return ["supervise", "--questions", questions, "--scripts", probes, "--out-dir", out]
+    if command == "reward":
+        samples = write_jsonl(root / "samples.jsonl", [
+            {"id": "r1", "kind": "alpha", "target": "[ANSWER] a [SOLVED]", "references": ["a"]}])
+        rollouts = write_jsonl(root / "rollouts.jsonl", [{"id": "r1", "text": "[SOLVED]"}])
+        return ["reward", "--rollouts", rollouts, "--samples", samples, "--out", out]
+    if command == "compare":
+        side = write_jsonl(root / "side.jsonl",
+                           [{"id": r["id"], "rounds_used": 0, "final_answer": "x"} for r in DATASET])
+        return ["compare", "--a", side, "--b", side, "--dataset", str(root / "dataset.jsonl"),
+                "--subset", "a==0", "--out", out]
+    preds = write_jsonl(root / "preds.jsonl", [{"id": r["id"], "prediction": "x"} for r in DATASET])
+    return ["score", "--predictions", preds, "--dataset", str(root / "dataset.jsonl"),
+            "--out-dir", out]
+
+
+_BOUNDS = {"budget": ">= 0", "top_k": ">= 1", "parallelism": ">= 1", "attempts": ">= 1",
+           "max_tokens": ">= 1", "k1": ">= 0", "temperature": ">= 0", "b": "in [0, 1]"}
+_OUT_OF_RANGE = {"budget": -1, "top_k": 0, "parallelism": 0, "attempts": 0, "max_tokens": 0,
+                 "k1": -1, "temperature": -1, "b": 2}
+# command -> the number settings it has a flag for; run, sweep and supervise also
+# read temperature and max_tokens, which only a config sets
+_NUMBER_FLAGS = {"index": ("k1", "b"), "run": ("budget", "top_k", "parallelism"),
+                 "sweep": ("top_k", "parallelism"), "supervise": ("attempts", "top_k"),
+                 "reward": ("budget",)}
+_RANGE_CASES = (
+    [(command, by, key, _OUT_OF_RANGE[key])
+     for command, keys in _NUMBER_FLAGS.items() for key in keys for by in ("flag", "config")]
+    + [(command, "config", key, _OUT_OF_RANGE[key])
+       for command in ("run", "sweep", "supervise") for key in ("temperature", "max_tokens")]
+    + [("run", "config", "temperature", float("nan")), ("index", "config", "k1", float("inf")),
+       ("index", "config", "k1", 10**400), ("supervise", "config", "top_k", 2**1024),
+       ("index", "flag", "k1", float("nan")), ("index", "flag", "b", -0.5),
+       # every key of a config is checked, also one the command does not read
+       ("score", "config", "top_k", 0), ("compare", "config", "parallelism", 0)]
+)
+
+
+@pytest.mark.parametrize("command, by, key, value", _RANGE_CASES,
+                         ids=[f"{c}-{by}-{k}={str(v)[:6]}" for c, by, k, v in _RANGE_CASES])
+def test_setting_out_of_range_is_one_error_line_and_writes_nothing(
+    workspace, capsys, command, by, key, value
+):
+    root = workspace["root"]
+    argv = _valid_argv(command, root)
+    if by == "flag":
+        where, got = "--" + key.replace("_", "-"), SETTINGS[key][0](value)
+        argv += [where, str(value)]
+    else:
+        (root / "cfg.json").write_text(json.dumps({key: value}))
+        argv += ["--config", str(root / "cfg.json")]
+        where, got = f"{root / 'cfg.json'}: {key}", value
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {where} must be {_BOUNDS[key]}, got {got}\n"
+    assert not (root / "out").exists()
