@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import json
 import math
@@ -14,7 +13,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Iterable
 
 from . import records
@@ -126,34 +125,61 @@ class PassageIndex:
         # an ordinal from one posting up in the others, and a key of the same
         # object matches without a value comparison
         self._keys = list(range(len(self.ids)))
-        self._built: dict[str, dict[int, int]] = {}
+        self._built: dict[str, tuple[dict[int, float] | array, float]] = {}
         self.passages = _Passages(self.ids, self.fields, self.text, self.path)
 
-    def posting(self, term: str) -> dict[int, int] | None:
-        """The term's {ordinal: tf}, or None for a term no passage holds.
+    def posting(self, term: str) -> tuple[dict[int, float] | array, float] | None:
+        """The term's postings and its idf, or None for a term no passage holds.
 
-        The dict is built from the term's slice of the arrays on first use and
+        A term in at most half the passages is held as {ordinal: share}, each
+        share ``idf * tf * (k1 + 1) / (tf + norm)`` as score computes it. A term
+        in more, whose idf is below ln 2, is held as an array of its tf by
+        ordinal, 0 where absent, in the tfs' typecode: its shares would fill a
+        dict nearly the size of the corpus, and search visits it last, on few
+        candidates.
+
+        The entry is built from the term's slice of the arrays on first use and
         cached; that is when a loaded file's ordinals and term frequencies for
         the term are checked. Threads sharing an index may both build one
-        term's dict; each builds its own and publishes it with one assignment,
-        so no reader sees a dict half built.
+        term's entry; each builds its own and publishes it with one assignment,
+        so no reader sees an entry half built.
         """
-        posting = self._built.get(term)
-        if posting is None:
+        entry = self._built.get(term)
+        if entry is None:
             i = self._slots.get(term)
             if i is None:
                 return None
             lo, hi = self.offsets[i], self.offsets[i + 1]
-            tfs = self.tfs[lo:hi]
+            ordinals, tfs = self.ordinals[lo:hi], self.tfs[lo:hi]
             # the tfs are unsigned, so all nonzero is all >= 1; all() scans fastest
             _need(all(tfs), self.path, f"term {term!r} has a term frequency below 1")
+            idf = self._idf(len(tfs))
             try:
-                posting = dict(zip(map(self._keys.__getitem__, self.ordinals[lo:hi]), tfs))
+                if 2 * len(tfs) > self.doc_count:
+                    values = array(tfs.typecode, [0]) * self.doc_count
+                    # setitem returns None, so any() stores every posting
+                    any(map(operator.setitem, repeat(values), ordinals, tfs))
+                else:
+                    k1p, norms = self.k1 + 1, self.norms
+                    values = {o: idf * tf * k1p / (tf + norms[o])
+                              for o, tf in zip(map(self._keys.__getitem__, ordinals), tfs)}
             except IndexError:
                 raise ValueError(
                     f"{self.path}: term {term!r} has an ordinal past the passages") from None
-            self._built[term] = posting
-        return posting
+            entry = self._built[term] = values, idf
+        return entry
+
+    def _exact(self, terms: Iterable[tuple], ordinal: int) -> float:
+        # the passage's score over the terms' entries, summed in their order from 0.0
+        total = 0.0
+        for values, idf in terms:
+            if type(values) is dict:
+                total += values.get(ordinal, 0.0)  # adding 0.0 is exact
+            else:
+                tf = values[ordinal]
+                if tf:
+                    total += idf * tf * (self.k1 + 1) / (tf + self.norms[ordinal])
+        return total
 
     @property
     def doc_count(self) -> int:
@@ -169,16 +195,8 @@ class PassageIndex:
         """BM25 score of one passage; absent terms contribute 0."""
         if not 0 <= ordinal < self.doc_count:
             raise IndexError(f"ordinal {ordinal} not in [0, {self.doc_count})")
-        norm = self.norms[ordinal]
-        total = 0.0
         # sorted unique terms keep float accumulation order canonical
-        for term in sorted(set(query_terms)):
-            posting = self.posting(term) or {}
-            tf = posting.get(ordinal, 0)
-            if tf == 0:
-                continue
-            total += self._idf(len(posting)) * tf * (self.k1 + 1) / (tf + norm)
-        return total
+        return self._exact(filter(None, map(self.posting, sorted(set(query_terms)))), ordinal)
 
     def search(self, query: str, k: int) -> list[RetrievedPassage]:
         """Top-k positive-scoring passages, ties broken by ascending passage id.
@@ -189,10 +207,11 @@ class PassageIndex:
         0 and at most its bound ``idf * (k1 + 1)``.
 
         1. Accumulate: terms are visited by descending bound, and each passage
-           of a visited posting adds the term's share
-           ``bound * tf / (tf + norm)`` to its partial sum in ``acc``. Once k
-           passages are held and the bounds of the terms not yet visited sum to
-           less than the k-th largest partial sum, no new passage is admitted.
+           of a visited posting adds the term's share to its partial sum in
+           ``acc``: the share posting holds, or for a term held as a tf array
+           ``bound * tf / (tf + norm)``. Once k passages are held and the bounds
+           of the terms not yet visited sum to less than the k-th largest
+           partial sum, no new passage is admitted.
         2. Prune: a candidate whose partial sum plus the bounds of the terms not
            yet added is below the k-th largest partial sum is dropped, and the
            next term is added to the candidates left. This repeats until every
@@ -209,12 +228,13 @@ class PassageIndex:
         them. A passage pruned, or never admitted, scores at most its partial
         sum plus the bounds of the terms it missed, which lies strictly below
         the k-th largest partial sum and so strictly below the k-th exact score:
-        it cannot enter the top k, not even on an id tie. Partial sums add in
-        visit order, not sorted order, and each share is computed as
-        ``bound * tf / (tf + norm)``, with ``bound = idf * (k1 + 1)`` taken once
-        per term, not in ``score``'s order ``idf * tf * (k1 + 1) / (tf + norm)``;
-        so a partial sum may round apart from a full sum, by a few units in the
-        last place per term. Every bound test gets a relative slack of
+        it cannot enter the top k, not even on an id tie. Partial sums add
+        ``score``'s own shares, but in visit order, not sorted order; and a term
+        held as a tf array adds ``bound * tf / (tf + norm)``, with
+        ``bound = idf * (k1 + 1)`` taken once per term, not in ``score``'s order
+        ``idf * tf * (k1 + 1) / (tf + norm)``. So a partial sum may round apart
+        from a full sum, by a few units in the last place per term. Every bound
+        test gets a relative slack of
         ``_SLACK`` on both sides, far more than that rounding. A prune keeps a
         candidate when ``(a + rest) * (1 + _SLACK) >= floor * (1 - _SLACK)``,
         and tests it as ``a >= cut``, that inequality solved for ``a`` once per
@@ -222,21 +242,19 @@ class PassageIndex:
         rounding is relative to ``floor`` and again far below the slack. A prune
         whose cut is at most the smallest partial sum, as every cut <= 0 is,
         would keep every candidate, so ``acc`` is left as it is. ``acc`` values
-        are only ever bounds: rescoring sums over the sorted terms from 0.0
-        with ``score``'s expression, so the scores returned are bitwise those
-        of ``score``.
+        are only ever bounds: rescoring sums over the sorted terms from 0.0 as
+        ``score`` does, so the scores returned are bitwise those of ``score``.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         k1p = self.k1 + 1
         # every term held has a non-empty posting; filter drops the None of the others
-        postings = filter(None, map(self.posting, sorted(set(tokenize(query)))))
-        terms = [(posting, self._idf(len(posting))) for posting in postings]
+        terms = list(filter(None, map(self.posting, sorted(set(tokenize(query))))))
         visits = sorted(terms, key=lambda term: -term[1])
         bounds = [idf * k1p for _, idf in visits]
         # tails[i]: sum of the bounds of visits[i:], the terms not yet added
         tails = [sum(bounds[i:]) for i in range(len(bounds) + 1)]
-        norms = self.norms
+        keys, norms = self._keys, self.norms
 
         def kth(acc: dict[int, float]) -> float:
             # the k-th largest partial sum; 0.0, which prunes nothing, below k
@@ -246,18 +264,31 @@ class PassageIndex:
         # the candidates left, until every term is added or few candidates are left
         acc: dict[int, float] = {}
         admitting = True
-        for added, ((posting, _), bound) in enumerate(zip(visits, bounds), 1):
-            if added == 1:
-                acc = {ordinal: bound * tf / (tf + norms[ordinal])
-                       for ordinal, tf in posting.items()}
+        for added, ((values, idf), bound) in enumerate(zip(visits, bounds), 1):
+            if type(values) is dict:  # {ordinal: share}
+                if added == 1:
+                    acc = dict(values)
+                elif admitting:
+                    get = acc.get
+                    for ordinal, share in values.items():
+                        acc[ordinal] = get(ordinal, 0.0) + share
+                else:
+                    for ordinal in acc.keys() & values.keys():
+                        acc[ordinal] += values[ordinal]
+            # a tf array, read beside the norms while admitting and by ordinal after
+            elif added == 1:
+                acc = {o: bound * tf / (tf + norm)
+                       for o, tf, norm in zip(keys, values, norms) if tf}
             elif admitting:
                 get = acc.get
-                for ordinal, tf in posting.items():
-                    acc[ordinal] = get(ordinal, 0.0) + bound * tf / (tf + norms[ordinal])
+                for ordinal, tf, norm in zip(keys, values, norms):
+                    if tf:
+                        acc[ordinal] = get(ordinal, 0.0) + bound * tf / (tf + norm)
             else:
-                for ordinal in acc.keys() & posting.keys():
-                    tf = posting[ordinal]
-                    acc[ordinal] += bound * tf / (tf + norms[ordinal])
+                for ordinal in acc:
+                    tf = values[ordinal]
+                    if tf:
+                        acc[ordinal] += bound * tf / (tf + norms[ordinal])
             rest = tails[added]
             # no partial sum exceeds the visited bounds: the test passes only below them
             if admitting and rest >= tails[0] - rest:
@@ -276,15 +307,8 @@ class PassageIndex:
             if len(acc) <= _RESCORE_WITHIN * k:
                 break
         # rescore: exact sums over the sorted terms from 0.0, as score makes them
-        scores: dict[int, float] = {}
-        for ordinal in acc:
-            norm = norms[ordinal]
-            total = 0.0
-            for posting, idf in terms:
-                tf = posting.get(ordinal)
-                if tf:
-                    total += idf * tf * k1p / (tf + norm)
-            scores[ordinal] = total
+        exact = self._exact
+        scores = {ordinal: exact(terms, ordinal) for ordinal in acc}
         ids = self.ids
         ranked = heapq.nsmallest(k, scores, key=lambda o: (-scores[o], ids[o]))
         return [
@@ -366,8 +390,9 @@ def save_index(index: PassageIndex, path: str) -> None:
     The arrays follow in _ARRAYS order: term offsets, ordinals, term
     frequencies, norms, field offsets and the passages' UTF-8 text.
 
-    The file is written beside ``path`` and then moved onto it, so a save that
-    fails leaves any file already at ``path`` as it was.
+    The file is written beside ``path`` and then moved onto it
+    (records.replacing), so a save that fails leaves any file already at
+    ``path`` as it was.
     """
     views = {name: memoryview(getattr(index, name)) for name in _ARRAYS}
     header = {
@@ -380,19 +405,12 @@ def save_index(index: PassageIndex, path: str) -> None:
         "byteorder": sys.byteorder,
         "arrays": {name: [view.format, len(view)] for name, view in views.items()},
     }
-    partial = f"{path}.{os.getpid()}.partial"
-    try:
-        with open(partial, "w", encoding="ascii", newline="\n") as fh:
-            # dumps encodes in C; dump streams through the pure-Python encoder
-            fh.write(json.dumps(header) + "\n")
-            fh.flush()
-            for view in views.values():
-                fh.buffer.write(view)  # as the items lie in memory, without a copy
-        os.replace(partial, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(partial)
-        raise
+    with records.replacing(path, encoding="ascii", newline="\n") as fh:
+        # dumps encodes in C; dump streams through the pure-Python encoder
+        fh.write(json.dumps(header) + "\n")
+        fh.flush()
+        for view in views.values():
+            fh.buffer.write(view)  # as the items lie in memory, without a copy
 
 
 def load_index(path: str) -> PassageIndex:

@@ -172,7 +172,7 @@ def _score_report(name, predictions, rows, mode, episodes=None) -> tuple[dict, s
 def _write_report(out_dir: str, payload: dict, table: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     records.write_json(os.path.join(out_dir, "report.json"), payload)
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+    with records.replacing(os.path.join(out_dir, "report.txt"), encoding="utf-8") as fh:
         fh.write(table)
 
 
@@ -279,7 +279,7 @@ def cmd_sweep(args, settings) -> int:
         dist = " ".join(f"{k}:{v:.2f}" for k, v in r["distribution"].items())
         lines.append(f"B={r['budget']}  {dist}")
     table = "\n".join(lines) + "\n"
-    with open(os.path.join(args.out_dir, "sweep.txt"), "w", encoding="utf-8") as fh:
+    with records.replacing(os.path.join(args.out_dir, "sweep.txt"), encoding="utf-8") as fh:
         fh.write(table)
     print(table, end="")
     return exit_code

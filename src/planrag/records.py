@@ -7,8 +7,10 @@ in which each id is unique.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from typing import Any, Iterable, Iterator
+import os
+from typing import IO, Any, Iterable, Iterator
 
 # field kind -> how a message names it; ``float`` also takes an integer, ``list``
 # is a list of strings, and a tuple of strings as a kind allows just those strings
@@ -104,9 +106,27 @@ def read_jsonl(
     return rows
 
 
+@contextlib.contextmanager
+def replacing(path: str, **open_args) -> Iterator[IO[str]]:
+    """A text file written beside ``path`` and moved onto it when the block ends.
+
+    A block that raises, or is interrupted, removes the file it was writing, so
+    any file already at ``path`` is left as it was.
+    """
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        with open(partial, "w", **open_args) as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
+
+
 def write_jsonl(path: str, records: Iterable[dict]) -> int:
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, encoding="utf-8") as fh:
         for record in records:
             fh.write(_ENCODER.encode(record) + "\n")
             count += 1
@@ -114,7 +134,7 @@ def write_jsonl(path: str, records: Iterable[dict]) -> int:
 
 
 def write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, ensure_ascii=False)
         fh.write("\n")
 

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rewrite_index
-from planrag import bm25
+from planrag import records
 from planrag.bm25 import (
     Passage,
     build_index,
@@ -293,13 +293,49 @@ class TestSearch:
             rng.shuffle(words)
             passages.append(Passage(pid, "", " ".join(words)))
         idx = build_index(passages)
-        assert all(len(idx.posting(w)) > len(passages) / 2 for w in common)
+        assert all(sum(w in p.text.split() for p in passages) > len(passages) / 2 for w in common)
         for n in (1, 2, 4, 8, 16):
             query = " ".join(rng.sample(common, n))
             want = oracle_rank(passages, query)
             for k in (1, 3, 10):
                 got = [(r.passage.id, r.score) for r in idx.search(query, k)]
                 assert got == want[:k]
+
+    @given(
+        st.integers(2, 24),
+        st.randoms(use_true_random=False),
+        st.sampled_from([0, 1.2]),
+        st.sampled_from([0, 0.75, 1]),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_terms_at_the_boundary_of_the_two_forms(self, n, rng, k1, b):
+        # h-words are in exactly n // 2 passages, held as share dicts; o-words in
+        # one more, held as tf arrays; r-words are rare
+        docs = [[f"r{rng.randrange(3 * n)}" for _ in range(rng.randint(0, 4))] for _ in range(n)]
+        boundary = {"h0": n // 2, "h1": n // 2, "o0": n // 2 + 1, "o1": n // 2 + 1}
+        for word, df in boundary.items():
+            for i in rng.sample(range(n), df):
+                docs[i] += [word] * rng.randint(1, 3)
+        ids = [f"p{i:02d}" for i in range(n)]
+        rng.shuffle(ids)
+        passages = []
+        for pid, doc in zip(ids, docs):
+            rng.shuffle(doc)
+            passages.append(Passage(pid, "", " ".join(doc)))
+        words = rng.sample(sorted(boundary), rng.randint(1, 4))
+        words += [f"r{rng.randrange(3 * n)}" for _ in range(rng.randint(0, 3))]
+        query = " ".join(words)
+        want = oracle_rank(passages, query, k1, b)
+        built = build_index(passages, k1, b)
+        assert type(built.posting("h0")[0]) is dict and type(built.posting("o0")[0]) is not dict
+        with tempfile.TemporaryDirectory() as directory:
+            loaded = saved_then_loaded(built, directory)
+        scores = dict(want)
+        for idx in (built, loaded):
+            for k in range(1, 11):
+                assert [(r.passage.id, r.score) for r in idx.search(query, k)] == want[:k]
+            for ordinal, passage in enumerate(passages):
+                assert idx.score(words, ordinal) == scores.get(passage.id, 0.0)
 
     def test_rescores_only_the_top_k_left(self):
         # one pass over the posting, then exact scores for the k passages the last
@@ -372,6 +408,23 @@ def _first_posting(index):
     return index.posting(index.terms[0])
 
 
+def _most_frequent(terms, offsets):
+    return max(range(len(terms)), key=lambda i: offsets[i + 1] - offsets[i])
+
+
+def _set_in_tf_array(name, value):
+    # the first posting of the most frequent term, which is held as a tf array
+    def edit(header, arrays):
+        arrays[name][arrays["offsets"][_most_frequent(header["terms"], arrays["offsets"])]] = value
+    return edit
+
+
+def _tf_array_posting(index):
+    i = _most_frequent(index.terms, index.offsets)
+    assert 2 * (index.offsets[i + 1] - index.offsets[i]) > index.doc_count
+    return index.posting(index.terms[i])
+
+
 def _truncate_header(path):
     payload = Path(path).read_bytes()
     Path(path).write_bytes(payload[: payload.index(b"\n") // 2])
@@ -427,6 +480,10 @@ class TestPersistence:
              _first_posting),
             (lambda path: rewrite_index(path, _set("tfs", 0, 0)), "term frequency",
              _first_posting),
+            (lambda path: rewrite_index(path, _set_in_tf_array("ordinals", 12)), "ordinal",
+             _tf_array_posting),
+            (lambda path: rewrite_index(path, _set_in_tf_array("tfs", 0)), "term frequency",
+             _tf_array_posting),
             (lambda path: rewrite_index(path, lambda header, arrays: arrays["norms"].pop()),
              "norm", None),
             (lambda path: rewrite_index(path, _set_id(1, "p0000")), "unique string ids", None),
@@ -438,7 +495,8 @@ class TestPersistence:
              lambda index: index.passages[3]),
         ],
         ids=["truncated_header", "truncated_arrays", "offsets_not_rising",
-             "ordinal_past_doc_count", "tf_below_1", "norms_count", "id_repeated",
+             "ordinal_past_doc_count", "tf_below_1", "ordinal_past_doc_count_in_tf_array",
+             "tf_below_1_in_tf_array", "norms_count", "id_repeated",
              "id_not_string", "fields_not_rising", "fields_past_text", "passage_not_utf8"],
     )
     def test_corrupt_file(self, tmp_path, corrupt, message, first_use):
@@ -578,7 +636,7 @@ class TestPersistence:
         def open_disk_full(file, mode, **kwargs):
             return io.TextIOWrapper(DiskFull(io.FileIO(file, mode)), **kwargs)
 
-        monkeypatch.setattr(bm25, "open", open_disk_full, raising=False)
+        monkeypatch.setattr(records, "open", open_disk_full, raising=False)
         with pytest.raises(OSError, match="No space left"):
             save_index(build_index([Passage("b", "", "new text")]), str(path))
         monkeypatch.undo()
