@@ -29,7 +29,6 @@ from .supervision import (
     EmptyTeacherQueryError,
     Split,
     SupervisionKind,
-    SupervisionSample,
     build_sample,
     classify,
     export_dataset,
@@ -384,8 +383,8 @@ def cmd_supervise(args, settings) -> int:
         question, refs, gen = row["question"], row["answers"], model(i)
         normalized = normalize_refs(refs, mode)
         try:
-            parametric = probe_parametric(question, normalized, gen, settings.attempts, mode)
-            retrieval = probe_retrieval(question, normalized, gen, idx, settings.top_k, mode)
+            parametric = probe_parametric(question, normalized, gen, settings.attempts)
+            retrieval = probe_retrieval(question, normalized, gen, idx, settings.top_k)
             kind = classify(parametric, retrieval)
             teacher_query = None
             if kind is SupervisionKind.GAMMA:
@@ -409,14 +408,9 @@ def cmd_supervise(args, settings) -> int:
 def cmd_reward(args, settings) -> int:
     kinds = tuple(k.value for k in SupervisionKind)
     sample_fields = {"question": str, "kind": kinds, "target": str, "references": list}
+    # sample id -> the references and target that prepare takes
     sample_by_id = {
-        rec["id"]: SupervisionSample(
-            qid=rec["id"],
-            question=rec.get("question", ""),
-            references=rec.get("references", []),
-            kind=SupervisionKind(rec.get("kind", "alpha")),
-            target=parse_trajectory(rec.get("target", "")),
-        )
+        rec["id"]: (rec.get("references", []), parse_trajectory(rec.get("target", "")))
         for rec in records.read_jsonl(args.samples, "sample", {}, sample_fields)
     }
     prepared = {}  # sample id -> its PreparedSample, or the text of why it scores nothing
@@ -431,7 +425,7 @@ def cmd_reward(args, settings) -> int:
         sample = sample_by_id.get(qid)
         if sample is not None and qid not in prepared:
             try:
-                prepared[qid] = prepare(sample, settings.budget)
+                prepared[qid] = prepare(*sample, settings.budget)
             except ValueError as exc:
                 prepared[qid] = str(exc)
         # a str says why the rollout scores nothing
@@ -440,7 +434,7 @@ def cmd_reward(args, settings) -> int:
             entries.append({"id": qid, "error": ready})
             errors += 1
             continue
-        breakdown = total_reward(parse_trajectory(rec["text"]), sample, settings.budget, ready)
+        breakdown = total_reward(parse_trajectory(rec["text"]), ready)
         entries.append(
             {
                 "id": qid,

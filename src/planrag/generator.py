@@ -146,7 +146,8 @@ def _transport_failure(exc: Exception) -> str:
     """One plain sentence for a retried transport failure.
 
     ``str(exc)`` of a ``requests`` error is that of the urllib3 error it wraps,
-    often a tuple repr, so it is not recorded.
+    often a tuple repr, so neither this sentence nor that of any other
+    exception the transport raises records it.
     """
     if isinstance(exc, requests.Timeout):  # ConnectTimeout is also a ConnectionError
         return f"timed out after {TIMEOUT_S:g} s"
@@ -160,7 +161,7 @@ class HttpChatGenerator:
 
     Only transport-level failures (connection errors, timeouts, replies cut
     short, 5xx) are retried; a semantic backend rejection (4xx, malformed
-    body) never is.
+    body) and any other exception of the transport never are.
     """
 
     def __init__(self, settings: GeneratorSettings, transport: Transport | None = None):
@@ -201,6 +202,8 @@ class HttpChatGenerator:
             ) as exc:
                 last_error = _transport_failure(exc)
                 continue
+            except Exception as exc:  # not a failure to reach the backend, so not retried
+                raise GeneratorError(f"backend request failed: {type(exc).__name__}") from exc
             if status >= 500:
                 last_error = f"backend returned {status}"
                 continue

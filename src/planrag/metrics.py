@@ -52,63 +52,36 @@ def _tokens(s: str, mode: NormalizationMode) -> list[str]:
     return normalize(s, mode).split()
 
 
-def _require_refs(refs: list[str]) -> None:
-    if not refs:
-        raise ValueError("at least one reference answer is required")
-
-
-def _ref_tokens(refs: list[str], mode: NormalizationMode) -> list[list[str]]:
-    _require_refs(refs)
-    return [_tokens(r, mode) for r in refs]
-
-
-def _exact(pred_toks: list[str], refs_toks: list[list[str]]) -> int:
-    # normalize joins its tokens with single spaces: equal token lists are equal strings
-    return int(pred_toks in refs_toks)
-
-
 @dataclass(frozen=True)
 class References:
     """A question's reference answers normalized once in one mode.
 
-    ``exact_match`` and ``cover_em`` score the question's many answers against them.
+    ``exact_match`` and ``cover_em`` score the question's many answers against
+    them, each answer normalized once in the same mode.
     """
 
     mode: NormalizationMode
     texts: tuple[str, ...]
 
 
-def normalize_refs(refs: list[str] | References, mode: NormalizationMode) -> References:
-    """``refs`` normalized in ``mode``; References of that mode are returned as they are."""
-    if isinstance(refs, References):
-        if refs.mode is not mode:
-            raise ValueError(f"references normalized in {refs.mode.value} mode, not {mode.value}")
-        return refs
-    _require_refs(refs)
+def normalize_refs(refs: list[str], mode: NormalizationMode) -> References:
+    """``refs`` normalized in ``mode``; ValueError when there are none."""
+    if not refs:
+        raise ValueError("at least one reference answer is required")
     return References(mode, tuple(normalize(r, mode) for r in refs))
 
 
-def exact_match(
-    pred: str, refs: list[str] | References, mode: NormalizationMode = NormalizationMode.SQUAD_STYLE
-) -> int:
-    """1 iff the normalized prediction equals a normalized reference.
+def _ref_tokens(refs: list[str], mode: NormalizationMode) -> list[list[str]]:
+    return [r.split() for r in normalize_refs(refs, mode).texts]
 
-    With ``References``, ``pred`` is taken as already normalized in their mode.
-    """
-    if not isinstance(refs, References):
-        pred, refs = normalize(pred, mode), normalize_refs(refs, mode)
+
+def exact_match(pred: str, refs: References) -> int:
+    """1 iff ``pred``, normalized in ``refs.mode``, equals a reference."""
     return int(pred in refs.texts)
 
 
-def cover_em(
-    pred: str, refs: list[str] | References, mode: NormalizationMode = NormalizationMode.SQUAD_STYLE
-) -> int:
-    """1 iff the normalized prediction contains a normalized reference as a substring.
-
-    With ``References``, ``pred`` is taken as already normalized in their mode.
-    """
-    if not isinstance(refs, References):
-        pred, refs = normalize(pred, mode), normalize_refs(refs, mode)
+def cover_em(pred: str, refs: References) -> int:
+    """1 iff ``pred``, normalized in ``refs.mode``, contains a reference as a substring."""
     return int(any(r in pred for r in refs.texts))
 
 
@@ -175,16 +148,14 @@ def token_f1(
     pred: str, refs: list[str], mode: NormalizationMode = NormalizationMode.SQUAD_STYLE
 ) -> float:
     """Max over references of the multiset token-overlap F1."""
-    refs_toks = _ref_tokens(refs, mode)
-    return _overlap_scores(_tokens(pred, mode), refs_toks)[0]
+    return _overlap_scores(_tokens(pred, mode), _ref_tokens(refs, mode))[0]
 
 
 def rouge(
     pred: str, refs: list[str], mode: NormalizationMode = NormalizationMode.SQUAD_STYLE
 ) -> RougeScores:
     """ROUGE-1/2/L F-measures, each the max over references, plus their mean."""
-    refs_toks = _ref_tokens(refs, mode)
-    return _overlap_scores(_tokens(pred, mode), refs_toks)[1]
+    return _overlap_scores(_tokens(pred, mode), _ref_tokens(refs, mode))[1]
 
 
 @dataclass(frozen=True)
@@ -200,15 +171,13 @@ def bleu_reference(ref: str) -> BleuReference:
     return BleuReference(len(toks), tuple(Counter(_ngrams(toks, n)) for n in range(1, 5)))
 
 
-def bleu(pred: str, ref: str | BleuReference) -> float:
+def bleu(pred: str, ref: BleuReference) -> float:
     """Sentence BLEU up to order 4 (capped at the prediction length).
 
+    ``ref`` is ``bleu_reference(text)``, counted once for many predictions.
     Uniform weights, add-one smoothing on orders >= 2, brevity penalty.
-    A zero unigram match or an empty prediction scores 0. ``ref`` may be
-    counted once by ``bleu_reference`` for scoring many predictions.
+    A zero unigram match or an empty prediction scores 0.
     """
-    if isinstance(ref, str):
-        ref = bleu_reference(ref)
     pred_toks = _tokens(pred, NormalizationMode.MINIMAL)
     if not pred_toks:
         return 0.0
@@ -269,10 +238,9 @@ def score_row(
         raise ValueError("predictions and references are misaligned")
     ems, rgs, f1s = [], [], []
     for pred, refs in zip(predictions, references):
-        refs_toks = _ref_tokens(refs, mode)
-        pred_toks = _tokens(pred, mode)
-        f1, scores = _overlap_scores(pred_toks, refs_toks)
-        ems.append(_exact(pred_toks, refs_toks))
+        normalized, normalized_refs = normalize(pred, mode), normalize_refs(refs, mode)
+        f1, scores = _overlap_scores(normalized.split(), [r.split() for r in normalized_refs.texts])
+        ems.append(exact_match(normalized, normalized_refs))
         rgs.append(scores.avg)
         f1s.append(f1)
     n = len(predictions)

@@ -111,11 +111,13 @@ def replacing(path: str, **open_args) -> Iterator[IO[str]]:
     """A text file written beside ``path`` and moved onto it when the block ends.
 
     A block that raises, or is interrupted, removes the file it was writing, so
-    any file already at ``path`` is left as it was.
+    any file already at ``path`` is left as it was. A lone surrogate, which a
+    JSON escape can put in a string and UTF-8 cannot encode, is written as its
+    backslash escape: the JSON escape that reads back as the same string.
     """
     partial = f"{path}.{os.getpid()}.partial"
     try:
-        with open(partial, "w", **open_args) as fh:
+        with open(partial, "w", errors="backslashreplace", **open_args) as fh:
             yield fh
         os.replace(partial, path)
     except BaseException:

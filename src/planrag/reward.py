@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from .control import ControlToken, Trajectory, control_sequence, last_answer, validate
 from .metrics import BleuReference, bleu, bleu_reference
-from .supervision import SupervisionSample
 
 CONTROL_MATCH_BONUS = 0.5
 INVALID_PENALTY = -0.5
@@ -25,35 +24,7 @@ class PreparedSample:
 
     reference: BleuReference
     controls: list[ControlToken]
-
-
-def _reference(reference: str) -> BleuReference:
-    if not reference:
-        raise ValueError("reference answer is empty")
-    return bleu_reference(reference)
-
-
-def _target_controls(target: Trajectory, max_rounds: int) -> list[ControlToken]:
-    if not validate(target, max_rounds).valid:
-        raise ValueError("target trajectory does not satisfy the grammar")
-    return control_sequence(target)
-
-
-def _control_score(rollout: Trajectory, controls: list[ControlToken], max_rounds: int) -> float:
-    if not validate(rollout, max_rounds).valid:
-        return INVALID_PENALTY
-    if control_sequence(rollout) == controls:
-        return CONTROL_MATCH_BONUS
-    return 0.0
-
-
-def answer_fidelity(rollout_answer: str, reference: str) -> float:
-    return bleu(rollout_answer, _reference(reference))
-
-
-def control_accuracy(rollout: Trajectory, target: Trajectory, max_rounds: int) -> float:
-    """Three-level control reward: exact pattern match, valid-but-off, invalid."""
-    return _control_score(rollout, _target_controls(target, max_rounds), max_rounds)
+    max_rounds: int
 
 
 def final_answer_text(t: Trajectory) -> str:
@@ -61,28 +32,34 @@ def final_answer_text(t: Trajectory) -> str:
     return (last_answer(t) or "").strip()
 
 
-def prepare(sample: SupervisionSample, max_rounds: int) -> PreparedSample:
-    """The sample's counted reference and target controls.
+def prepare(references: list[str], target: Trajectory, max_rounds: int) -> PreparedSample:
+    """A sample's counted first reference and target controls, at the budget ``max_rounds``.
 
     Raises ValueError when the sample can score no rollout: it has no
-    references, its first reference is empty, or its target is invalid.
+    references, its first reference is empty, or its target is invalid
+    within the budget.
     """
-    if not sample.references:
+    if not references:
         raise ValueError("sample has no reference answers")
-    return PreparedSample(
-        _reference(sample.references[0]), _target_controls(sample.target, max_rounds)
-    )
+    if not references[0]:
+        raise ValueError("reference answer is empty")
+    if not validate(target, max_rounds).valid:
+        raise ValueError("target trajectory does not satisfy the grammar")
+    return PreparedSample(bleu_reference(references[0]), control_sequence(target), max_rounds)
 
 
-def total_reward(
-    rollout: Trajectory,
-    sample: SupervisionSample,
-    max_rounds: int = 3,
-    prepared: PreparedSample | None = None,
-) -> RewardBreakdown:
-    """The rollout's reward; ``prepared`` is ``prepare(sample, max_rounds)``, made if not given."""
-    if prepared is None:
-        prepared = prepare(sample, max_rounds)
+def total_reward(rollout: Trajectory, prepared: PreparedSample) -> RewardBreakdown:
+    """BLEU of the final answer plus the three-level control reward.
+
+    The control reward is INVALID_PENALTY for a rollout that breaks the grammar
+    or the sample's budget, CONTROL_MATCH_BONUS for one with the target's
+    control sequence, and 0 for any other.
+    """
     r_ans = bleu(final_answer_text(rollout), prepared.reference)
-    r_ctrl = _control_score(rollout, prepared.controls, max_rounds)
+    if not validate(rollout, prepared.max_rounds).valid:
+        r_ctrl = INVALID_PENALTY
+    elif control_sequence(rollout) == prepared.controls:
+        r_ctrl = CONTROL_MATCH_BONUS
+    else:
+        r_ctrl = 0.0
     return RewardBreakdown(r_ans=r_ans, r_ctrl=r_ctrl, total=r_ans + r_ctrl)

@@ -22,7 +22,7 @@ from .control import (
     parse_trajectory,
 )
 from .generator import EvidenceBlock, GenerationContext
-from .metrics import NormalizationMode, References, cover_em, exact_match, normalize, normalize_refs
+from .metrics import References, cover_em, exact_match, normalize
 from .records import write_json, write_jsonl
 
 PARAMETRIC_PROBE_PREAMBLE = "Answer the question directly and concisely."
@@ -97,20 +97,10 @@ def _attempt(answer: str, refs: References) -> ProbeAttempt:
     return ProbeAttempt(answer=answer, em=exact_match(pred, refs), cover_em=cover_em(pred, refs))
 
 
-def probe_parametric(
-    question: str,
-    refs: list[str] | References,
-    gen,
-    attempts_n: int = 3,
-    mode: NormalizationMode = NormalizationMode.SQUAD_STYLE,
-) -> ProbeOutcome:
-    """Generate attempts_n answers without evidence and score each one.
-
-    ``refs`` may be ``metrics.normalize_refs(refs, mode)``, normalized once per question.
-    """
+def probe_parametric(question: str, refs: References, gen, attempts_n: int = 3) -> ProbeOutcome:
+    """Generate attempts_n answers without evidence and score each one against ``refs``."""
     if attempts_n < 1:
         raise ValueError("attempts_n must be >= 1")
-    refs = normalize_refs(refs, mode)
     attempts = []
     for _ in range(attempts_n):
         ctx = GenerationContext(
@@ -122,18 +112,9 @@ def probe_parametric(
 
 
 def probe_retrieval(
-    question: str,
-    refs: list[str] | References,
-    gen,
-    idx: PassageIndex | None,
-    top_k: int = 3,
-    mode: NormalizationMode = NormalizationMode.SQUAD_STYLE,
+    question: str, refs: References, gen, idx: PassageIndex | None, top_k: int = 3
 ) -> ProbeOutcome:
-    """One generation with the question's top-k passages in context.
-
-    ``refs`` as for probe_parametric.
-    """
-    refs = normalize_refs(refs, mode)
+    """One generation with the question's top-k passages in context, scored against ``refs``."""
     hits = idx.search(question, top_k) if idx is not None else []
     passages = [h.passage for h in hits]
     ctx = GenerationContext(

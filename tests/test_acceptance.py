@@ -34,13 +34,16 @@ from planrag.metrics import (
     ScoreReport,
     avg_score,
     bleu,
+    bleu_reference,
     cover_em,
     exact_match,
+    normalize,
+    normalize_refs,
     rouge,
     token_f1,
 )
 from planrag.planner import FallbackPolicy, PlannerConfig, run_episode
-from planrag.reward import total_reward
+from planrag.reward import prepare, total_reward
 from planrag.supervision import (
     SupervisionKind,
     build_sample,
@@ -416,14 +419,19 @@ def ref_bleu(pred, ref):
     return bp * math.exp(sum(logs) / orders)
 
 
+def em_and_cover(pred, refs, mode):
+    """EM and CoverEM of a raw prediction against raw references."""
+    normalized, prepared = normalize(pred, mode), normalize_refs(refs, mode)
+    return exact_match(normalized, prepared), cover_em(normalized, prepared)
+
+
 def test_criterion_6_metrics_oracle():
     for mode in NormalizationMode:
         for pred, refs in CURATED_PAIRS:
             np_ = ref_norm(pred, mode)
             want_em = int(any(np_ == ref_norm(r, mode) for r in refs))
             want_cover = int(any(ref_norm(r, mode) in np_ for r in refs))
-            assert exact_match(pred, refs, mode) == want_em
-            assert cover_em(pred, refs, mode) == want_cover
+            assert em_and_cover(pred, refs, mode) == (want_em, want_cover)
 
             ptoks = np_.split()
             want_f1 = max(
@@ -454,7 +462,8 @@ def test_criterion_6_metrics_oracle():
             assert got.avg == pytest.approx((got.r1 + got.r2 + got.rl) / 3, abs=1e-12)
 
         for pred, refs in CURATED_PAIRS:
-            assert bleu(pred, refs[0]) == pytest.approx(ref_bleu(pred, refs[0]), abs=1e-9)
+            got = bleu(pred, bleu_reference(refs[0]))
+            assert got == pytest.approx(ref_bleu(pred, refs[0]), abs=1e-9)
 
     rng = random.Random(8080)
     vocab = ["paris", "berlin", "rome", "the", "a", "capital", "1871", "x", "of"]
@@ -462,7 +471,8 @@ def test_criterion_6_metrics_oracle():
         pred = " ".join(rng.choices(vocab, k=rng.randint(0, 6)))
         refs = [" ".join(rng.choices(vocab, k=rng.randint(1, 4)))]
         mode = rng.choice(list(NormalizationMode))
-        assert exact_match(pred, refs, mode) <= cover_em(pred, refs, mode)
+        em, cover = em_and_cover(pred, refs, mode)
+        assert em <= cover
     ok(6, "EM/CoverEM/F1/ROUGE/BLEU match independent oracles on 20 curated pairs; "
           "EM <= CoverEM held on 10000 random pairs")
 
@@ -534,8 +544,9 @@ def test_criterion_8_supervision_partition():
     cases = supervision_world()
     for case in cases:
         gen = ReplayGenerator(case["probe_turns"])
-        parametric = probe_parametric(case["question"], case["answers"], gen, 3)
-        retrieval = probe_retrieval(case["question"], case["answers"], gen, idx)
+        refs = normalize_refs(case["answers"], NormalizationMode.SQUAD_STYLE)
+        parametric = probe_parametric(case["question"], refs, gen, 3)
+        retrieval = probe_retrieval(case["question"], refs, gen, idx)
         kind = classify(parametric, retrieval)
         assert kind is case["kind"], case["id"]
         teacher_query = None
@@ -581,11 +592,12 @@ def test_criterion_9_reward_algebra():
         ProbeOutcome(attempts=(hit,), with_retrieval=True),
         qid="s",
     )
-    perfect = total_reward(parse_trajectory(sample.target.source), sample, 3)
+    prepared = prepare(sample.references, sample.target, 3)
+    perfect = total_reward(parse_trajectory(sample.target.source), prepared)
     assert perfect.total == pytest.approx(1.5)
     assert perfect.total == perfect.r_ans + perfect.r_ctrl
 
-    invalid = total_reward(parse_trajectory("[SOLVED]"), sample, 3)
+    invalid = total_reward(parse_trajectory("[SOLVED]"), prepared)
     assert invalid.r_ctrl == -0.5
 
     rng = random.Random(4242)
@@ -595,7 +607,7 @@ def test_criterion_9_reward_algebra():
     ]
     for _ in range(2000):
         text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
-        breakdown = total_reward(parse_trajectory(text), sample, 3)
+        breakdown = total_reward(parse_trajectory(text), prepared)
         assert breakdown.total == breakdown.r_ans + breakdown.r_ctrl
         assert -0.5 <= breakdown.total <= 1.5 + 1e-12
     ok(9, "reward is exactly additive, 1.5 on the perfect rollout, -0.5 control "

@@ -784,6 +784,59 @@ class TestScoreCmd:
         assert main(["score", "--predictions", preds, "--dataset", dataset]) == 1
 
 
+def read_records(path):
+    """A written JSONL file's records; reading it as strict UTF-8 checks it is UTF-8."""
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+class TestLoneSurrogate:
+    """A JSON escape can put a lone surrogate in any input string, which UTF-8 cannot
+    encode; each output writes it as that escape, which reads back as the same string."""
+
+    def test_in_a_corpus_passage(self, workspace):
+        corpus = [dict(p) for p in CORPUS]
+        corpus[1]["text"] += " \ud800"
+        write_jsonl(workspace["root"] / "corpus.jsonl", corpus)
+        assert main(["index", "--corpus", workspace["corpus"], "--out", workspace["index"]]) == 0
+        code, out_dir = run_cmd(workspace, "run")
+        assert code == 0
+        q2 = read_records(out_dir / "transcripts.jsonl")[1]
+        assert corpus[1]["text"] in [p["text"] for p in q2["rounds"][0]["passages"]]
+
+    def test_in_a_replay_turn(self, workspace):
+        scripts = [dict(s) for s in SCRIPTS]
+        scripts[0] = {"id": "q1", "turns": ["[ANSWER] Paris \ud83d [SOLVED]"]}
+        write_jsonl(workspace["root"] / "scripts.jsonl", scripts)
+        code, out_dir = run_cmd(workspace, "run")
+        assert code == 0
+        q1 = read_records(out_dir / "transcripts.jsonl")[0]
+        assert q1["final_answer"] == "Paris \ud83d"
+        assert q1["transcript"] == scripts[0]["turns"][0]
+
+    def test_in_a_chat_reply(self, workspace, monkeypatch):
+        reply = {"choices": [{"message": {"content": "[ANSWER] Paris \ud800 [SOLVED]"}}]}
+        monkeypatch.setattr("planrag.generator._requests_transport", lambda *args: (200, reply))
+        config = workspace["root"] / "chat.json"
+        config.write_text(json.dumps({"endpoint": "http://backend/v1/chat", "model": "m"}))
+        out_dir = workspace["root"] / "chat"
+        code = main(["run", "--dataset", workspace["dataset"], "--index", workspace["index"],
+                     "--config", str(config), "--out-dir", str(out_dir)])
+        assert code == 0
+        answers = [t["final_answer"] for t in read_records(out_dir / "transcripts.jsonl")]
+        assert answers == ["Paris \ud800"] * 3
+
+    def test_in_a_supervise_question(self, tmp_path):
+        questions = [dict(q) for q in SUPERVISE_QUESTIONS]
+        questions[1]["question"] = "capital \ud800?"
+        code, out_dir = TestSuperviseCmd().run_supervise(
+            tmp_path, SUPERVISE_SCRIPTS, questions=questions
+        )
+        assert code == 0
+        samples = read_records(out_dir / "sft.jsonl")
+        assert [s["question"] for s in samples] == [q["question"] for q in questions]
+        assert "capital \ud800?" in samples[1]["target"]
+
+
 def _run_on_bad_index(tmp_path):
     return ["run", "--dataset", str(tmp_path / "dataset.jsonl"),
             "--index", str(tmp_path / "bad_index.json"),

@@ -1,0 +1,48 @@
+"""Every module planrag imports is in the standard library, planrag or its dependencies."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def declared_dependencies() -> set[str]:
+    """The names in pyproject.toml's [project].dependencies, read without tomllib (3.11+)."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]\s*$", project, re.M | re.S).group(1)
+    return {
+        re.match(r"[\w.-]+", spec).group().lower().replace("-", "_")
+        for spec in re.findall(r'"([^"]+)"', listed)
+    }
+
+
+def imported_names(source: str) -> list[str]:
+    """The top-level name of each module that ``source`` imports, anywhere in it."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("planrag" if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_every_import_is_stdlib_planrag_or_declared():
+    allowed = set(sys.stdlib_module_names) | {"planrag"} | declared_dependencies()
+    undeclared = [
+        f"{path.name} imports {name}"
+        for path in sorted((ROOT / "src" / "planrag").glob("*.py"))
+        for name in imported_names(path.read_text(encoding="utf-8"))
+        if name not in allowed
+    ]
+    assert undeclared == []
+
+
+def test_the_guard_sees_every_import_form():
+    source = "import numpy as np\nfrom os.path import join\nfrom . import bm25\n"
+    source += "def f():\n    import yaml.loader\n"
+    assert imported_names(source) == ["numpy", "os", "planrag", "yaml"]
+    assert {"numpy", "yaml"}.isdisjoint(declared_dependencies())

@@ -253,6 +253,38 @@ class TestHttpGenerator:
             "backend unavailable after 3 attempts: reply ended before its Content-Length"
         )
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("exc", [
+        requests.exceptions.ContentDecodingError("body failed to decompress"),
+        requests.TooManyRedirects("Exceeded 30 redirects."),
+        requests.exceptions.InvalidURL("Failed to parse: http://"),
+        OSError("disk"),
+        ValueError("bad header"),
+    ], ids=type)
+    def test_other_transport_exception_fails_only_its_episode_unretried(self, exc, parallelism):
+        asked = []
+
+        def transport(url, headers, payload, timeout):
+            question = payload["messages"][1]["content"].split("\n", 1)[0]
+            asked.append(question)
+            if question == "Question: q1":
+                raise exc
+            return 200, chat_body("[ANSWER] x [SOLVED]")
+
+        gen = HttpChatGenerator(settings(), transport)
+        out = batch_run(["q0", "q1", "q2"], PlannerConfig(), lambda i: gen, None, parallelism)
+        assert [ep.status for ep in out] == ["completed", "generator_failure", "completed"]
+        assert out[1].failure == f"backend request failed: {type(exc).__name__}"
+        assert [ep.final_answer for ep in (out[0], out[2])] == ["x", "x"]
+        assert sorted(asked) == ["Question: q0", "Question: q1", "Question: q2"]
+
+    def test_keyboard_interrupt_in_the_transport_ends_the_call(self):
+        def transport(url, headers, payload, timeout):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            HttpChatGenerator(settings(), transport).emit_turn(CTX)
+
     # each error as requests raises it, wrapping the urllib3 error it caught
     URL = "http://backend/v1/chat"
     CUT_SHORT = IncompleteRead(20, 480)

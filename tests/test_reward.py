@@ -5,11 +5,12 @@ import random
 import pytest
 
 from planrag.control import parse_trajectory
-from planrag.metrics import bleu
+from planrag.metrics import bleu, bleu_reference
 from planrag.reward import (
-    answer_fidelity,
-    control_accuracy,
+    CONTROL_MATCH_BONUS,
+    INVALID_PENALTY,
     final_answer_text,
+    prepare,
     total_reward,
 )
 from planrag.supervision import (
@@ -31,6 +32,22 @@ def alpha_sample(gold="the gold answer"):
     )
 
 
+def reward(rollout, sample):
+    """The reward of a rollout text against a supervision sample, at budget 3."""
+    return total_reward(parse_trajectory(rollout), prepare(sample.references, sample.target, 3))
+
+
+def answer_fidelity(rollout_answer, reference):
+    """r_ans of an answer against a reference, in a rollout of the target's controls."""
+    prepared = prepare([reference], parse_trajectory("[ANSWER] x [SOLVED]"), 3)
+    return total_reward(parse_trajectory(f"[ANSWER] {rollout_answer} [SOLVED]"), prepared).r_ans
+
+
+def control_accuracy(rollout, target, max_rounds):
+    """r_ctrl of a rollout against a target, both checked at ``max_rounds``."""
+    return total_reward(rollout, prepare(["gold"], target, max_rounds)).r_ctrl
+
+
 class TestAnswerFidelity:
     def test_identity(self):
         assert answer_fidelity("the gold answer", "the gold answer") == pytest.approx(1.0)
@@ -40,7 +57,7 @@ class TestAnswerFidelity:
 
     def test_matches_bleu(self):
         assert answer_fidelity("the gold", "the gold answer") == pytest.approx(
-            bleu("the gold", "the gold answer"), abs=1e-12
+            bleu("the gold", bleu_reference("the gold answer")), abs=1e-12
         )
 
     def test_empty_reference_rejected(self):
@@ -77,6 +94,15 @@ class TestControlAccuracy:
         b = parse_trajectory("[ANSWER] x [SOLVED]")
         assert control_accuracy(a, self.target, 3) == control_accuracy(b, self.target, 3)
 
+    def test_rollout_is_checked_at_the_budget_of_its_prepared_target(self):
+        two = parse_trajectory("[INTERMEDIARY] a [RETRIEVE] q [INTERMEDIARY] b [RETRIEVE] r "
+                               "[ANSWER] x [SOLVED]")
+        assert control_accuracy(two, self.target, 1) == INVALID_PENALTY
+        assert control_accuracy(two, two, 3) == CONTROL_MATCH_BONUS
+        # a target is checked at the budget its rollouts are scored at
+        with pytest.raises(ValueError, match="target trajectory does not satisfy the grammar"):
+            prepare(["gold"], two, 1)
+
 
 class TestFinalAnswerText:
     def test_last_answer_segment(self):
@@ -90,21 +116,21 @@ class TestFinalAnswerText:
 class TestTotalReward:
     def test_perfect_rollout(self):
         sample = alpha_sample()
-        breakdown = total_reward(parse_trajectory(sample.target.source), sample, 3)
+        breakdown = reward(sample.target.source, sample)
         assert breakdown.r_ans == pytest.approx(1.0)
         assert breakdown.r_ctrl == 0.5
         assert breakdown.total == pytest.approx(1.5)
 
     def test_correct_controls_empty_answer(self):
         sample = alpha_sample()
-        breakdown = total_reward(parse_trajectory("[ANSWER]  [SOLVED]"), sample, 3)
+        breakdown = reward("[ANSWER]  [SOLVED]", sample)
         assert breakdown.r_ans == 0.0
         assert breakdown.total == pytest.approx(0.5)
 
     def test_invalid_grammar_gold_text(self):
         sample = alpha_sample()
         # answer text is exactly gold but the turn never terminates
-        breakdown = total_reward(parse_trajectory("[ANSWER] the gold answer"), sample, 3)
+        breakdown = reward("[ANSWER] the gold answer", sample)
         assert breakdown.r_ans == pytest.approx(1.0)
         assert breakdown.r_ctrl == -0.5
         assert breakdown.total == pytest.approx(0.5)
@@ -118,7 +144,7 @@ class TestTotalReward:
             "plain text",
             "[INTERMEDIARY] a [RETRIEVE] q [ANSWER] the gold answer [SOLVED]",
         ):
-            b = total_reward(parse_trajectory(text), sample, 3)
+            b = reward(text, sample)
             assert b.total == b.r_ans + b.r_ctrl
 
     def test_bounds_under_fuzz(self):
@@ -130,19 +156,17 @@ class TestTotalReward:
         ]
         for _ in range(500):
             text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 8)))
-            b = total_reward(parse_trajectory(text), sample, 3)
+            b = reward(text, sample)
             assert -0.5 <= b.total <= 1.5 + 1e-12
 
     def test_no_references_rejected(self):
         sample = alpha_sample()
         sample.references = []
         with pytest.raises(ValueError, match="sample has no reference answers"):
-            total_reward(parse_trajectory("[ANSWER] x [SOLVED]"), sample, 3)
+            reward("[ANSWER] x [SOLVED]", sample)
 
     def test_monotone_in_answer_quality(self):
         sample = alpha_sample()
-        worse = total_reward(parse_trajectory("[ANSWER] zzz qqq [SOLVED]"), sample, 3)
-        better = total_reward(
-            parse_trajectory("[ANSWER] the gold answer [SOLVED]"), sample, 3
-        )
+        worse = reward("[ANSWER] zzz qqq [SOLVED]", sample)
+        better = reward("[ANSWER] the gold answer [SOLVED]", sample)
         assert better.total >= worse.total

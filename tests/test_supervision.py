@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from planrag.control import ControlToken, control_sequence, parse_trajectory, validate
 from planrag.generator import GeneratorError, ReplayGenerator
+from planrag.metrics import NormalizationMode, normalize_refs
 from planrag.supervision import (
     EmptyTargetQueryError,
     EmptyTeacherQueryError,
@@ -52,47 +53,53 @@ def expected_kind(parametric_attempts, retrieval_attempt):
     return SupervisionKind.THETA
 
 
+def refs(*answers):
+    """Reference answers normalized as supervise normalizes them by default."""
+    return normalize_refs(list(answers), NormalizationMode.SQUAD_STYLE)
+
+
 class TestProbes:
     def test_parametric_all_exact(self):
         gen = ReplayGenerator(["paris"] * 3)
-        out = probe_parametric("q?", ["Paris"], gen, attempts_n=3)
+        out = probe_parametric("q?", refs("Paris"), gen, attempts_n=3)
         assert [a.em for a in out.attempts] == [1, 1, 1]
         assert not out.with_retrieval
 
     def test_parametric_cover_only(self):
         gen = ReplayGenerator(["it is paris maybe"])
-        out = probe_parametric("q?", ["Paris"], gen, attempts_n=1)
+        out = probe_parametric("q?", refs("Paris"), gen, attempts_n=1)
         assert out.attempts[0].em == 0 and out.attempts[0].cover_em == 1
 
     def test_parametric_miss(self):
-        out = probe_parametric("q?", ["Paris"], ReplayGenerator(["zzz"]), attempts_n=1)
+        out = probe_parametric("q?", refs("Paris"), ReplayGenerator(["zzz"]), attempts_n=1)
         assert out.attempts[0].em == 0 and out.attempts[0].cover_em == 0
 
     def test_parametric_strips_control_tokens(self):
         gen = ReplayGenerator(["[ANSWER] paris [SOLVED]"])
-        out = probe_parametric("q?", ["Paris"], gen, attempts_n=1)
+        out = probe_parametric("q?", refs("Paris"), gen, attempts_n=1)
         assert out.attempts[0].em == 1
 
     def test_em_implies_cover_invariant(self):
         gen = ReplayGenerator(["paris", "it is paris", "zzz"])
-        out = probe_parametric("q?", ["Paris"], gen, attempts_n=3)
+        out = probe_parametric("q?", refs("Paris"), gen, attempts_n=3)
         for a in out.attempts:
             assert a.em <= a.cover_em
 
     def test_retrieval_probe_records_passages(self, tiny_index):
         gen = ReplayGenerator(["1871"])
-        out = probe_retrieval("when was the German Empire proclaimed", ["1871"], gen, tiny_index)
+        question = "when was the German Empire proclaimed"
+        out = probe_retrieval(question, refs("1871"), gen, tiny_index)
         assert out.with_retrieval
         assert out.attempts[0].em == 1
         assert "p4" in out.passages_used
 
     def test_retrieval_probe_without_index(self):
-        out = probe_retrieval("q?", ["x"], ReplayGenerator(["nope"]), None)
+        out = probe_retrieval("q?", refs("x"), ReplayGenerator(["nope"]), None)
         assert out.passages_used == ()
 
     def test_attempts_n_validated(self):
         with pytest.raises(ValueError):
-            probe_parametric("q?", ["x"], ReplayGenerator([]), attempts_n=0)
+            probe_parametric("q?", refs("x"), ReplayGenerator([]), attempts_n=0)
 
 
 class TestClassify:
