@@ -146,8 +146,8 @@ def _transport_failure(exc: Exception) -> str:
     """One plain sentence for a retried transport failure.
 
     ``str(exc)`` of a ``requests`` error is that of the urllib3 error it wraps,
-    often a tuple repr, so neither this sentence nor that of any other
-    exception the transport raises records it.
+    often a tuple repr, so it is not recorded, here or for any other
+    exception the transport raises.
     """
     if isinstance(exc, requests.Timeout):  # ConnectTimeout is also a ConnectionError
         return f"timed out after {TIMEOUT_S:g} s"
