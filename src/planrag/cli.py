@@ -12,7 +12,13 @@ import sys
 
 from . import bm25, records
 from .control import parse_trajectory
-from .generator import GeneratorError, GeneratorSettings, HttpChatGenerator, ReplayGenerator
+from .generator import (
+    GeneratorError,
+    GeneratorSettings,
+    HttpChatGenerator,
+    ReplayGenerator,
+    split_endpoint,
+)
 from .metrics import (
     NormalizationMode,
     ScoreReport,
@@ -99,6 +105,14 @@ def _load_config(path: str | None) -> dict:
             got = json.dumps(value, ensure_ascii=False)
             raise CliError(f"{path}: {key} must be {records.kind_name(kind)}, got {got}")
         _check_range(f"{path}: {key}", key, value)
+        if key.endswith("endpoint"):
+            try:
+                split_endpoint(value)
+            except ValueError:
+                got = json.dumps(value, ensure_ascii=False)
+                raise CliError(
+                    f"{path}: {key} must be an http:// or https:// URL with a host, got {got}"
+                ) from None
     return config
 
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import functools
+import http.client
+import json
 import os
+import ssl
 import time
+import urllib.parse
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
-
-import requests
 
 from .bm25 import Passage
 from .control import Segment, closed_branch, parse_trajectory, render_segments
@@ -133,27 +136,61 @@ TIMEOUT_S = 60.0
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
 
 
-def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
-    resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
+def split_endpoint(url: str) -> urllib.parse.SplitResult:
+    """``url`` split into its parts; ValueError unless it is http:// or https:// with a host."""
+    parts = urllib.parse.urlsplit(url)
+    parts.port  # raises ValueError for a port that is not a number from 0 to 65535
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"not an http:// or https:// URL with a host: {url!r}")
+    return parts
+
+
+@functools.cache
+def _tls_context() -> ssl.SSLContext:
+    """The system CA store, shared by every HTTPS request: loading it takes about 50 ms."""
+    return ssl.create_default_context()
+
+
+def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
+    """POST ``payload`` as JSON on a connection of its own; ``(status, body)``.
+
+    A body that is not JSON reads as ``{}``. The connection is closed on every
+    path, so nothing is kept between requests.
+    """
+    parts = split_endpoint(url)
+    if parts.scheme == "https":
+        conn = http.client.HTTPSConnection(
+            parts.hostname, parts.port, timeout=timeout, context=_tls_context()
+        )
+    else:
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+    path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     try:
-        body = resp.json()
+        conn.request("POST", path, json.dumps(payload, allow_nan=False).encode(), headers)
+        resp = conn.getresponse()
+        raw = resp.read()
+    finally:
+        conn.close()
+    try:
+        body = json.loads(raw)
     except ValueError:
         body = {}
-    return resp.status_code, body
+    return resp.status, body
 
 
-def _transport_failure(exc: Exception) -> str:
-    """One plain sentence for a retried transport failure.
+def _retry_reason(exc: Exception) -> str | None:
+    """The plain sentence for a transport failure that is retried; None if it is not.
 
-    ``str(exc)`` of a ``requests`` error is that of the urllib3 error it wraps,
-    often a tuple repr, so it is not recorded, here or for any other
-    exception the transport raises.
+    A failed certificate check is an ``OSError`` too, but asking again cannot
+    pass it. ``str(exc)`` is not recorded: a socket error's holds an errno.
     """
-    if isinstance(exc, requests.Timeout):  # ConnectTimeout is also a ConnectionError
-        return f"timed out after {TIMEOUT_S:g} s"
-    if isinstance(exc, requests.exceptions.ChunkedEncodingError):
+    if isinstance(exc, http.client.IncompleteRead):
         return "reply ended before its Content-Length"
-    return "connection to the backend failed"
+    if isinstance(exc, TimeoutError):
+        return f"timed out after {TIMEOUT_S:g} s"
+    if isinstance(exc, OSError) and not isinstance(exc, ssl.SSLCertVerificationError):
+        return "connection to the backend failed"  # refused, reset, closed, DNS
+    return None
 
 
 class HttpChatGenerator:
@@ -161,12 +198,13 @@ class HttpChatGenerator:
 
     Only transport-level failures (connection errors, timeouts, replies cut
     short, 5xx) are retried; a semantic backend rejection (4xx, malformed
-    body) and any other exception of the transport never are.
+    body), a failed certificate check and any other exception of the
+    transport never are.
     """
 
     def __init__(self, settings: GeneratorSettings, transport: Transport | None = None):
         self.settings = settings
-        self.transport = transport or _requests_transport
+        self.transport = transport or _http_transport
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -195,15 +233,12 @@ class HttpChatGenerator:
                 status, body = self.transport(
                     self.settings.endpoint, self._headers(), payload, TIMEOUT_S
                 )
-            except (
-                requests.ConnectionError,
-                requests.Timeout,
-                requests.exceptions.ChunkedEncodingError,
-            ) as exc:
-                last_error = _transport_failure(exc)
+            except Exception as exc:
+                reason = _retry_reason(exc)
+                if reason is None:  # not a failure to reach the backend
+                    raise GeneratorError(f"backend request failed: {type(exc).__name__}") from exc
+                last_error = reason
                 continue
-            except Exception as exc:  # not a failure to reach the backend, so not retried
-                raise GeneratorError(f"backend request failed: {type(exc).__name__}") from exc
             if status >= 500:
                 last_error = f"backend returned {status}"
                 continue

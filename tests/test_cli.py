@@ -815,7 +815,7 @@ class TestLoneSurrogate:
 
     def test_in_a_chat_reply(self, workspace, monkeypatch):
         reply = {"choices": [{"message": {"content": "[ANSWER] Paris \ud800 [SOLVED]"}}]}
-        monkeypatch.setattr("planrag.generator._requests_transport", lambda *args: (200, reply))
+        monkeypatch.setattr("planrag.generator._http_transport", lambda *args: (200, reply))
         config = workspace["root"] / "chat.json"
         config.write_text(json.dumps({"endpoint": "http://backend/v1/chat", "model": "m"}))
         out_dir = workspace["root"] / "chat"
@@ -980,6 +980,12 @@ def _reward_samples(tmp_path, text):
          ["bad_config.json: endpoint must be a string, got 5"]),
         (lambda tmp: _config(tmp, {"budjet": 1}),
          ['bad_config.json: unknown setting "budjet"']),
+        (lambda tmp: _config(tmp, {"endpoint": "ftp://backend/v1/chat", "model": "m"}),
+         ['bad_config.json: endpoint must be an http:// or https:// URL with a host, '
+          'got "ftp://backend/v1/chat"']),
+        (lambda tmp: _config(tmp, {"teacher_endpoint": "backend/v1/chat"}, "supervise"),
+         ['bad_config.json: teacher_endpoint must be an http:// or https:// URL with a host, '
+          'got "backend/v1/chat"']),
         (lambda tmp: _index_bytes(tmp, b"\xff"), ["bad_index.json", "not a readable index"]),
         (lambda tmp: _corpus_bytes(tmp, json.dumps(CORPUS[0]).encode() + b"\n\xff\n"),
          ["bad_corpus.jsonl:2", "not UTF-8"]),
@@ -997,7 +1003,8 @@ def _reward_samples(tmp_path, text):
          "replay_turns_not_list", "probe_script_not_object", "probe_turns_not_list",
          "sample_kind_not_allowed", "config_budget_null", "config_budget_list",
          "config_scripts_list", "config_scripts_bool", "config_split_not_allowed",
-         "config_endpoint_int", "config_key_unknown",
+         "config_endpoint_int", "config_key_unknown", "config_endpoint_not_http",
+         "config_teacher_endpoint_without_scheme",
          "index_not_utf8", "corpus_not_utf8", "index_ordinal_past_passages",
          "index_hit_not_utf8"],
 )

@@ -7,15 +7,17 @@ waits it sleeps; whatever the other questions drew must not change that.
 """
 
 import contextlib
+import http.client
 import io
 import itertools
 import json
 import os
+import socket
+import ssl
 import tempfile
 import types
 from unittest import mock
 
-import requests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -45,16 +47,20 @@ OUTCOMES = {
                    ("fail", "malformed backend response: list index out of range")),
     "content_not_text": (lambda: chat(5),
                          ("fail", "malformed backend response: message content is int, not text")),
-    "connection_error": (lambda: requests.ConnectionError("refused"),
+    "connection_error": (lambda: ConnectionRefusedError(111, "Connection refused"),
                          ("retry", "connection to the backend failed")),
-    "timeout": (lambda: requests.Timeout("read timed out"), ("retry", "timed out after 60 s")),
-    "cut_short": (lambda: requests.exceptions.ChunkedEncodingError("cut short"),
+    "timeout": (lambda: TimeoutError("timed out"), ("retry", "timed out after 60 s")),
+    "cut_short": (lambda: http.client.IncompleteRead(b"cut", 480),
                   ("retry", "reply ended before its Content-Length")),
-    "not_decoded": (lambda: requests.exceptions.ContentDecodingError("bad gzip"),
-                    ("fail", "backend request failed: ContentDecodingError")),
-    "redirects": (lambda: requests.TooManyRedirects("Exceeded 30 redirects."),
-                  ("fail", "backend request failed: TooManyRedirects")),
-    "os_error": (lambda: OSError("disk"), ("fail", "backend request failed: OSError")),
+    "remote_disconnected": (lambda: http.client.RemoteDisconnected("closed"),
+                            ("retry", "connection to the backend failed")),
+    "dns": (lambda: socket.gaierror(-2, "Name or service not known"),
+            ("retry", "connection to the backend failed")),
+    "certificate": (lambda: ssl.SSLCertVerificationError(1, "certificate verify failed"),
+                    ("fail", "backend request failed: SSLCertVerificationError")),
+    "bad_status_line": (lambda: http.client.BadStatusLine("garbage"),
+                        ("fail", "backend request failed: BadStatusLine")),
+    "os_error": (lambda: OSError("disk"), ("retry", "connection to the backend failed")),
     "value_error": (lambda: ValueError("bad header"), ("fail", "backend request failed: ValueError")),
 }
 
@@ -156,7 +162,7 @@ def cli_transcripts(schedules, idx):
                 "--config", path("config.json"), "--out-dir", path("out"), "--parallelism", "2"]
         transport = ScheduledTransport(schedules)
         sleeps = types.SimpleNamespace(sleep=lambda s: None)
-        with mock.patch.object(generator, "_requests_transport", transport), \
+        with mock.patch.object(generator, "_http_transport", transport), \
                 mock.patch.object(generator, "time", sleeps), \
                 contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)

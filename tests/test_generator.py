@@ -1,15 +1,15 @@
-"""Generator gateway: replay semantics, prompt rendering, retry policy."""
+"""Generator gateway: replay semantics, prompt rendering, retry policy, HTTP transport."""
+
+import gc
+import http.client
+import http.server
+import json
+import socket
+import ssl
+import threading
+import warnings
 
 import pytest
-import requests
-from urllib3.exceptions import (
-    ConnectTimeoutError,
-    IncompleteRead,
-    MaxRetryError,
-    NewConnectionError,
-    ProtocolError,
-    ReadTimeoutError,
-)
 
 from planrag import generator
 from planrag.bm25 import Passage
@@ -160,7 +160,7 @@ class TestHttpGenerator:
         assert emission.text == "[ANSWER] hi [SOLVED]"
 
     def test_transport_failures_exhaust_retries(self):
-        transport = transport_script([requests.ConnectionError("boom")] * 5)
+        transport = transport_script([ConnectionRefusedError(111, "Connection refused")] * 5)
         gen = HttpChatGenerator(settings(), transport)
         with pytest.raises(GeneratorError) as err:
             gen.emit_turn(CTX)
@@ -171,7 +171,7 @@ class TestHttpGenerator:
 
     def test_recovers_after_transient_failure(self):
         transport = transport_script(
-            [requests.ConnectionError("x"), (503, {}), (200, chat_body("ok"))]
+            [ConnectionResetError(104, "reset by peer"), (503, {}), (200, chat_body("ok"))]
         )
         gen = HttpChatGenerator(settings(), transport)
         assert gen.emit_turn(CTX).text == "ok"
@@ -232,7 +232,7 @@ class TestHttpGenerator:
         assert [ep.final_answer for i, ep in enumerate(out) if i != 2] == ["x"] * 4
 
     def test_reply_cut_short_is_retried(self):
-        cut_short = requests.exceptions.ChunkedEncodingError("cut short")
+        cut_short = http.client.IncompleteRead(b"cut", 480)
         transport = transport_script([cut_short, (200, chat_body("[ANSWER] x [SOLVED]"))])
         ep = run_episode("q", PlannerConfig(), HttpChatGenerator(settings(), transport))
         assert (ep.status, ep.final_answer) == ("completed", "x")
@@ -242,7 +242,7 @@ class TestHttpGenerator:
     def test_replies_always_cut_short_fail_only_their_episode(self, parallelism):
         def transport(url, headers, payload, timeout):
             if "Question: q2" in payload["messages"][1]["content"]:
-                raise requests.exceptions.ChunkedEncodingError("cut short")
+                raise http.client.IncompleteRead(b"cut", 480)
             return 200, chat_body("[ANSWER] x [SOLVED]")
 
         gen = HttpChatGenerator(settings(), transport)
@@ -255,10 +255,9 @@ class TestHttpGenerator:
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("exc", [
-        requests.exceptions.ContentDecodingError("body failed to decompress"),
-        requests.TooManyRedirects("Exceeded 30 redirects."),
-        requests.exceptions.InvalidURL("Failed to parse: http://"),
-        OSError("disk"),
+        ssl.SSLCertVerificationError(1, "certificate verify failed: unable to get local issuer"),
+        http.client.BadStatusLine("SSH-2.0-OpenSSH_9.6"),
+        http.client.InvalidURL("nonnumeric port: 'x'"),
         ValueError("bad header"),
     ], ids=type)
     def test_other_transport_exception_fails_only_its_episode_unretried(self, exc, parallelism):
@@ -285,25 +284,20 @@ class TestHttpGenerator:
         with pytest.raises(KeyboardInterrupt):
             HttpChatGenerator(settings(), transport).emit_turn(CTX)
 
-    # each error as requests raises it, wrapping the urllib3 error it caught
-    URL = "http://backend/v1/chat"
-    CUT_SHORT = IncompleteRead(20, 480)
-
+    # each error as http.client, socket or ssl raises it
     @pytest.mark.parametrize("exc,reason", [
-        (requests.exceptions.ChunkedEncodingError(
-            ProtocolError(f"Connection broken: {CUT_SHORT!r}", CUT_SHORT)),
-         "reply ended before its Content-Length"),
-        (requests.ReadTimeout(
-            ReadTimeoutError(None, URL, "Read timed out. (read timeout=60.0)"), request=None),
-         "timed out after 60 s"),
-        (requests.ConnectTimeout(MaxRetryError(None, URL, ConnectTimeoutError(
-            None, "Connection to backend timed out. (connect timeout=60.0)")), request=None),
-         "timed out after 60 s"),
-        (requests.ConnectionError(MaxRetryError(None, URL, NewConnectionError(
-            None, "Failed to establish a new connection: [Errno 111] Connection refused")),
-            request=None),
+        (http.client.IncompleteRead(b"x" * 20, 460), "reply ended before its Content-Length"),
+        (TimeoutError("timed out"), "timed out after 60 s"),
+        (ConnectionRefusedError(111, "Connection refused"), "connection to the backend failed"),
+        (ConnectionResetError(104, "Connection reset by peer"), "connection to the backend failed"),
+        (http.client.RemoteDisconnected("Remote end closed connection without response"),
          "connection to the backend failed"),
-    ], ids=["cut_short", "read_timeout", "connect_timeout", "connection_refused"])
+        (socket.gaierror(-2, "Name or service not known"), "connection to the backend failed"),
+        (ssl.SSLError(1, "[SSL: WRONG_VERSION_NUMBER] wrong version number"),
+         "connection to the backend failed"),
+        (OSError("disk"), "connection to the backend failed"),
+    ], ids=["cut_short", "timeout", "refused", "reset", "remote_disconnected", "dns",
+            "tls_handshake", "other_os_error"])
     def test_transport_failure_is_one_plain_sentence(self, exc, reason):
         transport = transport_script([exc])
         with pytest.raises(GeneratorError) as err:
@@ -321,3 +315,149 @@ class TestHttpGenerator:
 
         HttpChatGenerator(settings(), transport).emit_turn(CTX)
         assert seen.get("Authorization") == "Bearer sekrit"
+
+
+class Backend(http.server.ThreadingHTTPServer):
+    """A chat backend on 127.0.0.1 that answers each POST with ``reply(payload)``."""
+
+    daemon_threads = True
+
+    def __init__(self, reply):
+        super().__init__(("127.0.0.1", 0), BackendHandler)
+        self.reply = reply
+        self.seen = []
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}/v1/chat?model=m"
+
+
+class BackendHandler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive, so only the client's close ends the connection
+
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.seen.append((self.path, dict(self.headers), payload))
+        status, data, length = self.server.reply(payload)
+        self.send_response(status)
+        self.send_header("Content-Length", str(length))
+        self.end_headers()
+        self.wfile.write(data)
+        if length > len(data):  # the reply is cut short: close before the rest
+            self.close_connection = True
+
+
+def reply_with(status, data, length=None):
+    return lambda payload: (status, data, len(data) if length is None else length)
+
+
+@pytest.fixture
+def backend():
+    servers = []
+
+    def start(reply):
+        server = Backend(reply)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def no_leaks():
+    """Fail the test if a socket or file it opened is collected without being closed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+class TestHttpTransport:
+    """generator._http_transport against a real socket on 127.0.0.1."""
+
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr(generator, "BACKOFF_BASE_S", 0.0)
+
+    def test_reply_round_trips(self, backend, no_leaks, monkeypatch):
+        monkeypatch.setenv("PLANRAG_API_KEY", "sekrit")
+        body = chat_body("[ANSWER] caf\u00e9 [SOLVED] and more")
+        server = backend(reply_with(200, json.dumps(body).encode()))
+        gen = HttpChatGenerator(GeneratorSettings(endpoint=server.url, model="m"))
+        emission = gen.emit_turn(make_ctx(question="caf\u00e9 \ud800?"))
+        assert emission.text == "[ANSWER] caf\u00e9 [SOLVED]"
+        [(path, headers, payload)] = server.seen
+        assert path == "/v1/chat?model=m"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer sekrit"
+        assert payload == gen._payload(make_ctx(question="caf\u00e9 \ud800?"))
+
+    @pytest.mark.parametrize("status,data,want", [
+        (200, b"<html>not json</html>", (200, {})),
+        (503, b"", (503, {})),
+        (400, b'{"error": "bad"}', (400, {"error": "bad"})),
+    ], ids=["not_json", "empty_5xx", "json_4xx"])
+    def test_status_and_body(self, backend, no_leaks, status, data, want):
+        server = backend(reply_with(status, data))
+        assert generator._http_transport(server.url, {}, {"a": 1}, 5.0) == want
+
+    def test_reply_cut_short_is_retried(self, backend, no_leaks):
+        server = backend(reply_with(200, b'{"choices": [', length=480))
+        gen = HttpChatGenerator(GeneratorSettings(endpoint=server.url, model="m"))
+        with pytest.raises(GeneratorError) as err:
+            gen.emit_turn(CTX)
+        assert str(err.value) == (
+            "backend unavailable after 3 attempts: reply ended before its Content-Length"
+        )
+        assert len(server.seen) == 3
+
+    def test_refused_port_is_retried(self, no_leaks):
+        with socket.socket() as unused:  # bound but not listening, so a connect is refused
+            unused.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{unused.getsockname()[1]}/v1/chat"
+            calls = []
+
+            def transport(*args):
+                calls.append(args[0])
+                return generator._http_transport(*args)
+
+            gen = HttpChatGenerator(GeneratorSettings(endpoint=url, model="m"), transport)
+            with pytest.raises(GeneratorError) as err:
+                gen.emit_turn(CTX)
+        assert str(err.value) == (
+            "backend unavailable after 3 attempts: connection to the backend failed"
+        )
+        assert calls == [url] * 3
+
+    def test_https_to_a_plain_http_port_is_a_connection_failure(self, backend, no_leaks):
+        server = backend(reply_with(200, b"{}"))
+        url = server.url.replace("http://", "https://")
+        with pytest.raises(GeneratorError) as err:
+            HttpChatGenerator(GeneratorSettings(endpoint=url, model="m")).emit_turn(CTX)
+        assert str(err.value) == (
+            "backend unavailable after 3 attempts: connection to the backend failed"
+        )
+        assert server.seen == []
+
+    @pytest.mark.parametrize("url", ["ftp://backend/v1/chat", "backend/v1/chat", "http://:80/v1",
+                                     "http://backend:x/v1", "http://[::1/v1"])
+    def test_endpoint_that_is_not_http_with_a_host_is_not_retried(self, url):
+        calls = []
+
+        def transport(*args):
+            calls.append(args[0])
+            return generator._http_transport(*args)
+
+        gen = HttpChatGenerator(GeneratorSettings(endpoint=url, model="m"), transport)
+        with pytest.raises(GeneratorError) as err:
+            gen.emit_turn(CTX)
+        assert str(err.value) == "backend request failed: ValueError"
+        assert calls == [url]
