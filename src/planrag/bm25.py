@@ -14,7 +14,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import records
 
@@ -44,15 +44,13 @@ _RESCORE_WITHIN = 4
 _SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class Passage:
+class Passage(NamedTuple):
     id: str
     title: str
     text: str
 
 
-@dataclass(frozen=True)
-class RetrievedPassage:
+class RetrievedPassage(NamedTuple):
     passage: Passage
     score: float
     rank: int
@@ -310,11 +308,8 @@ class PassageIndex:
         exact = self._exact
         scores = {ordinal: exact(terms, ordinal) for ordinal in acc}
         ids = self.ids
-        ranked = heapq.nsmallest(k, scores, key=lambda o: (-scores[o], ids[o]))
-        return [
-            RetrievedPassage(passage=self.passages[o], score=scores[o], rank=r)
-            for r, o in enumerate(ranked, 1)
-        ]
+        ranked = sorted(scores, key=lambda o: (-scores[o], ids[o]))[:k]
+        return [RetrievedPassage(self.passages[o], scores[o], r) for r, o in enumerate(ranked, 1)]
 
 
 def build_index(

@@ -9,8 +9,8 @@ The accepted shape is ``([INTERMEDIARY] text [RETRIEVE] query)* [ANSWER] text
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class ControlToken(Enum):
@@ -31,6 +31,8 @@ class ControlToken(Enum):
 
 
 _SURFACE_TO_TOKEN = {t.value: t for t in ControlToken}
+# a marker's surface by dict lookup, which is cheaper than the property; None renders as ""
+_SURFACE = {t: t.value for t in ControlToken} | {None: ""}
 # No surface form is a prefix or substring of another, so a plain alternation
 # scan is unambiguous; longest-match ordering is kept anyway. The group makes
 # re.split keep each token between the texts around it.
@@ -40,16 +42,14 @@ _TOKEN_RE = re.compile(
 _MAX_SURFACE_LEN = max(len(s) for s in _SURFACE_TO_TOKEN)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One marker (None only for leading plain text) plus the text that follows it."""
 
     marker: ControlToken | None
     text: str
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     segments: tuple[Segment, ...]
     source: str
 
@@ -63,9 +63,8 @@ class Trajectory:
 
 
 def render_segments(segments: tuple[Segment, ...] | list[Segment]) -> str:
-    return "".join(
-        (seg.marker.surface if seg.marker else "") + seg.text for seg in segments
-    )
+    surface = _SURFACE
+    return "".join([surface[marker] + text for marker, text in segments])
 
 
 def parse_trajectory(text: str) -> Trajectory:
@@ -80,21 +79,18 @@ def parse_trajectory(text: str) -> Trajectory:
 # --- streaming scanner -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TextRun:
+class TextRun(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class TokenEvent:
+class TokenEvent(NamedTuple):
     token: ControlToken
 
 
 StreamEvent = TextRun | TokenEvent
 
 
-@dataclass(frozen=True)
-class ScannerState:
+class ScannerState(NamedTuple):
     """Carry-over between chunks: the longest tail that may still become a token."""
 
     pending: str = ""
@@ -219,8 +215,7 @@ def last_answer(t: Trajectory) -> str | None:
 # --- validation --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     violations: tuple[str, ...]
     retrieve_count: int

@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import functools
-import http.client
 import json
 import os
-import ssl
 import time
 import urllib.parse
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .bm25 import Passage
 from .control import Segment, closed_branch, parse_trajectory, render_segments
+
+if TYPE_CHECKING:  # pragma: no cover
+    import ssl
 
 DEFAULT_PREAMBLE = (
     "You answer questions by planning retrieval with control tokens. "
@@ -41,14 +42,12 @@ class StopReason(Enum):
     LENGTH_LIMIT = "length_limit"
 
 
-@dataclass(frozen=True)
-class EvidenceBlock:
+class EvidenceBlock(NamedTuple):
     query: str
     passages: list[Passage]
 
 
-@dataclass(frozen=True)
-class GenerationContext:
+class GenerationContext(NamedTuple):
     system_preamble: str
     question: str
     evidence_blocks: tuple[EvidenceBlock, ...] = ()
@@ -56,8 +55,7 @@ class GenerationContext:
     finalize_required: bool = False
 
 
-@dataclass(frozen=True)
-class GeneratorEmission:
+class GeneratorEmission(NamedTuple):
     text: str
     stop_reason: StopReason = StopReason.END_OF_TURN
 
@@ -148,6 +146,8 @@ def split_endpoint(url: str) -> urllib.parse.SplitResult:
 @functools.cache
 def _tls_context() -> ssl.SSLContext:
     """The system CA store, shared by every HTTPS request: loading it takes about 50 ms."""
+    import ssl
+
     return ssl.create_default_context()
 
 
@@ -155,8 +155,12 @@ def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
     """POST ``payload`` as JSON on a connection of its own; ``(status, body)``.
 
     A body that is not JSON reads as ``{}``. The connection is closed on every
-    path, so nothing is kept between requests.
+    path, so nothing is kept between requests. ``http.client`` is imported
+    here, not with the module, so that the commands that never ask a backend
+    do not load it.
     """
+    import http.client
+
     parts = split_endpoint(url)
     if parts.scheme == "https":
         conn = http.client.HTTPSConnection(
@@ -184,6 +188,9 @@ def _retry_reason(exc: Exception) -> str | None:
     A failed certificate check is an ``OSError`` too, but asking again cannot
     pass it. ``str(exc)`` is not recorded: a socket error's holds an errno.
     """
+    import http.client
+    import ssl
+
     if isinstance(exc, http.client.IncompleteRead):
         return "reply ended before its Content-Length"
     if isinstance(exc, TimeoutError):

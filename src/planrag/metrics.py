@@ -8,7 +8,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .planner import Episode
@@ -52,8 +52,7 @@ def _tokens(s: str, mode: NormalizationMode) -> list[str]:
     return normalize(s, mode).split()
 
 
-@dataclass(frozen=True)
-class References:
+class References(NamedTuple):
     """A question's reference answers normalized once in one mode.
 
     ``exact_match`` and ``cover_em`` score the question's many answers against
@@ -118,8 +117,7 @@ def _lcs_len(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-@dataclass(frozen=True)
-class RougeScores:
+class RougeScores(NamedTuple):
     r1: float
     r2: float
     rl: float
@@ -158,8 +156,7 @@ def rouge(
     return _overlap_scores(_tokens(pred, mode), _ref_tokens(refs, mode))[1]
 
 
-@dataclass(frozen=True)
-class BleuReference:
+class BleuReference(NamedTuple):
     """A BLEU reference tokenized once: its length and its 1- to 4-gram counts."""
 
     length: int
@@ -209,8 +206,7 @@ def bleu(pred: str, ref: BleuReference) -> float:
 # --- aggregation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricRow:
+class MetricRow(NamedTuple):
     dataset: str
     em: float
     rouge_avg: float

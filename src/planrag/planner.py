@@ -14,6 +14,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .bm25 import PassageIndex, RetrievedPassage
 from .control import (
@@ -108,8 +109,7 @@ class Episode:
 # --- turn interpretation ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TurnReading:
+class TurnReading(NamedTuple):
     kind: str  # answer | retrieve | bare_intermediary | plain | malformed
     consumed: tuple[Segment, ...]
     answer: str = ""
@@ -167,7 +167,7 @@ def build_context(ep: Episode, finalize_required: bool) -> GenerationContext:
         system_preamble=DEFAULT_PREAMBLE,
         question=ep.question,
         evidence_blocks=tuple(
-            EvidenceBlock(query=r.query, passages=[h.passage for h in r.results])
+            EvidenceBlock(r.query, [h.passage for h in r.results])
             for r in ep.memory
         ),
         prior_segments=tuple(ep.segments),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .control import ControlToken, Trajectory, control_sequence, last_answer, validate
 from .metrics import BleuReference, bleu, bleu_reference
@@ -11,15 +11,13 @@ CONTROL_MATCH_BONUS = 0.5
 INVALID_PENALTY = -0.5
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
+class RewardBreakdown(NamedTuple):
     r_ans: float
     r_ctrl: float
     total: float
 
 
-@dataclass(frozen=True)
-class PreparedSample:
+class PreparedSample(NamedTuple):
     """What scoring a rollout needs of its sample, worked out once for all its rollouts."""
 
     reference: BleuReference

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .bm25 import PassageIndex, Passage
 from .control import (
@@ -57,15 +58,13 @@ class EmptyTargetQueryError(ValueError):
     """A question of control tokens and blanks only cannot be a target's retrieval query."""
 
 
-@dataclass(frozen=True)
-class ProbeAttempt:
+class ProbeAttempt(NamedTuple):
     answer: str
     em: int
     cover_em: int
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
+class ProbeOutcome(NamedTuple):
     attempts: tuple[ProbeAttempt, ...]
     with_retrieval: bool
     passages: tuple[Passage, ...] = ()

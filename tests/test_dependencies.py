@@ -1,7 +1,9 @@
 """Every module planrag imports is in the standard library, planrag or its dependencies."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,3 +48,13 @@ def test_the_guard_sees_every_import_form():
     source += "def f():\n    import yaml.loader\n"
     assert imported_names(source) == ["numpy", "os", "planrag", "yaml"]
     assert {"numpy", "yaml"}.isdisjoint(declared_dependencies())
+
+
+def test_importing_the_cli_loads_no_http_transport():
+    # the chat transport imports http.client and ssl when it first sends a request, so the
+    # commands that never ask a backend (index, score, reward, replay runs) do not pay for them
+    probe = "import sys, planrag.cli; print(sorted({'http.client', 'ssl'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
