@@ -403,7 +403,7 @@ def cmd_supervise(args, settings) -> int:
             teacher_query = None
             if kind is SupervisionKind.GAMMA:
                 teacher_query = teacher_followup_query(
-                    question, retrieval.attempts[0].answer, list(retrieval.passages), teacher(i)
+                    question, retrieval.attempts[0].answer, list(retrieval.hits), teacher(i)
                 )
             samples.append(
                 build_sample(question, refs, parametric, retrieval, teacher_query, qid=row["id"])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .bm25 import Passage
+from .bm25 import RetrievedPassage
 from .control import Segment, closed_branch, parse_trajectory, render_segments
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,8 +43,11 @@ class StopReason(Enum):
 
 
 class EvidenceBlock(NamedTuple):
+    """One retrieval round: its query and ranked hits, as an episode's memory logs
+    them and as the prompt shows them."""
+
     query: str
-    passages: list[Passage]
+    results: list[RetrievedPassage]
 
 
 class GenerationContext(NamedTuple):
@@ -69,7 +72,7 @@ def render_user_prompt(ctx: GenerationContext) -> str:
     lines = [f"Question: {_escape_line(ctx.question)}"]
     for block in ctx.evidence_blocks:
         lines.append(f"Query: {_escape_line(block.query)}")
-        for k, p in enumerate(block.passages, 1):
+        for k, (p, _, _) in enumerate(block.results, 1):
             lines.append(f"[{k}] {_escape_line(p.title)}: {_escape_line(p.text)}")
     lines.append("Transcript:")
     lines.append(render_segments(ctx.prior_segments))
@@ -113,7 +116,7 @@ class ReplayGenerator:
             raise GeneratorError(f"replay script exhausted after {len(self.turns)} turns")
         text = self.turns[self.cursor]
         self.cursor += 1
-        return GeneratorEmission(text=text, stop_reason=StopReason.END_OF_TURN)
+        return GeneratorEmission(text)
 
 
 @dataclass
@@ -275,4 +278,4 @@ class HttpChatGenerator:
         if truncated != text:
             text = truncated
             stop_reason = StopReason.CONTROL_BOUNDARY
-        return GeneratorEmission(text=text, stop_reason=stop_reason)
+        return GeneratorEmission(text, stop_reason)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .bm25 import PassageIndex, RetrievedPassage
+from .bm25 import PassageIndex
 from .control import (
     AWAIT_SOLVED,
     END_BREACH,
@@ -66,12 +66,6 @@ class PlannerConfig:
 
 
 @dataclass
-class RetrievalRound:
-    query: str
-    results: list[RetrievedPassage]
-
-
-@dataclass
 class PlanStep:
     index: int
     finalize: bool
@@ -86,7 +80,7 @@ class Episode:
     """One question's loop: evidence log, accepted segments, steps and outcome."""
 
     question: str
-    memory: list[RetrievalRound] = field(default_factory=list)
+    memory: list[EvidenceBlock] = field(default_factory=list)
     segments: list[Segment] = field(default_factory=list)
     steps: list[PlanStep] = field(default_factory=list)
     final_answer: str = ""
@@ -110,6 +104,7 @@ class Episode:
 
 
 class TurnReading(NamedTuple):
+    # built positionally, which is faster than by keyword
     kind: str  # answer | retrieve | bare_intermediary | plain | malformed
     consumed: tuple[Segment, ...]
     answer: str = ""
@@ -129,49 +124,37 @@ def read_turn(text: str) -> TurnReading:
     lead = segs[:1] if segs and segs[0].marker is None else ()
     marked = segs[len(lead) :]
     if not marked:
-        return TurnReading(kind="plain", consumed=segs)
+        return TurnReading("plain", segs)
     first = marked[0]
     state, breach = TRANSITIONS[OPEN, first.marker]
     if breach:
-        return TurnReading(kind="malformed", consumed=segs, reason=breach)
+        return TurnReading("malformed", segs, "", False, "", breach)
     branch = closed_branch(marked)
     answering = state == AWAIT_SOLVED
     if branch or answering:
         consumed = lead + (branch or (first,))
         truncated = bool(text[len(render_segments(consumed)) :].strip())
         if answering:
-            return TurnReading(
-                kind="answer",
-                consumed=consumed,
-                answer=first.text,
-                has_solved=branch is not None,
-                truncated=truncated,
-            )
-        return TurnReading(
-            kind="retrieve", consumed=consumed, query=branch[1].text, truncated=truncated
-        )
+            return TurnReading("answer", consumed, first.text, branch is not None, "", "",
+                               truncated)
+        return TurnReading("retrieve", consumed, "", False, branch[1].text, "", truncated)
     # An intermediary branch left open. A next marker that only leaves it open
     # (the breach of ending the turn here) makes it bare; any other is a breach.
     nxt = marked[1].marker if len(marked) > 1 else None
     breach = TRANSITIONS[state, nxt][1] if nxt else END_BREACH[state]
     if breach != END_BREACH[state]:
-        return TurnReading(kind="malformed", consumed=segs, reason=breach)
-    return TurnReading(kind="bare_intermediary", consumed=lead + (first,))
+        return TurnReading("malformed", segs, "", False, "", breach)
+    return TurnReading("bare_intermediary", lead + (first,))
 
 
 # --- operations ---------------------------------------------------------------
 
 
 def build_context(ep: Episode, finalize_required: bool) -> GenerationContext:
+    # the context shares the episode's evidence blocks, whose result lists are never
+    # changed once logged, so a turn copies no passage list
     return GenerationContext(
-        system_preamble=DEFAULT_PREAMBLE,
-        question=ep.question,
-        evidence_blocks=tuple(
-            EvidenceBlock(r.query, [h.passage for h in r.results])
-            for r in ep.memory
-        ),
-        prior_segments=tuple(ep.segments),
-        finalize_required=finalize_required,
+        DEFAULT_PREAMBLE, ep.question, tuple(ep.memory), tuple(ep.segments), finalize_required
     )
 
 
@@ -189,7 +172,7 @@ def handle_retrieve(
         raise ValueError("retrieval query is empty")
     if idx is None:
         raise MissingIndexError("generator requested retrieval but no index is configured")
-    ep.memory.append(RetrievalRound(query=query, results=idx.search(query, cfg.top_k)))
+    ep.memory.append(EvidenceBlock(query, idx.search(query, cfg.top_k)))
 
 
 def run_episode(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .bm25 import PassageIndex, Passage
+from .bm25 import PassageIndex, RetrievedPassage
 from .control import (
     _TOKEN_RE,
     ControlToken,
@@ -67,11 +67,11 @@ class ProbeAttempt(NamedTuple):
 class ProbeOutcome(NamedTuple):
     attempts: tuple[ProbeAttempt, ...]
     with_retrieval: bool
-    passages: tuple[Passage, ...] = ()
+    hits: tuple[RetrievedPassage, ...] = ()
 
     @property
     def passages_used(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.passages)
+        return tuple(h.passage.id for h in self.hits)
 
 
 @dataclass
@@ -115,17 +115,16 @@ def probe_retrieval(
 ) -> ProbeOutcome:
     """One generation with the question's top-k passages in context, scored against ``refs``."""
     hits = idx.search(question, top_k) if idx is not None else []
-    passages = [h.passage for h in hits]
     ctx = GenerationContext(
         system_preamble=RETRIEVAL_PROBE_PREAMBLE,
         question=question,
-        evidence_blocks=(EvidenceBlock(query=question, passages=passages),),
+        evidence_blocks=(EvidenceBlock(question, hits),),
     )
     emission = gen.emit_turn(ctx)
     return ProbeOutcome(
         attempts=(_attempt(_extract_answer(emission.text), refs),),
         with_retrieval=True,
-        passages=tuple(passages),
+        hits=tuple(hits),
     )
 
 
@@ -142,13 +141,13 @@ def classify(parametric: ProbeOutcome, retrieval: ProbeOutcome) -> SupervisionKi
 
 
 def teacher_followup_query(
-    question: str, intermediary: str, passages: list[Passage], teacher
+    question: str, intermediary: str, hits: list[RetrievedPassage], teacher
 ) -> str:
     """Ask the teacher for a sharper follow-up query given the partial answer."""
     ctx = GenerationContext(
         system_preamble=TEACHER_PREAMBLE,
         question=question,
-        evidence_blocks=(EvidenceBlock(query=question, passages=passages),),
+        evidence_blocks=(EvidenceBlock(question, hits),),
         prior_segments=(Segment(ControlToken.INTERMEDIARY, " " + intermediary),),
     )
     query = teacher.emit_turn(ctx).text.strip()

@@ -14,13 +14,14 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rewrite_index
-from planrag import records
+from planrag import bm25, records
 from planrag.bm25 import (
     Passage,
     build_index,
@@ -69,6 +70,14 @@ tie_corpora = st.integers(3, 5).flatmap(
         st.lists(st.integers(0, v), min_size=1, max_size=8),  # v: a term not indexed
     )
 )
+
+
+def on_each_path(idx, query, k):
+    """search's (id, score) pairs with the direct path never taken, then taken
+    by every query whose terms are all held as share dicts."""
+    for limit in (0, sys.maxsize):
+        with mock.patch.object(bm25, "_DIRECT_WITHIN", limit):
+            yield [(r.passage.id, r.score) for r in idx.search(query, k)]
 
 
 def random_corpus(rng, size, vocab_size=40):
@@ -250,8 +259,9 @@ class TestSearch:
             Passage(pid, "", " ".join(f"w{w}" for w in words)) for pid, words in zip(ids, docs)
         ]
         query = " ".join(f"w{w}" for w in query_words)
-        got = [(r.passage.id, r.score) for r in build_index(passages, k1, b).search(query, k)]
-        assert got == oracle_rank(passages, query, k1, b)[:k]
+        want = oracle_rank(passages, query, k1, b)[:k]
+        for got in on_each_path(build_index(passages, k1, b), query, k):
+            assert got == want
 
     @given(
         st.integers(100, 300),
@@ -276,8 +286,9 @@ class TestSearch:
         words = rng.sample(vocab[:4], frequent)
         words += rng.sample(vocab[4:], rng.randint(6, 8) - frequent)
         query = " ".join(words)
-        got = [(r.passage.id, r.score) for r in build_index(passages, k1, b).search(query, k)]
-        assert got == oracle_rank(passages, query, k1, b)[:k]
+        want = oracle_rank(passages, query, k1, b)[:k]
+        for got in on_each_path(build_index(passages, k1, b), query, k):
+            assert got == want
 
     def test_stopword_only_queries_equal_exhaustive(self):
         # every query term is in more than half the passages: each bound is below ln 2 * (k1 + 1),
@@ -298,8 +309,8 @@ class TestSearch:
             query = " ".join(rng.sample(common, n))
             want = oracle_rank(passages, query)
             for k in (1, 3, 10):
-                got = [(r.passage.id, r.score) for r in idx.search(query, k)]
-                assert got == want[:k]
+                for got in on_each_path(idx, query, k):
+                    assert got == want[:k]
 
     @given(
         st.integers(2, 24),
@@ -333,9 +344,40 @@ class TestSearch:
         scores = dict(want)
         for idx in (built, loaded):
             for k in range(1, 11):
-                assert [(r.passage.id, r.score) for r in idx.search(query, k)] == want[:k]
+                for got in on_each_path(idx, query, k):
+                    assert got == want[:k]
             for ordinal, passage in enumerate(passages):
                 assert idx.score(words, ordinal) == scores.get(passage.id, 0.0)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_limit", "one_posting_more"])
+    def test_direct_path_up_to_its_posting_volume(self, monkeypatch, extra):
+        # three words held as share dicts whose postings add up to _DIRECT_WITHIN are
+        # summed directly; with one posting more they are accumulated, pruned and rescored
+        rng = random.Random(24)
+        limit = bm25._DIRECT_WITHIN
+        dfs = {"a": limit // 3, "b": limit // 3, "c": limit - 2 * (limit // 3) + extra}
+        n = 2 * max(dfs.values())
+        docs = [[f"f{rng.randrange(50)}" for _ in range(rng.randint(1, 6))] for _ in range(n)]
+        for word, df in dfs.items():
+            for i in rng.sample(range(n), df):
+                docs[i] += [word] * rng.randint(1, 3)
+        ids = [f"p{i:03d}" for i in range(n)]
+        rng.shuffle(ids)
+        passages = [Passage(pid, "", " ".join(doc)) for pid, doc in zip(ids, docs)]
+        idx = build_index(passages)
+        assert all(type(idx.posting(word)[0]) is dict for word in dfs)
+        volumes = []
+        summed = bm25._summed
+
+        def counted(shares, k):
+            volumes.append(sum(map(len, shares)))
+            return summed(shares, k)
+
+        monkeypatch.setattr(bm25, "_summed", counted)
+        want = oracle_rank(passages, "a b c")
+        for k in (1, 3, 10):
+            assert [(r.passage.id, r.score) for r in idx.search("c b a", k)] == want[:k]
+        assert volumes == ([] if extra else [limit] * 3)
 
     def test_rescores_only_the_top_k_left(self):
         # one pass over the posting, then exact scores for the k passages the last

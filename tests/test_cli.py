@@ -19,7 +19,8 @@ from planrag.metrics import (
     retrieval_stats,
     score_row,
 )
-from planrag.planner import Episode, RetrievalRound
+from planrag.generator import EvidenceBlock
+from planrag.planner import Episode
 
 CORPUS = [
     {"id": "p1", "title": "Eiffel Tower", "text": "The Eiffel Tower was completed in 1889 in Paris"},
@@ -324,8 +325,8 @@ def test_report_bytes_of_a_run_whose_hits_hold_answers(tmp_path, mode):
 def _episode(*rounds):
     """An episode whose rounds hold passages with these texts, in rank order."""
     memory = [
-        RetrievalRound(f"q{n}", [RetrievedPassage(Passage(f"p{n}-{r}", "", text), 1.0, r)
-                                 for r, text in enumerate(texts, 1)])
+        EvidenceBlock(f"q{n}", [RetrievedPassage(Passage(f"p{n}-{r}", "", text), 1.0, r)
+                                for r, text in enumerate(texts, 1)])
         for n, texts in enumerate(rounds)
     ]
     return Episode(question="q", memory=memory, final_answer="Paris")

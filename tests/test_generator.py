@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 from planrag import generator
-from planrag.bm25 import Passage
+from planrag.bm25 import Passage, RetrievedPassage
 from planrag.control import ControlToken, Segment
 from planrag.generator import (
     EvidenceBlock,
@@ -30,6 +30,10 @@ from planrag.generator import (
 from planrag.planner import PlannerConfig, batch_run, run_episode
 
 CTX = GenerationContext(system_preamble="preamble", question="who?")
+
+
+def evidence(query, *passages):
+    return EvidenceBlock(query, [RetrievedPassage(p, 1.0, r) for r, p in enumerate(passages, 1)])
 
 
 def make_ctx(**kwargs):
@@ -66,17 +70,14 @@ class TestRenderPrompt:
         assert FINALIZE_INSTRUCTION not in prompt
 
     def test_passage_lines(self):
-        block = EvidenceBlock(
-            query="find it",
-            passages=[Passage(f"p{i}", f"T{i}", f"body {i}") for i in range(3)],
-        )
+        block = evidence("find it", *(Passage(f"p{i}", f"T{i}", f"body {i}") for i in range(3)))
         prompt = render_user_prompt(make_ctx(evidence_blocks=(block,)))
         assert prompt.count("Query: find it") == 1
         for i in range(3):
             assert f"[{i + 1}] T{i}: body {i}" in prompt
 
     def test_deterministic(self):
-        block = EvidenceBlock(query="q1", passages=[Passage("p", "t", "x")])
+        block = evidence("q1", Passage("p", "t", "x"))
         ctx = make_ctx(
             evidence_blocks=(block,),
             prior_segments=(Segment(ControlToken.INTERMEDIARY, " partial"),),
@@ -88,9 +89,7 @@ class TestRenderPrompt:
         assert prompt.endswith(FINALIZE_INSTRUCTION)
 
     def test_newlines_escaped_in_fields(self):
-        block = EvidenceBlock(
-            query="multi\nline", passages=[Passage("p", "t\n[2]", "x\ny")]
-        )
+        block = evidence("multi\nline", Passage("p", "t\n[2]", "x\ny"))
         a = render_user_prompt(make_ctx(evidence_blocks=(block,)))
         assert "multi\\nline" in a and "t\\n[2]" in a and "x\\ny" in a
 
@@ -98,8 +97,8 @@ class TestRenderPrompt:
         contexts = [
             make_ctx(question="q1"),
             make_ctx(question="q1\nQuery: fake"),
-            make_ctx(evidence_blocks=(EvidenceBlock("q1", []),)),
-            make_ctx(evidence_blocks=(EvidenceBlock("q1", [Passage("p", "", "x")]),)),
+            make_ctx(evidence_blocks=(evidence("q1"),)),
+            make_ctx(evidence_blocks=(evidence("q1", Passage("p", "", "x")),)),
             make_ctx(prior_segments=(Segment(None, "Query: q1"),)),
             make_ctx(prior_segments=(Segment(ControlToken.ANSWER, " x"),)),
         ]

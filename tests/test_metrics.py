@@ -30,7 +30,8 @@ from planrag.metrics import (
     score_row,
     token_f1,
 )
-from planrag.planner import Episode, RetrievalRound
+from planrag.generator import EvidenceBlock
+from planrag.planner import Episode
 
 MIN = NormalizationMode.MINIMAL
 SQUAD = NormalizationMode.SQUAD_STYLE
@@ -429,7 +430,7 @@ def make_episode(rounds: list[list[str]], answer="x") -> Episode:
             RetrievedPassage(Passage(f"p{qn}-{i}", f"title {i}", text), 1.0 / (i + 1), i + 1)
             for i, text in enumerate(texts)
         ]
-        memory.append(RetrievalRound(query=f"q{qn}", results=results))
+        memory.append(EvidenceBlock(query=f"q{qn}", results=results))
     return Episode(question="q", memory=memory, final_answer=answer)
 
 
@@ -490,7 +491,7 @@ MODES = st.sampled_from([MIN, SQUAD])
 
 def episode_of(rounds: list[list[tuple[str, str]]]) -> Episode:
     memory = [
-        RetrievalRound(
+        EvidenceBlock(
             query=f"q{qn}",
             results=[
                 RetrievedPassage(Passage(f"p{qn}-{i}", title, text), 1.0, i + 1)

@@ -14,6 +14,7 @@ from planrag.generator import (
     GeneratorEmission,
     GeneratorError,
     ReplayGenerator,
+    render_user_prompt,
 )
 from planrag.planner import (
     Episode,
@@ -297,7 +298,34 @@ class TestOps:
             assert ctx.finalize_required is finalize
             assert ctx.question == "q"
             assert [b.query for b in ctx.evidence_blocks] == ["paris"]
-            assert len(ctx.evidence_blocks[0].passages) == 2
+            assert ctx.evidence_blocks[0] is ep.memory[0]
+            assert len(ctx.evidence_blocks[0].results) == 2
+
+
+    def test_two_round_prompt_is_pinned(self, tiny_index):
+        # the bytes a backend is sent once two rounds are in memory and the budget is spent
+        turns = ["[INTERMEDIARY] first\nlook [RETRIEVE] eiffel paris",
+                 "[INTERMEDIARY] then [RETRIEVE] german empire 1871", ANSWER_TURN]
+        ep = run_episode("Which\\city?", PlannerConfig(max_rounds=2, top_k=2),
+                         ReplayGenerator(turns), tiny_index)
+        assert render_user_prompt(build_context(ep, finalize_required=True)) == PINNED_PROMPT
+
+
+PINNED_PROMPT = (
+    "Question: Which\\\\city?\n"
+    "Query: eiffel paris\n"
+    "[1] Eiffel Tower: The Eiffel Tower was completed in 1889 in Paris\n"
+    "[2] Louvre: The Louvre museum is located in Paris France\n"
+    "Query: german empire 1871\n"
+    "[1] Unification: The German Empire was proclaimed in 1871\n"
+    "Transcript:\n"
+    "[INTERMEDIARY] first\n"
+    "look [RETRIEVE] eiffel paris\n"
+    "[INTERMEDIARY] then [RETRIEVE] german empire 1871\n"
+    "[ANSWER] Paris [SOLVED]\n"
+    "The retrieval budget is exhausted. Finalize now: emit the answer control token, your best "
+    "final answer from the evidence above, and the termination token."
+)
 
 
 def replay_factory(scripts):

@@ -41,7 +41,7 @@ def _records():
     [hit] = index.search("Lovelace", 3)
     trajectory = parse_trajectory(TARGET)
     refs = normalize_refs(["1815"], NormalizationMode.SQUAD_STYLE)
-    block = EvidenceBlock(query="Lovelace", passages=[hit.passage])
+    block = EvidenceBlock(query="Lovelace", results=[hit])
     context = GenerationContext("preamble", "When was Ada born?", (block,), trajectory.segments)
     emission = ReplayGenerator(["[ANSWER] 1815 [SOLVED]"]).emit_turn(context)
     prepared = prepare(["1815"], trajectory, 3)
@@ -56,7 +56,7 @@ def _records():
         ("Trajectory", trajectory, True),
         ("ValidationReport", validate(trajectory, 3), True),
         ("TurnReading", read_turn(TARGET), True),
-        ("EvidenceBlock", block, False),  # its passages are a list
+        ("EvidenceBlock", block, False),  # its results are a list
         ("GenerationContext", context, False),  # through its evidence blocks
         ("GeneratorEmission", emission, True),
         ("References", refs, True),
