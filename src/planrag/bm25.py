@@ -214,7 +214,7 @@ class PassageIndex:
         Where the two cross over, on a 20k-passage index at k = 3 and 10
         (warm, min of 7 over 60 queries, 2 vCPUs, Python 3.11): with one term
         holding nearly all the postings and the others about 10 each, summing
-        stays below 0.6 of the pruned time up to about 360 postings and loses
+        takes about half the pruned time up to about 360 postings and loses
         from about 500, for 3 and for 6 terms alike; with terms of about equal
         size it still takes 0.6-0.8 of the pruned time at 2,048 postings. The
         limit of 256 keeps a margin below the first crossover.
