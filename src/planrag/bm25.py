@@ -37,10 +37,13 @@ _WORD_RE = re.compile(r"\w+")
 _ASCII_SEPARATORS = {c: " " for c in range(128)
                      if chr(c) not in string.ascii_lowercase + string.digits}
 
-# search sums a query in full when its terms are all held as share dicts with at
-# most this many postings in all, and accumulates, prunes and rescores any other
-# (the crossover measured at 20k passages is in search's docstring)
+# search sums a query's share-dict terms directly (_direct) when they hold at most
+# _DIRECT_WITHIN postings in all and the query has no tf-array term, or when no one
+# of them holds more than half of their postings and they hold at most
+# _BALANCED_WITHIN; it accumulates, prunes and rescores any other query (the
+# crossovers measured at 20k passages are in search's docstring)
 _DIRECT_WITHIN = 256
+_BALANCED_WITHIN = 8192
 # search stops adding terms to its candidates once at most this many times k
 # are left, and gives those their exact scores
 _RESCORE_WITHIN = 4
@@ -203,31 +206,59 @@ class PassageIndex:
     def search(self, query: str, k: int) -> list[RetrievedPassage]:
         """Top-k positive-scoring passages, ties broken by ascending passage id.
 
-        Exact by either of two strategies, picked by the query's own postings.
-        A query whose terms are all held as {ordinal: share} dicts, with at most
-        ``_DIRECT_WITHIN`` postings in all, has every passage it touches summed
-        in full (_summed). Any other query, one with a term held as a tf array
-        or with more postings, is accumulated, pruned and rescored (_pruned).
-        Both return exact scores, bitwise those of ``score``, for a set of
-        passages that holds the top k, which are then ranked by (-score, id).
+        Exact by either of two strategies, picked by ``_direct`` from the
+        query's own postings. A query goes to the direct sum (_summed) when it
+        has no term held as a tf array and its terms hold at most
+        ``_DIRECT_WITHIN`` postings in all; or when its terms held as
+        {ordinal: share} dicts hold at most ``_BALANCED_WITHIN`` postings, no
+        one of them more than half, and their bounds sum to more than those of
+        its tf-array terms. The share dicts are summed over every passage they
+        touch; each tf-array term is not summed but bounded, and the few
+        passages that could still reach the k-th score are rescored. Any other
+        query, and a direct sum that cannot rule out a passage no share dict
+        touches, is accumulated, pruned and rescored (_pruned). Both return
+        exact scores, bitwise those of ``score``, for a set of passages that
+        holds the top k, which are then ranked by (-score, id).
 
-        Where the two cross over, on a 20k-passage index at k = 3 and 10
-        (warm, min of 7 over 60 queries, 2 vCPUs, Python 3.11): with one term
-        holding nearly all the postings and the others about 10 each, summing
-        takes about half the pruned time up to about 360 postings and loses
-        from about 500, for 3 and for 6 terms alike; with terms of about equal
-        size it still takes 0.6-0.8 of the pruned time at 2,048 postings. The
-        limit of 256 keeps a margin below the first crossover.
+        Where they cross over, on a 20k-passage index (warm, 2 vCPUs, Python
+        3.11): with one share-dict term holding nearly all the postings and the
+        others about 10 each, the direct sum takes about half the pruned time up
+        to about 360 postings and loses from about 500, for 3 and for 6 terms
+        alike (min of 7 over 60 queries), so a query with one dominant term goes
+        direct only within ``_DIRECT_WITHIN`` = 256 postings. With terms of
+        about equal size it wins much further. Direct / pruned time, each the
+        sum over 20 random queries of the min of 7, the range over two runs:
+
+        =============================  =========  =========  =========  =========  =========
+        share-dict postings            900        4,096      8,192      12,288     16,384
+        =============================  =========  =========  =========  =========  =========
+        3 terms, k = 3                 0.64-0.65  0.89-0.93  0.94-0.95  0.95-0.98  1.09-1.11
+        3 terms, k = 10                0.63-0.64  0.86-0.87  0.93-0.94  0.99       0.97-1.00
+        6 terms, 2 tf arrays, k = 3    0.63-0.64  0.69-0.73  0.81-0.82  0.99       1.11-1.12
+        6 terms, 2 tf arrays, k = 10   0.61-0.79  0.71       0.74-0.76  0.88-0.89  0.99-1.05
+        =============================  =========  =========  =========  =========  =========
+
+        At 24,576 postings the direct sum takes 1.09-1.40 of the pruned time.
+        ``_BALANCED_WITHIN`` = 8,192 keeps a margin below the crossover.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         # every term held has a non-empty posting; filter drops the None of the others
         terms = list(filter(None, map(self.posting, sorted(set(tokenize(query))))))
-        # a term held as a tf array is never summed directly
-        volume = sum(len(values) if type(values) is dict else math.inf for values, _ in terms)
-        if volume <= _DIRECT_WITHIN:
-            scores = _summed([values for values, _ in terms], k)
-        else:
+        scores = None
+        if _direct(terms):
+            shares = [values for values, _ in terms if type(values) is dict]
+            if len(shares) == len(terms):
+                scores = _summed(shares, k)
+            else:
+                k1p = self.k1 + 1
+                rest = sum(idf * k1p for values, idf in terms if type(values) is not dict)
+                scores = _summed(shares, k, rest)
+                if scores is not None:
+                    # rescore: exact sums over the sorted terms from 0.0, as score makes them
+                    exact = self._exact
+                    scores = {ordinal: exact(terms, ordinal) for ordinal in scores}
+        if scores is None:
             scores = self._pruned(terms, k)
         ids = self.ids
         ranked = sorted(scores, key=lambda o: (-scores[o], ids[o]))[:k]
@@ -341,20 +372,69 @@ class PassageIndex:
         return {ordinal: exact(terms, ordinal) for ordinal in acc}
 
 
-def _summed(shares: list[dict[int, float]], k: int) -> dict[int, float]:
-    """The passages these share dicts touch that score at least the k-th largest
-    score, with their exact scores.
+def _direct(terms: list[tuple]) -> bool:
+    """Whether search sums these (values, idf) query terms directly (_summed).
 
-    Each passage's shares are added in the dicts' order, the sorted term order,
-    as ``score`` adds them from 0.0: the first share a passage gets is
-    ``0.0 + share`` bitwise, and a term it lacks adds 0.0, which is exact. The
-    passages below the k-th largest score are dropped.
+    Yes when the terms are all share dicts with at most ``_DIRECT_WITHIN``
+    postings in all. Otherwise yes only when the share dicts hold at most
+    ``_BALANCED_WITHIN`` postings, no one of them more than half, and their
+    bounds sum to more than the tf-array terms': the bound of every term is
+    ``idf * (k1 + 1)``, and where the tf-array terms' bounds reach the share
+    dicts', _summed could not rule out a passage no share dict touches.
     """
+    sizes = [len(values) for values, _ in terms if type(values) is dict]
+    volume = sum(sizes)
+    if len(sizes) == len(terms) and volume <= _DIRECT_WITHIN:
+        return True
+    if not sizes or 2 * max(sizes) > volume or volume > _BALANCED_WITHIN:
+        return False
+    return 2 * sum(idf for values, idf in terms if type(values) is dict) > sum(
+        idf for _, idf in terms)
+
+
+def _summed(shares: list[dict[int, float]], k: int,
+            rest: float = 0.0) -> dict[int, float] | None:
+    """The passages these share dicts touch that may reach the k-th largest
+    score, with the sums of their shares; None when the shares cannot tell.
+
+    Without ``rest`` the dicts are all the query's terms. Each passage's shares
+    are added in the dicts' order, the sorted term order, as ``score`` adds
+    them from 0.0: the first share a passage gets is ``0.0 + share`` bitwise,
+    and a term it lacks adds 0.0, which is exact. So the sums are the exact
+    scores, and the passages below the k-th largest are dropped.
+
+    ``rest`` > 0 is the sum of the bounds ``idf * (k1 + 1)`` of the query's
+    other terms, held as tf arrays, which are not summed. Each of them adds to a
+    score at least 0 and at most its bound (every norm is >= 0), so a passage's
+    sum ``a`` is a lower bound on its score and ``a + rest`` an upper one. The
+    k passages with the k largest sums then score at least the k-th of them,
+    the floor. A passage is dropped when ``(a + rest) * (1 + _SLACK) < floor *
+    (1 - _SLACK)``: it scores strictly below the k-th exact score and cannot
+    enter the top k, not even on an id tie. The slack on both sides covers the
+    rounding of sums added in another order than ``score``'s, a few units in
+    the last place per term, as in PassageIndex._pruned, whose docstring has the
+    whole argument; so the order is free, and the largest dict is copied first.
+    A passage no share dict touches has ``a = 0``; when the test would keep it,
+    or fewer than k passages are touched, the top k may hold passages the sums
+    do not, and None is returned. The sums returned are only bounds; the caller
+    rescores them.
+    """
+    if rest:
+        shares = sorted(shares, key=len, reverse=True)
     acc: dict[int, float] = {}
     for values in shares:
         both = {o: acc[o] + values[o] for o in acc.keys() & values.keys()}
         acc.update(values)
         acc.update(both)
+    if rest:
+        if len(acc) < k:
+            return None
+        floor = heapq.nlargest(k, acc.values())[-1]
+        # (a + rest) * (1 + _SLACK) >= floor * (1 - _SLACK), solved for a
+        cut = floor * (1 - _SLACK) / (1 + _SLACK) - rest
+        if cut <= 0:
+            return None
+        return {o: a for o, a in acc.items() if a >= cut}
     if len(acc) > k:
         floor = heapq.nlargest(k, acc.values())[-1]
         acc = {o: score for o, score in acc.items() if score >= floor}

@@ -98,11 +98,20 @@ def _ngrams(tokens: list[str], n: int) -> list[tuple[str, ...]]:
     return list(zip(*(tokens[i:] for i in range(n))))
 
 
-def _overlap_f(pred_grams: list, ref_grams: list) -> float:
-    if not pred_grams or not ref_grams:
-        return 0.0
-    overlap = sum((Counter(pred_grams) & Counter(ref_grams)).values())
-    return _f1_from_counts(overlap, len(pred_grams), len(ref_grams))
+def _shared(pred: list, ref: list) -> int:
+    """The size of the multiset intersection of ``pred`` and ``ref``.
+
+    Each item of ``pred`` takes one match out of a copy of ``ref``: O(len(pred)
+    * len(ref)), as _lcs_len is, and cheaper than two Counters for the few
+    tokens of an answer.
+    """
+    left = ref.copy()
+    shared = 0
+    for item in pred:
+        if item in left:
+            left.remove(item)
+            shared += 1
+    return shared
 
 
 def _lcs_len(a: list[str], b: list[str]) -> int:
@@ -129,16 +138,17 @@ def _overlap_scores(
 ) -> tuple[float, RougeScores]:
     """Token F1 and ROUGE-1/2/L of one prediction, each the max over references."""
     f1 = r1 = r2 = rl = 0.0
-    pred_counts = Counter(pred_toks)
     pred_bigrams = _ngrams(pred_toks, 2)
     for ref in refs_toks:
-        overlap = sum((pred_counts & Counter(ref)).values())
-        unigram = _f1_from_counts(overlap, len(pred_toks), len(ref))
+        unigram = _f1_from_counts(_shared(pred_toks, ref), len(pred_toks), len(ref))
         f1 = max(f1, unigram)
         if pred_toks or ref:  # both empty: token F1 is 1.0, every ROUGE 0.0
             r1 = max(r1, unigram)
             rl = max(rl, _f1_from_counts(_lcs_len(pred_toks, ref), len(pred_toks), len(ref)))
-        r2 = max(r2, _overlap_f(pred_bigrams, _ngrams(ref, 2)))
+        ref_bigrams = _ngrams(ref, 2)
+        if pred_bigrams and ref_bigrams:  # no bigram on a side: ROUGE-2 is 0.0
+            r2 = max(r2, _f1_from_counts(
+                _shared(pred_bigrams, ref_bigrams), len(pred_bigrams), len(ref_bigrams)))
     return f1, RougeScores(r1=r1, r2=r2, rl=rl, avg=(r1 + r2 + rl) / 3)
 
 
@@ -259,10 +269,16 @@ def answer_presence_at_k(
             folded = _fold(hit.passage.title + " " + hit.passage.text, mode)
             # _finish only blanks out words and collapses whitespace, so a target can occur in
             # the normalized hit only if each of its words occurs in the folded one
-            if any(all(w in folded for w in words) for words in target_words):
-                haystack = _finish(folded, mode)
-                if any(t in haystack for t in targets):
-                    return 1
+            for words in target_words:
+                for word in words:
+                    if word not in folded:
+                        break
+                else:
+                    haystack = _finish(folded, mode)
+                    for target in targets:
+                        if target in haystack:
+                            return 1
+                    break
     return 0
 
 

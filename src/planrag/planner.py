@@ -22,6 +22,7 @@ from .control import (
     END_BREACH,
     OPEN,
     TRANSITIONS,
+    ControlToken,
     Segment,
     Trajectory,
     closed_branch,
@@ -35,6 +36,9 @@ from .generator import (
     GeneratorEmission,
     GeneratorError,
 )
+
+# a marker's name by dict lookup, which is cheaper than the Enum.name property
+_NAMES = {t: t.name for t in ControlToken}
 
 FALLBACK_MESSAGE = (
     "Your previous turn did not follow the control format. Either give partial "
@@ -97,7 +101,7 @@ class Episode:
         return Trajectory.from_segments(self.segments)
 
     def control_names(self) -> list[str]:
-        return [s.marker.name for s in self.segments if s.marker is not None]
+        return [_NAMES[s.marker] for s in self.segments if s.marker is not None]
 
 
 # --- turn interpretation ------------------------------------------------------

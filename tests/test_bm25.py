@@ -13,6 +13,8 @@ import string
 import sys
 import tempfile
 import threading
+from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
@@ -42,24 +44,34 @@ def oracle_rank(passages, query, k1=1.2, b=0.75):
     Sums each passage's terms in sorted order with search's expression, so its
     scores are the exact floats search returns.
     """
-    docs = [oracle_tokens(p.title + " " + p.text) for p in passages]
+    return oracle_ranker(passages, k1, b)(query)
+
+
+def oracle_ranker(passages, k1=1.2, b=0.75):
+    """oracle_rank for many queries over one corpus, which is tokenized once."""
+    docs = [Counter(oracle_tokens(p.title + " " + p.text)) for p in passages]
+    lengths = [sum(d.values()) for d in docs]
     n = len(docs)
-    avg = sum(len(d) for d in docs) / n
-    terms = sorted(set(oracle_tokens(query)))
-    scored = []
-    for p, d in zip(passages, docs):
-        score = 0.0
-        for term in terms:
-            df = sum(1 for other in docs if term in other)
-            tf = d.count(term)
-            if tf == 0 or df == 0:
-                continue
-            idf = math.log((n - df + 0.5) / (df + 0.5) + 1)
-            score += idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len(d) / avg))
-        scored.append((p.id, score))
-    positive = [(pid, s) for pid, s in scored if s > 0]
-    positive.sort(key=lambda item: (-item[1], item[0]))
-    return positive
+    avg = sum(lengths) / n
+
+    def rank(query):
+        terms = sorted(set(oracle_tokens(query)))
+        dfs = [sum(1 for d in docs if term in d) for term in terms]
+        scored = []
+        for p, d, length in zip(passages, docs, lengths):
+            score = 0.0
+            for term, df in zip(terms, dfs):
+                tf = d[term]
+                if tf == 0 or df == 0:
+                    continue
+                idf = math.log((n - df + 0.5) / (df + 0.5) + 1)
+                score += idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * length / avg))
+            scored.append((p.id, score))
+        positive = [(pid, s) for pid, s in scored if s > 0]
+        positive.sort(key=lambda item: (-item[1], item[0]))
+        return positive
+
+    return rank
 
 
 # tie-heavy corpora: a few words, so every word is a stopword and many passages
@@ -73,10 +85,10 @@ tie_corpora = st.integers(3, 5).flatmap(
 
 
 def on_each_path(idx, query, k):
-    """search's (id, score) pairs with the direct path never taken, then taken
-    by every query whose terms are all held as share dicts."""
-    for limit in (0, sys.maxsize):
-        with mock.patch.object(bm25, "_DIRECT_WITHIN", limit):
+    """search's (id, score) pairs with the direct sum never tried, then tried
+    first by every query, which falls back to the pruned path where it must."""
+    for direct in (False, True):
+        with mock.patch.object(bm25, "_direct", lambda terms: direct):
             yield [(r.passage.id, r.score) for r in idx.search(query, k)]
 
 
@@ -349,35 +361,110 @@ class TestSearch:
             for ordinal, passage in enumerate(passages):
                 assert idx.score(words, ordinal) == scores.get(passage.id, 0.0)
 
-    @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_limit", "one_posting_more"])
-    def test_direct_path_up_to_its_posting_volume(self, monkeypatch, extra):
-        # three words held as share dicts whose postings add up to _DIRECT_WITHIN are
-        # summed directly; with one posting more they are accumulated, pruned and rescored
-        rng = random.Random(24)
-        limit = bm25._DIRECT_WITHIN
-        dfs = {"a": limit // 3, "b": limit // 3, "c": limit - 2 * (limit // 3) + extra}
-        n = 2 * max(dfs.values())
+    # case: (passages, {word: df}, _BALANCED_WITHIN or None for the default,
+    # route). Share-dict words (df at most half the passages) lie in consecutive
+    # passages, one after the other, so no two share one; tf-array words lie in
+    # random ones.
+    L = bm25._DIRECT_WITHIN
+    ROUTES = {
+        "at_the_limit": (2 * L, {"a": L - 20, "b": 10, "c": 10}, None, "direct"),
+        "one_posting_more": (2 * L, {"a": L - 19, "b": 10, "c": 10}, None, "pruned"),
+        "balanced_above_the_limit": (2 * L, {"a": L // 2, "b": L // 2, "c": L // 2}, None,
+                                     "direct"),
+        "one_term_of_exactly_half": (2 * L, {"a": L, "b": L // 2, "c": L // 2}, None, "direct"),
+        "one_dominant_term": (2 * L, {"a": L + 1, "b": L // 2, "c": L // 2 - 1}, None, "pruned"),
+        "balanced_at_the_cap": (2 * L, {"a": L, "b": L}, 2 * L, "direct"),
+        "balanced_above_the_cap": (2 * L, {"a": L, "b": L}, 2 * L - 1, "pruned"),
+        "untouched_passage_reaches_the_floor": (40, {"a": 20, "b": 20, "c": 21}, None, "fallback"),
+        "tf_arrays_outweigh_the_share_dicts": (
+            40, {"a": 20, "b": 20, "c": 21, "d": 21, "e": 21}, None, "pruned"),
+    }
+
+    @pytest.mark.parametrize("case", list(ROUTES))
+    def test_each_query_takes_its_route(self, monkeypatch, case):
+        n, dfs, cap, route = self.ROUTES[case]
+        if cap is not None:
+            monkeypatch.setattr(bm25, "_BALANCED_WITHIN", cap)
+        rng = random.Random(25)
         docs = [[f"f{rng.randrange(50)}" for _ in range(rng.randint(1, 6))] for _ in range(n)]
+        start = 0
         for word, df in dfs.items():
-            for i in rng.sample(range(n), df):
+            if 2 * df > n:
+                places = rng.sample(range(n), df)
+            else:
+                places, start = [(start + i) % n for i in range(df)], start + df
+            for i in places:
                 docs[i] += [word] * rng.randint(1, 3)
         ids = [f"p{i:03d}" for i in range(n)]
         rng.shuffle(ids)
         passages = [Passage(pid, "", " ".join(doc)) for pid, doc in zip(ids, docs)]
         idx = build_index(passages)
-        assert all(type(idx.posting(word)[0]) is dict for word in dfs)
-        volumes = []
+        held = [type(idx.posting(word)[0]) is dict for word in dfs]
+        assert held == [2 * df <= n for df in dfs.values()]
+        calls = []
+        summed, pruned = bm25._summed, bm25.PassageIndex._pruned
+
+        def counted_summed(shares, k, rest=0.0):
+            result = summed(shares, k, rest)
+            calls.append("summed" if result is not None else "fell back")
+            return result
+
+        def counted_pruned(self, terms, k):
+            calls.append("pruned")
+            return pruned(self, terms, k)
+
+        monkeypatch.setattr(bm25, "_summed", counted_summed)
+        monkeypatch.setattr(bm25.PassageIndex, "_pruned", counted_pruned)
+        routes = {("summed",): "direct", ("pruned",): "pruned", ("fell back", "pruned"): "fallback"}
+        query = " ".join(reversed(list(dfs)))
+        want = oracle_rank(passages, query)
+        for k in (1, 3, 10):
+            calls.clear()
+            assert [(r.passage.id, r.score) for r in idx.search(query, k)] == want[:k]
+            assert routes[tuple(calls)] == route
+
+    def test_queries_shaped_like_the_benchmark_equal_exhaustive(self, monkeypatch):
+        # a Zipf(1) corpus of 3k passages of 60-140 words, where the 16 most
+        # frequent words are held as tf arrays; the queries are shaped as the
+        # benchmark's: 3 rare words; 2 of the 10 most frequent words and 6 of the
+        # ranks 10-300; and only frequent words. 3 words of the ranks 20-100, all
+        # held as share dicts and in many passages together, are summed directly
+        # and exactly, each passage's shares added in sorted term order.
+        rng = random.Random(25)
+        vocab = [f"w{r}" for r in range(3000)]
+        cum = list(accumulate(1 / r for r in range(1, len(vocab) + 1)))
+        ids = [f"p{i:04d}" for i in range(3000)]
+        rng.shuffle(ids)
+        passages = [Passage(pid, "", " ".join(rng.choices(vocab, cum_weights=cum,
+                                                          k=rng.randint(60, 140))))
+                    for pid in ids]
+        idx = build_index(passages)
+        rank = oracle_ranker(passages)
+        rare = [rng.sample(vocab[750:], 3) for _ in range(10)]
+        heavy = [rng.sample(vocab[:10], 2) + rng.sample(vocab[10:300], 6) for _ in range(20)]
+        frequent = [rng.sample(vocab[:10], n) for n in (1, 2, 4, 8)]
+        mid = [rng.sample(vocab[20:100], 3) for _ in range(10)]
+        bounded = []
         summed = bm25._summed
 
-        def counted(shares, k):
-            volumes.append(sum(map(len, shares)))
-            return summed(shares, k)
+        def counted(shares, k, rest=0.0):
+            result = summed(shares, k, rest)
+            bounded.append(bool(rest) and result is not None)
+            return result
 
         monkeypatch.setattr(bm25, "_summed", counted)
-        want = oracle_rank(passages, "a b c")
-        for k in (1, 3, 10):
-            assert [(r.passage.id, r.score) for r in idx.search("c b a", k)] == want[:k]
-        assert volumes == ([] if extra else [limit] * 3)
+        taken = 0
+        for words in rare + heavy + frequent + mid:
+            query = " ".join(words)
+            want = rank(query)
+            for k in (1, 3, 10):
+                bounded.clear()
+                assert [(r.passage.id, r.score) for r in idx.search(query, k)] == want[:k]
+                taken += words in heavy and bounded == [True]
+                for got in on_each_path(idx, query, k):
+                    assert got == want[:k]
+        # most stopword-heavy searches sum their share dicts and bound their tf arrays
+        assert taken >= 3 * len(heavy) * 3 // 4
 
     def test_rescores_only_the_top_k_left(self):
         # one pass over the posting, then exact scores for the k passages the last

@@ -1,7 +1,12 @@
 """End-to-end CLI behavior with replay backends in a temp workspace."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -468,6 +473,59 @@ class TestSweepCmd:
         assert code == 0
         for name in ("transcripts.jsonl", "report.json", "report.txt"):
             assert (run_dir / name).read_bytes() == (sweep_dir / "b2" / name).read_bytes()
+
+
+def _hash_seed_workspace(root):
+    """A corpus, dataset and replay scripts whose searches take each search strategy."""
+    rng = random.Random(10)
+    vocab = [f"w{r}" for r in range(300)]
+    weights = [1 / r for r in range(1, len(vocab) + 1)]
+    corpus = [{"id": f"p{i:03d}", "title": " ".join(rng.choices(vocab, weights, k=2)),
+               "text": " ".join(rng.choices(vocab, weights, k=rng.randint(20, 60)))}
+              for i in range(200)]
+    dataset, scripts = [], []
+    for i in range(12):
+        answer = " ".join(rng.choices(vocab[:40], k=2))
+        rare = rng.sample(vocab[100:], 3)
+        stopword_heavy = rng.sample(vocab[:5], 2) + rng.sample(vocab[5:60], 6)
+        frequent = rng.sample(vocab[:5], 3)
+        queries = [rare, stopword_heavy, frequent][:i % 4]
+        turns = [f"[INTERMEDIARY] step {n} [RETRIEVE] {' '.join(q)}"
+                 for n, q in enumerate(queries)]
+        dataset.append({"id": f"q{i}", "question": f"question {i}?", "answers": [answer]})
+        scripts.append({"id": f"q{i}", "turns": turns + [f"[ANSWER] {answer} [SOLVED]"]})
+    return (write_jsonl(root / "corpus.jsonl", corpus), write_jsonl(root / "dev.jsonl", dataset),
+            write_jsonl(root / "scripts.jsonl", scripts))
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # str hashes, and so set and dict-view orders, differ between interpreters
+    # with different PYTHONHASHSEED; every output but the timings must not
+    corpus, dataset, scripts = _hash_seed_workspace(tmp_path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        out.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        index = str(out / "index.json")
+        common = ["--dataset", dataset, "--index", index, "--scripts", scripts]
+        # sweep exits 1: budget 0 ends the episodes that retrieve as budget_zero_retrieve
+        for argv, code in ((["index", "--corpus", corpus, "--out", index], 0),
+                           (["run", *common, "--out-dir", str(out / "run")], 0),
+                           (["sweep", *common, "--budgets", "0,1,3",
+                             "--out-dir", str(out / "sweep")], 1)):
+            done = subprocess.run([sys.executable, "-m", "planrag", *argv], env=env,
+                                  stdout=subprocess.DEVNULL, timeout=120)
+            assert done.returncode == code
+        written = sorted(p.relative_to(out) for p in out.rglob("*")
+                         if p.is_file() and p.name != "timings.jsonl")
+        outputs.append({name: (out / name).read_bytes() for name in written})
+    names = {str(name) for name in outputs[0]}
+    assert {"run/transcripts.jsonl", "run/report.json", "run/report.txt", "sweep/sweep.json",
+            "sweep/b3/transcripts.jsonl", "sweep/b3/report.json", "sweep/b3/report.txt"} <= names
+    assert outputs[0] == outputs[1]
 
 
 def synth_transcripts(tmp_path, name, rounds, answers):

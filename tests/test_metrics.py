@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planrag.bm25 import Passage, RetrievedPassage
+from planrag import metrics
 from planrag.metrics import (
     MetricRow,
     NormalizationMode,
@@ -105,6 +106,33 @@ def ref_ngram_f(pred_toks, ref_toks, n):
         return 0.0
     prec, rec = hits / len(pn), hits / len(rn)
     return 2 * prec * rec / (prec + rec)
+
+
+def counter_overlap_scores(pred_toks, refs_toks):
+    """Token F1 and ROUGE-1/2/L as first written, intersecting Counters."""
+
+    def f1_of(overlap, n_pred, n_ref):
+        if n_pred == 0 and n_ref == 0:
+            return 1.0
+        if n_pred == 0 or n_ref == 0 or overlap == 0:
+            return 0.0
+        precision, recall = overlap / n_pred, overlap / n_ref
+        return 2 * precision * recall / (precision + recall)
+
+    def bigrams(toks):
+        return list(zip(toks, toks[1:]))
+
+    f1 = r1 = r2 = rl = 0.0
+    for ref in refs_toks:
+        unigram = f1_of(sum((Counter(pred_toks) & Counter(ref)).values()), len(pred_toks), len(ref))
+        f1 = max(f1, unigram)
+        if pred_toks or ref:
+            r1 = max(r1, unigram)
+            rl = max(rl, f1_of(ref_lcs(pred_toks, ref), len(pred_toks), len(ref)))
+        pb, rb = bigrams(pred_toks), bigrams(ref)
+        if pb and rb:
+            r2 = max(r2, f1_of(sum((Counter(pb) & Counter(rb)).values()), len(pb), len(rb)))
+    return f1, RougeScores(r1, r2, rl, (r1 + r2 + rl) / 3)
 
 
 def ref_lcs(a, b):
@@ -569,3 +597,33 @@ class TestScoreRowEquivalence:
         assert token_f1("...", ["The"]) == 1.0
         assert rouge("...", ["The"]).r1 == 0.0
         assert token_f1("...", ["x"]) == rouge("...", ["x"]).r1 == 0.0
+
+
+class TestOverlapCounts:
+    """The multiset intersection counted without Counters: the same ints, so the same floats."""
+
+    tokens = st.lists(st.sampled_from(["a", "b", "c", "the", "é", ""]), max_size=10)
+
+    @given(tokens, tokens)
+    @settings(max_examples=300, derandomize=True)
+    def test_shared_is_the_counter_intersection(self, a, b):
+        assert metrics._shared(a, b) == sum((Counter(a) & Counter(b)).values())
+        pairs_a, pairs_b = list(zip(a, a[1:])), list(zip(b, b[1:]))
+        assert metrics._shared(pairs_a, pairs_b) == sum(
+            (Counter(pairs_a) & Counter(pairs_b)).values())
+
+    @given(st.lists(st.tuples(TestScoreRowEquivalence.predictions, references),
+                    min_size=1, max_size=6), MODES)
+    @settings(max_examples=300, derandomize=True)
+    @example([("same same same", ["same"]), ("a b a b", ["b a b a", ""]), ("", [""])], SQUAD)
+    def test_scores_equal_the_counter_reference(self, pairs, mode):
+        counted = [counter_overlap_scores(normalize(p, mode).split(),
+                                          [normalize(r, mode).split() for r in refs])
+                   for p, refs in pairs]
+        for (pred, refs), (f1, scores) in zip(pairs, counted):
+            assert token_f1(pred, refs, mode) == f1
+            assert rouge(pred, refs, mode) == scores
+        n = len(pairs)
+        row = score_row("d", [p for p, _ in pairs], [r for _, r in pairs], mode)
+        assert row.rouge_avg == sum(scores.avg for _, scores in counted) / n
+        assert row.f1 == sum(f1 for f1, _ in counted) / n
