@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import math
@@ -10,8 +11,9 @@ import os
 import re
 import string
 import sys
+import weakref
 from array import array
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import Iterable, NamedTuple
@@ -28,6 +30,9 @@ _ARRAYS = {"offsets": _UNSIGNED, "ordinals": _UNSIGNED, "tfs": _UNSIGNED, "norms
            "fields": _UNSIGNED, "text": ("B",)}
 # lone surrogates, which a corpus can hold through JSON escapes, pass the UTF-8 codec
 _UTF8 = "utf-8", "surrogatepass"
+# save_index copies the text this many passages at a time: a few MB a read, far below
+# the 2 GiB that one read returns at most on Linux
+_COPY_RUN = 4096
 
 # a corpus line: {id, title?, text}
 _PASSAGE = {"text": str}, {"title": str}
@@ -76,11 +81,14 @@ def tokenize(text: str) -> list[str]:
 class _Passages(Sequence):
     """An index's passages by ordinal, each decoded when first read and then kept.
 
-    A Passage is published with one assignment, as PassageIndex.posting publishes its dicts.
+    Passage o's title and text are bytes fields[2o]:fields[2o + 2] of the passages'
+    UTF-8 text, got with one ``read_text`` call (see PassageIndex). A Passage is
+    published with one assignment, as PassageIndex.posting publishes its dicts.
     """
 
-    def __init__(self, ids: list[str], fields: array, text: bytes, path: str | None) -> None:
-        self._ids, self._fields, self._text, self._path = ids, fields, text, path
+    def __init__(self, ids: list[str], fields: array,
+                 read_text: Callable[[int, int], bytes], path: str | None) -> None:
+        self._ids, self._fields, self._read_text, self._path = ids, fields, read_text, path
         self._memo: list[Passage | None] = [None] * len(ids)
 
     def __len__(self) -> int:
@@ -90,30 +98,49 @@ class _Passages(Sequence):
         passage = self._memo[operator.index(ordinal)]  # IndexError outside [-n, n)
         if passage is None:
             ordinal %= len(self._memo)
-            lo, mid, hi = self._fields[2 * ordinal:2 * ordinal + 3]
+            data = self.encoded(ordinal, ordinal + 1)
+            cut = self._fields[2 * ordinal + 1] - self._fields[2 * ordinal]
             try:
-                title, text = self._text[lo:mid].decode(*_UTF8), self._text[mid:hi].decode(*_UTF8)
+                title, text = data[:cut].decode(*_UTF8), data[cut:].decode(*_UTF8)
             except UnicodeDecodeError:
                 raise ValueError(f"{self._path}: passage {ordinal} is not UTF-8 text") from None
             passage = self._memo[ordinal] = Passage(self._ids[ordinal], title, text)
         return passage
+
+    def encoded(self, first: int, last: int) -> bytes:
+        """The UTF-8 titles and texts of passages first to last - 1, 0 <= first < last <= n,
+        one after the other, with one ``read_text`` call."""
+        lo, hi = self._fields[2 * first], self._fields[2 * last]
+        data = self._read_text(lo, hi)
+        if len(data) != hi - lo:
+            # only a file cut short after the load reads short: name the first passage it cut,
+            # the one whose title or text ends first past the bytes read
+            ordinal = (bisect.bisect_right(self._fields, lo + len(data)) - 1) // 2
+            raise ValueError(f"{self._path}: passage {ordinal} is cut short; "
+                             "the file changed after it was loaded")
+        return data
 
 
 @dataclass
 class PassageIndex:
     """Inverted index with BM25 statistics over an immutable passage corpus.
 
-    Passage o is ids[o] with the UTF-8 title text[fields[2o]:fields[2o + 1]] and
-    text up to fields[2o + 2]. Term i of ``terms`` has its postings at
-    ordinals[offsets[i]:offsets[i + 1]], with their term frequencies at the same
-    places in tfs. The integer arrays are in the narrowest unsigned typecode
-    that holds them, as save_index writes them. A loaded index keeps its file's
-    ``path`` for the checks done on first use.
+    Passage o is ids[o] with its UTF-8 title at bytes fields[2o]:fields[2o + 1]
+    of the passages' text and its text up to fields[2o + 2]; ``read_text(lo,
+    hi)`` returns bytes lo:hi of that text. Term i of ``terms`` has its postings
+    at ordinals[offsets[i]:offsets[i + 1]], with their term frequencies at the
+    same places in tfs. The integer arrays are in the narrowest unsigned
+    typecode that holds them, as save_index writes them.
+
+    A built index holds the text in memory. A loaded one holds the postings,
+    norms and field offsets, and the passages decoded so far; it reads each
+    passage's text from its file, which it keeps open, and keeps the file's
+    ``path`` for the checks done on first use (see load_index).
     """
 
     ids: list[str]
     fields: array
-    text: bytes
+    read_text: Callable[[int, int], bytes]
     terms: list[str]
     offsets: array
     ordinals: array
@@ -131,7 +158,7 @@ class PassageIndex:
         # object matches without a value comparison
         self._keys = list(range(len(self.ids)))
         self._built: dict[str, tuple[dict[int, float] | array, float]] = {}
-        self.passages = _Passages(self.ids, self.fields, self.text, self.path)
+        self.passages = _Passages(self.ids, self.fields, self.read_text, self.path)
 
     def posting(self, term: str) -> tuple[dict[int, float] | array, float] | None:
         """The term's postings and its idf, or None for a term no passage holds.
@@ -493,11 +520,12 @@ def load_corpus(path: str) -> list[Passage]:
     return passages
 
 
-def _encoded(passages: list[Passage]) -> tuple[list[str], array, bytes]:
-    """The ids, field offsets and UTF-8 text that hold these passages in a PassageIndex."""
+def _encoded(passages: list[Passage]) -> tuple[list[str], array, Callable[[int, int], bytes]]:
+    """The ids, field offsets and text reader that hold these passages in a PassageIndex."""
     parts = [field.encode(*_UTF8) for p in passages for field in (p.title, p.text)]
     fields = _packed(list(accumulate(map(len, parts), initial=0)))
-    return [p.id for p in passages], fields, b"".join(parts)
+    text = b"".join(parts)
+    return [p.id for p in passages], fields, lambda lo, hi: text[lo:hi]
 
 
 def _packed(values: list[int]) -> array:
@@ -516,9 +544,12 @@ def save_index(index: PassageIndex, path: str) -> None:
 
     The file is written beside ``path`` and then moved onto it
     (records.replacing), so a save that fails leaves any file already at
-    ``path`` as it was.
+    ``path`` as it was, and an index loaded from ``path`` keeps reading the
+    file it opened, also when it is saved onto its own path.
     """
-    views = {name: memoryview(getattr(index, name)) for name in _ARRAYS}
+    # every array but the text, the last, which is copied through the passages' reads
+    views = {name: memoryview(getattr(index, name)) for name in list(_ARRAYS)[:-1]}
+    arrays = {name: [view.format, len(view)] for name, view in views.items()}
     header = {
         "format_version": FORMAT_VERSION,
         "k1": index.k1,
@@ -527,7 +558,7 @@ def save_index(index: PassageIndex, path: str) -> None:
         "ids": index.ids,
         "terms": index.terms,
         "byteorder": sys.byteorder,
-        "arrays": {name: [view.format, len(view)] for name, view in views.items()},
+        "arrays": {**arrays, "text": ["B", index.fields[-1]]},
     }
     with records.replacing(path, encoding="ascii", newline="\n") as fh:
         # dumps encodes in C; dump streams through the pure-Python encoder
@@ -535,14 +566,24 @@ def save_index(index: PassageIndex, path: str) -> None:
         fh.flush()
         for view in views.values():
             fh.buffer.write(view)  # as the items lie in memory, without a copy
+        n = index.doc_count
+        for first in range(0, n, _COPY_RUN):
+            fh.buffer.write(index.passages.encoded(first, min(first + _COPY_RUN, n)))
 
 
 def load_index(path: str) -> PassageIndex:
     """Read a format_version 3 file as save_index wrote it, without tokenizing.
 
     A file of any other version raises ValueError; rebuild it with
-    ``planrag index``. Each term's postings are checked when posting first
-    reads them, each passage's UTF-8 when it is first decoded.
+    ``planrag index``. The postings, norms and field offsets are read now; the
+    passages' text is not. The index holds a read-only descriptor of the file
+    for its lifetime, closed once the index is dropped, and reads each passage
+    with one positional read (os.pread, so POSIX only) when it is first decoded.
+    Each term's postings are checked when posting first reads them, each
+    passage's UTF-8 when it is first decoded. Replacing the file, as save_index
+    does, or unlinking it leaves the index reading the file it opened; a file
+    edited in place after the load is read as it now is, and one cut short
+    fails the first read of a passage past its new end with ValueError.
     """
     with open(path, "rb") as fh:
         try:
@@ -555,28 +596,30 @@ def load_index(path: str) -> PassageIndex:
         k1, b = header.get("k1"), header.get("b")
         _need(type(k1) in (int, float) and type(b) in (int, float), path, "needs numeric k1 and b")
         _need(0 <= k1 < math.inf and 0 <= b <= 1, path, "needs k1 >= 0 and b in [0, 1]")
-        offsets, ordinals, tfs, norms, fields, text = _read_arrays(path, fh, header)
-    ids, terms, avg = header.get("ids"), header.get("terms"), header.get("avg_doc_length")
-    _need(type(ids) is list and len(ids) > 0 and all(type(i) is str for i in ids)
-          and len(set(ids)) == len(ids), path, "needs a non-empty list of unique string ids")
-    _need(len(fields) == 2 * len(ids) + 1 and fields[0] == 0 and fields[-1] == len(text)
-          and all(map(operator.le, fields, fields[1:])), path,
-          "needs two field offsets per passage and one more, rising from 0 to the text length")
-    _need(type(avg) in (int, float) and 0 <= avg < math.inf, path, "needs avg_doc_length >= 0")
-    _need(
-        type(terms) is list and all(type(t) is str for t in terms)
-        and len(set(terms)) == len(terms),
-        path, "needs a list of unique string terms",
-    )
-    _need(
-        len(offsets) == len(terms) + 1 and offsets[0] == 0
-        and all(map(operator.lt, offsets, offsets[1:]))
-        and offsets[-1] == len(ordinals) == len(tfs),
-        path, "needs one offset per term and one more, rising from 0 to the posting count",
-    )
-    _need(len(norms) == len(ids) and all(0 <= norm < math.inf for norm in norms), path,
-          "needs one finite norm >= 0 per passage")
-    return PassageIndex(ids, fields, text, terms, offsets, ordinals, tfs, norms, avg, k1, b, path)
+        offsets, ordinals, tfs, norms, fields, text_size = _read_arrays(path, fh, header)
+        ids, terms, avg = header.get("ids"), header.get("terms"), header.get("avg_doc_length")
+        _need(type(ids) is list and len(ids) > 0 and all(type(i) is str for i in ids)
+              and len(set(ids)) == len(ids), path, "needs a non-empty list of unique string ids")
+        _need(len(fields) == 2 * len(ids) + 1 and fields[0] == 0 and fields[-1] == text_size
+              and all(map(operator.le, fields, fields[1:])), path,
+              "needs two field offsets per passage and one more, rising from 0 to the text length")
+        _need(type(avg) in (int, float) and 0 <= avg < math.inf, path,
+              "needs avg_doc_length >= 0")
+        _need(
+            type(terms) is list and all(type(t) is str for t in terms)
+            and len(set(terms)) == len(terms),
+            path, "needs a list of unique string terms",
+        )
+        _need(
+            len(offsets) == len(terms) + 1 and offsets[0] == 0
+            and all(map(operator.lt, offsets, offsets[1:]))
+            and offsets[-1] == len(ordinals) == len(tfs),
+            path, "needs one offset per term and one more, rising from 0 to the posting count",
+        )
+        _need(len(norms) == len(ids) and all(0 <= norm < math.inf for norm in norms), path,
+              "needs one finite norm >= 0 per passage")
+        return PassageIndex(ids, fields, _text_reader(fh), terms, offsets, ordinals, tfs, norms,
+                            avg, k1, b, path)
 
 
 def _need(ok: bool, path: str, what: str) -> None:
@@ -585,7 +628,8 @@ def _need(ok: bool, path: str, what: str) -> None:
 
 
 def _read_arrays(path: str, fh, header: dict) -> list:
-    """The arrays after the header, in _ARRAYS order and native byte order."""
+    """The number arrays after the header, in _ARRAYS order and native byte order,
+    then the byte count of the text, the last array, which is left unread."""
     specs = header.get("arrays")
     _need(
         header.get("byteorder") in ("little", "big")
@@ -606,5 +650,17 @@ def _read_arrays(path: str, fh, header: dict) -> list:
         a.fromfile(fh, count)
         if header["byteorder"] != sys.byteorder:
             a.byteswap()
-    # the text, the last array, is read as one bytes object
-    return [a for a, _ in numbers] + [fh.read(text_size)]
+    return [a for a, _ in numbers] + [text_size]
+
+
+def _text_reader(fh) -> Callable[[int, int], bytes]:
+    """read(lo, hi): bytes lo:hi of the text that starts at fh's position, each
+    with one positional read of a descriptor of its own, closed once read is
+    dropped; the read returns short only where the file now ends before hi."""
+    fd, start = os.dup(fh.fileno()), fh.tell()
+
+    def read(lo: int, hi: int) -> bytes:
+        return os.pread(fd, hi - lo, start + lo)
+
+    weakref.finalize(read, os.close, fd)
+    return read

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import rewrite_index
-from planrag import cli
+from planrag import bm25, cli
 from planrag.bm25 import Passage, RetrievedPassage
 from planrag.cli import SETTINGS, main, parse_subset_spec, CliError
 from planrag.control import validate
@@ -1073,6 +1073,25 @@ def test_malformed_input_file_is_one_error_line(workspace, capsys, make_argv, na
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert all(name in err for name in names)
+
+
+def test_index_cut_short_after_load_is_one_error_line(workspace, capsys, monkeypatch):
+    # only the passage reads after the load can see it: the text is cut off right after it
+    load_index = bm25.load_index
+
+    def load_then_cut(path):
+        index = load_index(path)
+        os.truncate(path, os.path.getsize(path) - index.fields[-1])
+        return index
+
+    monkeypatch.setattr(bm25, "load_index", load_then_cut)
+    code = main(["run", "--dataset", workspace["dataset"], "--index", workspace["index"],
+                 "--scripts", workspace["scripts"], "--out-dir", str(workspace["root"] / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    # q2's search for "capital of Germany" hits p2, ordinal 1, first
+    assert err == f"error: {workspace['index']}: passage 1 is cut short; the file changed after " \
+        "it was loaded\n"
 
 
 # per kind, a JSON value of another kind that comes close to it
