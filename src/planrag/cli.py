@@ -430,8 +430,9 @@ def cmd_reward(args, settings) -> int:
     prepared = {}  # sample id -> its PreparedSample, or the text of why it scores nothing
     entries = []
     errors = 0
+    rollout_fields, no_fields = {"text": str}, {}  # built once, not once per rollout
     for lineno, rec in records.iter_jsonl(args.rollouts):
-        if records.check(rec, {"text": str}, {}):
+        if records.check(rec, rollout_fields, no_fields):
             entries.append({"line": lineno, "error": "malformed rollout record"})
             errors += 1
             continue
@@ -448,15 +449,8 @@ def cmd_reward(args, settings) -> int:
             entries.append({"id": qid, "error": ready})
             errors += 1
             continue
-        breakdown = total_reward(parse_trajectory(rec["text"]), ready)
-        entries.append(
-            {
-                "id": qid,
-                "r_ans": breakdown.r_ans,
-                "r_ctrl": breakdown.r_ctrl,
-                "total": breakdown.total,
-            }
-        )
+        r_ans, r_ctrl, total = total_reward(parse_trajectory(rec["text"]), ready)
+        entries.append({"id": qid, "r_ans": r_ans, "r_ctrl": r_ctrl, "total": total})
     records.write_jsonl(args.out, entries)
     print(f"wrote {len(entries)} reward records ({errors} errors)")
     return 1 if errors else 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
 import time
@@ -154,25 +155,80 @@ def _tls_context() -> ssl.SSLContext:
     return ssl.create_default_context()
 
 
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline`` (a ``time.monotonic()`` reading); TimeoutError once past it."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("the request's deadline passed")
+    return left
+
+
+class _DeadlineSocket:
+    """A connected socket as ``http.client`` uses it, each send and receive bounded by one deadline.
+
+    Before every call into the socket, its timeout is set to the time left, so
+    a backend that trickles its reply, each byte within any fixed per-read
+    timeout, still cannot hold the request past the deadline.
+    """
+
+    def __init__(self, sock, deadline: float) -> None:
+        self.sock, self.deadline = sock, deadline
+
+    def sendall(self, data) -> None:
+        self.sock.settimeout(_time_left(self.deadline))
+        self.sock.sendall(data)
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        return io.BufferedReader(_Receiver(self))
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+class _Receiver(io.RawIOBase):
+    """The reading side of a _DeadlineSocket, as ``socket.makefile`` gives one: the reply
+    is read in the chunks the backend sends, each receive waiting at most the time left.
+    Like a socket's file it is closed apart from the socket: ``http.client`` closes the
+    connection first and then the response, which flushes and closes this."""
+
+    def __init__(self, conn: _DeadlineSocket) -> None:
+        self.conn = conn
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        self.conn.sock.settimeout(_time_left(self.conn.deadline))
+        return self.conn.sock.recv_into(buffer)
+
+
 def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
     """POST ``payload`` as JSON on a connection of its own; ``(status, body)``.
 
-    A body that is not JSON reads as ``{}``. The connection is closed on every
-    path, so nothing is kept between requests. ``http.client`` is imported
-    here, not with the module, so that the commands that never ask a backend
-    do not load it.
+    The request has one deadline, ``timeout`` seconds after it starts. The
+    connection is made with the time left as its timeout, and every send and
+    every read of the reply after it waits at most the time left, so past the
+    deadline the request raises TimeoutError however the backend paces its
+    bytes. A body that is not JSON reads as ``{}``. The connection is closed on
+    every path, so nothing is kept between requests. ``http.client`` is
+    imported here, not with the module, so that the commands that never ask a
+    backend do not load it.
     """
     import http.client
 
+    deadline = time.monotonic() + timeout
     parts = split_endpoint(url)
     if parts.scheme == "https":
+        context = _tls_context()  # on the first request, its loading counts against the deadline
         conn = http.client.HTTPSConnection(
-            parts.hostname, parts.port, timeout=timeout, context=_tls_context()
+            parts.hostname, parts.port, timeout=_time_left(deadline), context=context
         )
     else:
-        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=_time_left(deadline))
     path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     try:
+        conn.connect()
+        conn.sock = _DeadlineSocket(conn.sock, deadline)
         conn.request("POST", path, json.dumps(payload, allow_nan=False).encode(), headers)
         resp = conn.getresponse()
         raw = resp.read()

@@ -183,33 +183,33 @@ def bleu(pred: str, ref: BleuReference) -> float:
 
     ``ref`` is ``bleu_reference(text)``, counted once for many predictions.
     Uniform weights, add-one smoothing on orders >= 2, brevity penalty.
-    A zero unigram match or an empty prediction scores 0.
+    A prediction that shares no unigram with the reference, an empty one
+    included, scores 0 before any n-gram is built. The prediction is not
+    counted: each n-gram it shares with the reference is clipped by counting
+    it in the prediction's few n-grams.
     """
-    pred_toks = _tokens(pred, NormalizationMode.MINIMAL)
-    if not pred_toks:
+    toks = pred.lower().split()  # the tokens of _tokens(pred, MINIMAL)
+    if ref.counts[0].keys().isdisjoint(zip(toks)):
         return 0.0
-    max_order = min(4, len(pred_toks))
+    max_order = min(4, len(toks))
     log_sum = 0.0
-    for n in range(1, max_order + 1):
-        pred_grams = _ngrams(pred_toks, n)
-        ref_counts = ref.counts[n - 1]
-        # clipped counts, summed only over the n-grams the two share
-        shared = ref_counts.keys() & pred_grams
-        matches = 0
-        if shared:
-            pred_counts = Counter(pred_grams)
-            matches = sum(min(pred_counts[g], ref_counts[g]) for g in shared)
+    matches = 1
+    for n, ref_counts in enumerate(ref.counts[:max_order], 1):
+        # an n-gram is shared only if its first n - 1 tokens are, so once an order
+        # shares nothing no higher one does
+        if matches:
+            grams = _ngrams(toks, n)
+            matches = sum([min(grams.count(g), ref_counts[g]) for g in ref_counts.keys() & grams])
+        size = len(toks) - n + 1  # the prediction's n-grams
         if n == 1:
-            if matches == 0:
-                return 0.0
-            p_n = matches / len(pred_grams)
+            p_n = matches / size
         else:
-            p_n = (matches + 1) / (len(pred_grams) + 1)
+            p_n = (matches + 1) / (size + 1)
         log_sum += math.log(p_n) / max_order
-    if len(pred_toks) > ref.length:
+    if len(toks) > ref.length:
         bp = 1.0
     else:
-        bp = math.exp(1 - ref.length / len(pred_toks))
+        bp = math.exp(1 - ref.length / len(toks))
     return bp * math.exp(log_sum)
 
 

@@ -11,7 +11,6 @@ finalize.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -295,6 +294,9 @@ def batch_run(
 
     if parallelism == 1 or len(questions) <= 1:
         return [one(i, q) for i, q in enumerate(questions)]
+    # imported here: concurrent.futures loads logging and queue, which a serial run never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(one, range(len(questions)), questions))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .control import ControlToken, Trajectory, control_sequence, last_answer, validate
+from .control import ControlToken, Trajectory, last_answer, validate
 from .metrics import BleuReference, bleu, bleu_reference
 
 CONTROL_MATCH_BONUS = 0.5
@@ -21,7 +21,7 @@ class PreparedSample(NamedTuple):
     """What scoring a rollout needs of its sample, worked out once for all its rollouts."""
 
     reference: BleuReference
-    controls: list[ControlToken]
+    controls: tuple[ControlToken, ...]
     max_rounds: int
 
 
@@ -41,9 +41,10 @@ def prepare(references: list[str], target: Trajectory, max_rounds: int) -> Prepa
         raise ValueError("sample has no reference answers")
     if not references[0]:
         raise ValueError("reference answer is empty")
-    if not validate(target, max_rounds).valid:
+    report = validate(target, max_rounds)
+    if not report.valid:
         raise ValueError("target trajectory does not satisfy the grammar")
-    return PreparedSample(bleu_reference(references[0]), control_sequence(target), max_rounds)
+    return PreparedSample(bleu_reference(references[0]), report.markers, max_rounds)
 
 
 def total_reward(rollout: Trajectory, prepared: PreparedSample) -> RewardBreakdown:
@@ -51,13 +52,15 @@ def total_reward(rollout: Trajectory, prepared: PreparedSample) -> RewardBreakdo
 
     The control reward is INVALID_PENALTY for a rollout that breaks the grammar
     or the sample's budget, CONTROL_MATCH_BONUS for one with the target's
-    control sequence, and 0 for any other.
+    control sequence, and 0 for any other. One ``validate`` walk gives both the
+    verdict and the rollout's control sequence.
     """
     r_ans = bleu(final_answer_text(rollout), prepared.reference)
-    if not validate(rollout, prepared.max_rounds).valid:
+    report = validate(rollout, prepared.max_rounds)
+    if not report.valid:
         r_ctrl = INVALID_PENALTY
-    elif control_sequence(rollout) == prepared.controls:
+    elif report.markers == prepared.controls:
         r_ctrl = CONTROL_MATCH_BONUS
     else:
         r_ctrl = 0.0
-    return RewardBreakdown(r_ans=r_ans, r_ctrl=r_ctrl, total=r_ans + r_ctrl)
+    return RewardBreakdown(r_ans, r_ctrl, r_ans + r_ctrl)

@@ -50,11 +50,22 @@ def test_the_guard_sees_every_import_form():
     assert {"numpy", "yaml"}.isdisjoint(declared_dependencies())
 
 
-def test_importing_the_cli_loads_no_http_transport():
-    # the chat transport imports http.client and ssl when it first sends a request, so the
-    # commands that never ask a backend (index, score, reward, replay runs) do not pay for them
-    probe = "import sys, planrag.cli; print(sorted({'http.client', 'ssl'} & set(sys.modules)))"
+def loaded_by_importing_the_cli(modules: set[str]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after ``import planrag.cli``."""
+    probe = f"import sys, planrag.cli; print(sorted({sorted(modules)!r} & sys.modules.keys()))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out)
+
+
+def test_importing_the_cli_loads_no_http_transport():
+    # the chat transport imports http.client and ssl when it first sends a request, so the
+    # commands that never ask a backend (index, score, reward, replay runs) do not pay for them
+    assert loaded_by_importing_the_cli({"http.client", "ssl"}) == []
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # batch_run imports concurrent.futures only to run episodes in parallel; threading is
+    # not checked, as site may load it before any planrag module
+    assert loaded_by_importing_the_cli({"concurrent.futures"}) == []

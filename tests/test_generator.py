@@ -7,6 +7,7 @@ import json
 import socket
 import ssl
 import threading
+import time
 import warnings
 
 import pytest
@@ -369,6 +370,59 @@ def backend():
         server.server_close()
 
 
+def request_is_whole(data: bytes) -> bool:
+    """Whether ``data`` holds a request's head and the Content-Length bytes after it."""
+    head, sep, body = data.partition(b"\r\n\r\n")
+    return bool(sep) and len(body) >= int(
+        head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+
+
+@pytest.fixture
+def trickler():
+    """``start(reply, pace)``: a server on 127.0.0.1 that reads each request whole and
+    answers with ``reply``, a pair of byte strings: the first sent at once, the second
+    one byte every ``pace`` seconds. It stops when the client hangs up or the test ends."""
+    stop = threading.Event()
+    started = []
+
+    def serve(listener, reply, pace):
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                data = b""
+                while not request_is_whole(data):
+                    chunk = conn.recv(65536)
+                    if not chunk:  # the client hung up
+                        break
+                    data += chunk
+                at_once, trickled = reply
+                try:
+                    conn.sendall(at_once)
+                    for byte in trickled:
+                        if stop.wait(pace):
+                            break
+                        conn.sendall(bytes([byte]))
+                except OSError:  # the client hung up
+                    pass
+
+    def start(reply, pace):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)  # so that the serving thread sees stop between accepts
+        thread = threading.Thread(target=serve, args=(listener, reply, pace), daemon=True)
+        thread.start()
+        started.append((listener, thread))
+        return f"http://127.0.0.1:{listener.getsockname()[1]}/v1/chat"
+
+    yield start
+    stop.set()
+    for listener, thread in started:
+        thread.join(5)
+        listener.close()
+
+
 @pytest.fixture
 def no_leaks():
     """Fail the test if a socket or file it opened is collected without being closed."""
@@ -407,6 +461,29 @@ class TestHttpTransport:
     def test_status_and_body(self, backend, no_leaks, status, data, want):
         server = backend(reply_with(status, data))
         assert generator._http_transport(server.url, {}, {"a": 1}, 5.0) == want
+
+    # a body of 100 bytes at 20 per second takes 5 s, each byte well within any
+    # per-read timeout; the deadline must end the request within MARGIN_S of itself
+    HEAD = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n"
+    MARGIN_S = 0.5
+
+    @pytest.mark.parametrize("reply", [(HEAD, b"x" * 100), (b"", HEAD + b"x" * 100)],
+                             ids=["body", "status_and_headers"])
+    def test_a_trickled_reply_ends_at_the_deadline(self, trickler, no_leaks, reply):
+        url = trickler(reply, pace=0.05)
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            generator._http_transport(url, {}, {"a": 1}, 0.5)
+        assert 0.5 <= time.monotonic() - start < 0.5 + self.MARGIN_S
+
+    def test_each_attempt_has_its_own_deadline(self, trickler, no_leaks, monkeypatch):
+        monkeypatch.setattr(generator, "TIMEOUT_S", 0.3)
+        url = trickler((self.HEAD, b"x" * 100), pace=0.05)
+        start = time.monotonic()
+        with pytest.raises(GeneratorError) as err:
+            HttpChatGenerator(GeneratorSettings(endpoint=url, model="m")).emit_turn(CTX)
+        assert str(err.value) == "backend unavailable after 3 attempts: timed out after 0.3 s"
+        assert 3 * 0.3 <= time.monotonic() - start < 3 * (0.3 + self.MARGIN_S)
 
     def test_reply_cut_short_is_retried(self, backend, no_leaks):
         server = backend(reply_with(200, b'{"choices": [', length=480))

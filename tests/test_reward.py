@@ -1,10 +1,13 @@
 """Reward algebra: fidelity, control accuracy, additivity and bounds."""
 
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from planrag.control import parse_trajectory
+from planrag.control import control_sequence, parse_trajectory, validate
 from planrag.metrics import bleu, bleu_reference
 from planrag.reward import (
     CONTROL_MATCH_BONUS,
@@ -18,6 +21,8 @@ from planrag.supervision import (
     ProbeOutcome,
     build_sample,
 )
+from test_control import oracle_valid
+from test_metrics import counter_bleu
 
 HIT = ProbeAttempt(answer="the gold answer", em=1, cover_em=1)
 
@@ -170,3 +175,77 @@ class TestTotalReward:
         worse = reward("[ANSWER] zzz qqq [SOLVED]", sample)
         better = reward("[ANSWER] the gold answer [SOLVED]", sample)
         assert better.total >= worse.total
+
+
+# --- bitwise oracle ------------------------------------------------------------
+
+SURFACE_LETTER = {"[INTERMEDIARY]": "I", "[RETRIEVE]": "R", "[ANSWER]": "A", "[SOLVED]": "S"}
+SURFACE_RE = re.compile("|".join(map(re.escape, SURFACE_LETTER)))
+TARGETS = ["[ANSWER] x [SOLVED]", "[INTERMEDIARY] a [RETRIEVE] q [ANSWER] x [SOLVED]",
+           "[INTERMEDIARY] a [RETRIEVE] q [INTERMEDIARY] b [RETRIEVE] r [ANSWER] x [SOLVED]"]
+# few words, so that predictions and references share n-grams and repeat them
+few_words = st.sampled_from(["gold", "answer", "the", "GOLD", "x"])
+rollout_texts = st.lists(
+    st.sampled_from(list(SURFACE_LETTER) + [" ", "", "\n", "[", "SOLVED]"])
+    | few_words.map(" {} ".format)
+    | st.text(max_size=3),
+    max_size=12,
+).map("".join)
+references = st.lists(few_words, min_size=1, max_size=6).map(" ".join)
+fillers = st.sampled_from(["", " ", "\n", " gold ", " the answer ", "x"])
+
+
+@st.composite
+def shaped_rollouts(draw):
+    """Markers of the accepted shape, (I R)* A S, with blank and non-blank texts around them."""
+    pieces = [draw(fillers)]
+    rounds = draw(st.integers(0, 3))
+    for surface in ["[INTERMEDIARY]", "[RETRIEVE]"] * rounds + ["[ANSWER]", "[SOLVED]"]:
+        pieces += [surface, draw(fillers)]
+    return "".join(pieces)
+
+
+def oracle_reward(text, reference, target, max_rounds):
+    """(r_ans, r_ctrl) worked out from the rollout's text alone.
+
+    r_ans is counter_bleu of the last answer's text, and r_ctrl comes from the
+    marker letters' regular-language oracle plus the checks on the texts between
+    the markers and on the retrieve count.
+    """
+    surfaces = SURFACE_RE.findall(text)
+    # texts[0] precedes the first marker, texts[i + 1] follows marker i
+    texts = SURFACE_RE.split(text)
+    letters = "".join(SURFACE_LETTER[s] for s in surfaces)
+    answers = [texts[i + 1] for i, s in enumerate(surfaces) if s == "[ANSWER]"]
+    r_ans = counter_bleu(answers[-1].strip() if answers else "", reference)
+    valid = (
+        oracle_valid(letters)
+        and not texts[0].strip()
+        and not texts[-1].strip()  # a valid sequence ends with Solved
+        and all(texts[i + 1].strip() for i, s in enumerate(surfaces) if s == "[RETRIEVE]")
+        and letters.count("R") <= max_rounds
+    )
+    target_letters = "".join(SURFACE_LETTER[s] for s in SURFACE_RE.findall(target))
+    if not valid:
+        r_ctrl = INVALID_PENALTY
+    elif letters == target_letters:
+        r_ctrl = CONTROL_MATCH_BONUS
+    else:
+        r_ctrl = 0.0
+    return r_ans, r_ctrl
+
+
+@given(rollout_texts | shaped_rollouts(), references, st.integers(0, 2), st.integers(0, 1))
+@settings(max_examples=400, derandomize=True)
+@example("[ANSWER]  [SOLVED]", "the gold answer", 0, 0)  # an empty answer
+@example("[ANSWER] gold x x [SOLVED]", "the gold answer", 0, 0)  # one shared unigram
+@example("[INTERMEDIARY] a [RETRIEVE] q " * 2 + "[ANSWER] gold [SOLVED]", "gold", 0, 1)  # budget
+@example("[ANSWER] gold gold gold [SOLVED]", "gold answer gold", 0, 0)  # clipped by the reference
+@example("[ANSWER] gold answer [SOLVED]", "gold gold answer answer", 0, 0)  # by the prediction
+def test_reward_is_bitwise_the_oracle(text, reference, target_rounds, spare_rounds):
+    target, max_rounds = TARGETS[target_rounds], target_rounds + spare_rounds
+    rollout = parse_trajectory(text)
+    got = total_reward(rollout, prepare([reference], parse_trajectory(target), max_rounds))
+    assert (got.r_ans, got.r_ctrl) == oracle_reward(text, reference, target, max_rounds)
+    assert got.total == got.r_ans + got.r_ctrl
+    assert list(validate(rollout, max_rounds).markers) == control_sequence(rollout)

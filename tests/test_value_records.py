@@ -64,7 +64,7 @@ def _records():
         ("MetricRow", score_row("demo", ["1815"], [["1815"]]), True),
         ("BleuReference", bleu_reference("born in 1815"), False),  # its counts are Counters
         ("RewardBreakdown", total_reward(trajectory, prepared), True),
-        ("PreparedSample", prepared, False),  # its controls are a list
+        ("PreparedSample", prepared, False),  # through its reference's Counters
         ("ProbeAttempt", outcome.attempts[0], True),
         ("ProbeOutcome", outcome, True),
         ("TextRun", text_run, True),
