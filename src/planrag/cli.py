@@ -430,9 +430,8 @@ def cmd_reward(args, settings) -> int:
     prepared = {}  # sample id -> its PreparedSample, or the text of why it scores nothing
     entries = []
     errors = 0
-    rollout_fields, no_fields = {"text": str}, {}  # built once, not once per rollout
     for lineno, rec in records.iter_jsonl(args.rollouts):
-        if records.check(rec, rollout_fields, no_fields):
+        if records.check(rec, {"text": str}, {}):
             entries.append({"line": lineno, "error": "malformed rollout record"})
             errors += 1
             continue

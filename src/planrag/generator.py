@@ -168,7 +168,11 @@ class _DeadlineSocket:
 
     Before every call into the socket, its timeout is set to the time left, so
     a backend that trickles its reply, each byte within any fixed per-read
-    timeout, still cannot hold the request past the deadline.
+    timeout, still cannot hold the request past the deadline. ``close`` leaves
+    the socket open: ``http.client`` closes the connection before it reads a
+    reply that ends with the connection (``Connection: close``, HTTP/1.0, no
+    Content-Length), and the reply's reader still needs the socket. Whoever
+    wraps the socket closes it.
     """
 
     def __init__(self, sock, deadline: float) -> None:
@@ -182,14 +186,12 @@ class _DeadlineSocket:
         return io.BufferedReader(_Receiver(self))
 
     def close(self) -> None:
-        self.sock.close()
+        pass
 
 
 class _Receiver(io.RawIOBase):
     """The reading side of a _DeadlineSocket, as ``socket.makefile`` gives one: the reply
-    is read in the chunks the backend sends, each receive waiting at most the time left.
-    Like a socket's file it is closed apart from the socket: ``http.client`` closes the
-    connection first and then the response, which flushes and closes this."""
+    is read in the chunks the backend sends, each receive waiting at most the time left."""
 
     def __init__(self, conn: _DeadlineSocket) -> None:
         self.conn = conn
@@ -226,14 +228,18 @@ def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
     else:
         conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=_time_left(deadline))
     path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    sock = None
     try:
-        conn.connect()
-        conn.sock = _DeadlineSocket(conn.sock, deadline)
+        conn.connect()  # closed by conn.close() if it fails after making a socket
+        sock = conn.sock
+        conn.sock = _DeadlineSocket(sock, deadline)
         conn.request("POST", path, json.dumps(payload, allow_nan=False).encode(), headers)
-        resp = conn.getresponse()
-        raw = resp.read()
+        with conn.getresponse() as resp:
+            raw = resp.read()
     finally:
         conn.close()
+        if sock is not None:
+            sock.close()
     try:
         body = json.loads(raw)
     except ValueError:

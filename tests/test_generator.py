@@ -462,6 +462,19 @@ class TestHttpTransport:
         server = backend(reply_with(status, data))
         assert generator._http_transport(server.url, {}, {"a": 1}, 5.0) == want
 
+    # http.client hands the connection to the response for these replies and
+    # closes it before the body is read; the body arrives a byte at a time, so
+    # most of it is read after that close
+    @pytest.mark.parametrize("head", [
+        b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: %d\r\n\r\n",
+        b"HTTP/1.0 200 OK\r\n\r\n",  # no Content-Length: the body ends with the connection
+    ], ids=["connection_close", "http_1_0_to_eof"])
+    def test_a_reply_that_closes_the_connection_round_trips(self, trickler, no_leaks, head):
+        data = json.dumps(chat_body("[ANSWER] x [SOLVED]")).encode()
+        head = head.replace(b"%d", str(len(data)).encode())
+        url = trickler((head + data[:5], data[5:]), pace=0.001)
+        assert generator._http_transport(url, {}, {"a": 1}, 5.0) == (200, json.loads(data))
+
     # a body of 100 bytes at 20 per second takes 5 s, each byte well within any
     # per-read timeout; the deadline must end the request within MARGIN_S of itself
     HEAD = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n"
