@@ -1,77 +1,3 @@
 """Control-token driven retrieval planning over a BM25 passage index."""
 
-from .bm25 import Passage, PassageIndex, RetrievedPassage, build_index, load_index, save_index
-from .control import (
-    ControlToken,
-    ScannerState,
-    Segment,
-    Trajectory,
-    control_sequence,
-    parse_trajectory,
-    scan_stream,
-    validate,
-)
-from .generator import (
-    GenerationContext,
-    GeneratorEmission,
-    HttpChatGenerator,
-    ReplayGenerator,
-    render_prompt,
-)
-from .metrics import (
-    MetricRow,
-    NormalizationMode,
-    ScoreReport,
-    avg_score,
-    bleu,
-    cover_em,
-    exact_match,
-    rouge,
-    token_f1,
-)
-from .planner import Episode, PlannerConfig, batch_run, run_episode
-from .reward import RewardBreakdown, total_reward
-from .supervision import SupervisionKind, SupervisionSample, build_sample, classify
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ControlToken",
-    "Episode",
-    "GenerationContext",
-    "GeneratorEmission",
-    "HttpChatGenerator",
-    "MetricRow",
-    "NormalizationMode",
-    "Passage",
-    "PassageIndex",
-    "PlannerConfig",
-    "ReplayGenerator",
-    "RetrievedPassage",
-    "RewardBreakdown",
-    "ScannerState",
-    "ScoreReport",
-    "Segment",
-    "SupervisionKind",
-    "SupervisionSample",
-    "Trajectory",
-    "avg_score",
-    "batch_run",
-    "bleu",
-    "build_index",
-    "build_sample",
-    "classify",
-    "control_sequence",
-    "cover_em",
-    "exact_match",
-    "load_index",
-    "parse_trajectory",
-    "render_prompt",
-    "rouge",
-    "run_episode",
-    "save_index",
-    "scan_stream",
-    "token_f1",
-    "total_reward",
-    "validate",
-]

@@ -79,6 +79,12 @@ def parse_trajectory(text: str) -> Trajectory:
     return Trajectory(tuple(segments), text)
 
 
+def strip_control_tokens(text: str) -> str:
+    """``text`` without its control-token surfaces, its words joined by single spaces."""
+    # surfaces cannot overlap, so one pass removes what replacing each in turn would
+    return " ".join(_TOKEN_RE.sub(" ", text).split())
+
+
 # --- streaming scanner -------------------------------------------------------
 
 

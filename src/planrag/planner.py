@@ -70,10 +70,7 @@ class PlannerConfig:
 
 @dataclass
 class PlanStep:
-    index: int
-    finalize: bool
     emission: GeneratorEmission
-    action: str
     note: str | None = None
     duration_s: float = 0.0
 
@@ -205,13 +202,7 @@ def run_episode(
         emission = gen.emit_turn(ctx)
         duration = time.perf_counter() - started
         reading = read_turn(emission.text)
-        step = PlanStep(
-            index=len(ep.steps),
-            finalize=finalize,
-            emission=emission,
-            action=reading.kind,
-            duration_s=duration,
-        )
+        step = PlanStep(emission=emission, duration_s=duration)
         ep.steps.append(step)
         query = reading.query.strip()
 

@@ -113,16 +113,19 @@ def replacing(path: str, **open_args) -> Iterator[IO[str]]:
     A block that raises, or is interrupted, removes the file it was writing, so
     any file already at ``path`` is left as it was. A lone surrogate, which a
     JSON escape can put in a string and UTF-8 cannot encode, is written as its
-    backslash escape: the JSON escape that reads back as the same string.
+    backslash escape: the JSON escape that reads back as the same string. An
+    ``OSError`` about the file beside ``path`` names ``path`` instead.
     """
     partial = f"{path}.{os.getpid()}.partial"
     try:
         with open(partial, "w", errors="backslashreplace", **open_args) as fh:
             yield fh
         os.replace(partial, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(partial)
+        if isinstance(exc, OSError) and exc.filename == partial:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

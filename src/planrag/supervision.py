@@ -14,13 +14,13 @@ from typing import NamedTuple
 
 from .bm25 import PassageIndex, RetrievedPassage
 from .control import (
-    _TOKEN_RE,
     ControlToken,
     Segment,
     Trajectory,
     control_sequence,
     last_answer,
     parse_trajectory,
+    strip_control_tokens,
 )
 from .generator import EvidenceBlock, GenerationContext
 from .metrics import References, cover_em, exact_match, normalize
@@ -151,14 +151,9 @@ def teacher_followup_query(
         prior_segments=(Segment(ControlToken.INTERMEDIARY, " " + intermediary),),
     )
     query = teacher.emit_turn(ctx).text.strip()
-    if not _strip_control_tokens(query):
+    if not strip_control_tokens(query):
         raise EmptyTeacherQueryError("teacher returned an empty follow-up query")
     return query
-
-
-def _strip_control_tokens(text: str) -> str:
-    # surfaces cannot overlap, so one pass removes what replacing each in turn would
-    return " ".join(_TOKEN_RE.sub(" ", text).split())
 
 
 def _partial_answer(outcome: ProbeOutcome) -> str:
@@ -195,8 +190,8 @@ def build_sample(
     kind = classify(parametric, retrieval)
     if not refs:
         raise ValueError("a sample needs at least one reference answer")
-    gold = _strip_control_tokens(refs[0])
-    query = _strip_control_tokens(question)
+    gold = strip_control_tokens(refs[0])
+    query = strip_control_tokens(question)
     if not query and kind is not SupervisionKind.ALPHA:
         raise EmptyTargetQueryError(
             f"a {kind.value} sample retrieves with its question, "
@@ -206,17 +201,17 @@ def build_sample(
     if kind is SupervisionKind.ALPHA:
         text = answer_tail
     elif kind is SupervisionKind.BETA:
-        partial = _strip_control_tokens(_partial_answer(parametric))
+        partial = strip_control_tokens(_partial_answer(parametric))
         text = f"[INTERMEDIARY] {partial} [RETRIEVE] {query} {answer_tail}"
     elif kind is SupervisionKind.THETA:
-        partial = _strip_control_tokens(_partial_answer(retrieval))
+        partial = strip_control_tokens(_partial_answer(retrieval))
         text = f"[INTERMEDIARY] {partial} [RETRIEVE] {query} {answer_tail}"
     else:  # gamma: the teacher supplies the refined second query
-        refined = _strip_control_tokens(teacher_query or "")
+        refined = strip_control_tokens(teacher_query or "")
         if not refined:
             raise EmptyTeacherQueryError("gamma sample requires a teacher query")
-        first = _strip_control_tokens(_partial_answer(parametric))
-        second = _strip_control_tokens(_partial_answer(retrieval))
+        first = strip_control_tokens(_partial_answer(parametric))
+        second = strip_control_tokens(_partial_answer(retrieval))
         text = (
             f"[INTERMEDIARY] {first} [RETRIEVE] {query} "
             f"[INTERMEDIARY] {second} [RETRIEVE] {refined} {answer_tail}"

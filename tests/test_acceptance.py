@@ -246,11 +246,6 @@ def test_criterion_4_budget_safety():
             assert ep.status == "completed"
         # forced finalization fired exactly once, exactly at the budget
         assert gen.finalize_evidence_counts == [budget]
-        finalize_steps = [s for s in ep.steps if s.finalize]
-        retrieves_before = [
-            s for s in ep.steps if s.action == "retrieve" and s.index < finalize_steps[0].index
-        ]
-        assert len(retrieves_before) == budget
         episodes += 1
         for script in ADVERSARIAL_SCRIPTS:
             for policy in FallbackPolicy:

@@ -1185,3 +1185,13 @@ def test_setting_out_of_range_is_one_error_line_and_writes_nothing(
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {where} must be {_BOUNDS[key]}, got {got}\n"
     assert not (root / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["index", "reward", "compare"])
+def test_an_output_file_that_cannot_be_written_is_named_in_its_error(workspace, capsys, command):
+    root = workspace["root"]
+    argv = _valid_argv(command, root)
+    out = str(root / "nodir" / "out")
+    argv[argv.index("--out") + 1] = out
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {out!r}\n"

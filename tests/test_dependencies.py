@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -50,22 +52,33 @@ def test_the_guard_sees_every_import_form():
     assert {"numpy", "yaml"}.isdisjoint(declared_dependencies())
 
 
-def loaded_by_importing_the_cli(modules: set[str]) -> list[str]:
-    """Which of ``modules`` a fresh interpreter has loaded after ``import planrag.cli``."""
-    probe = f"import sys, planrag.cli; print(sorted({sorted(modules)!r} & sys.modules.keys()))"
+def loaded_after_importing(module: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after ``import <module>``."""
+    probe = f"import sys, {module}; print(sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    return ast.literal_eval(out)
+    return set(ast.literal_eval(out))
 
 
 def test_importing_the_cli_loads_no_http_transport():
     # the chat transport imports http.client and ssl when it first sends a request, so the
     # commands that never ask a backend (index, score, reward, replay runs) do not pay for them
-    assert loaded_by_importing_the_cli({"http.client", "ssl"}) == []
+    assert {"http.client", "ssl"} & loaded_after_importing("planrag.cli") == set()
 
 
 def test_importing_the_cli_loads_no_thread_pool():
     # batch_run imports concurrent.futures only to run episodes in parallel; threading is
     # not checked, as site may load it before any planrag module
-    assert loaded_by_importing_the_cli({"concurrent.futures"}) == []
+    assert "concurrent.futures" not in loaded_after_importing("planrag.cli")
+
+
+@pytest.mark.parametrize(
+    "module, submodules",
+    [("planrag", []), ("planrag.control", ["planrag.control"]),
+     ("planrag.bm25", ["planrag.bm25", "planrag.records"])],
+)
+def test_importing_a_module_loads_only_the_modules_it_uses(module, submodules):
+    # the package itself imports none of its modules
+    loaded = loaded_after_importing(module)
+    assert sorted(name for name in loaded if name.startswith("planrag.")) == submodules

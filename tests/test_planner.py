@@ -52,6 +52,18 @@ class AdaptiveRetriever:
         return GeneratorEmission(text=f"[ANSWER] {self.answer} [SOLVED]")
 
 
+class FinalizeRecorder:
+    """Passes each turn to ``inner`` and records whether the turn had to finalize."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.finalize_flags: list[bool] = []
+
+    def emit_turn(self, ctx: GenerationContext) -> GeneratorEmission:
+        self.finalize_flags.append(ctx.finalize_required)
+        return self.inner.emit_turn(ctx)
+
+
 class TestReadTurn:
     def test_answer_branch(self):
         reading = read_turn("[ANSWER] Paris [SOLVED]")
@@ -121,13 +133,12 @@ class TestRunEpisode:
         assert len(ep.memory) == 3
         assert ep.final_answer == "Paris"
         assert gen.finalize_contexts == [3]
-        finalize_steps = [s for s in ep.steps if s.finalize]
-        assert len(finalize_steps) == 1 and finalize_steps[0].index == 3
 
     def test_budget_zero_direct_answer(self, tiny_index):
-        ep = run_episode("q?", PlannerConfig(max_rounds=0), ReplayGenerator([ANSWER_TURN]), tiny_index)
+        gen = FinalizeRecorder(ReplayGenerator([ANSWER_TURN]))
+        ep = run_episode("q?", PlannerConfig(max_rounds=0), gen, tiny_index)
         assert ep.status == "completed" and ep.rounds_used == 0
-        assert ep.steps[0].finalize
+        assert gen.finalize_flags == [True]
 
     def test_budget_zero_retrieve_is_error_status(self, tiny_index):
         ep = run_episode(
@@ -157,10 +168,10 @@ class TestRunEpisode:
 
     def test_bare_intermediary_force_finalize_policy(self, tiny_index):
         cfg = PlannerConfig(fallback_policy=FallbackPolicy.FORCE_FINALIZE)
-        gen = ReplayGenerator(["[INTERMEDIARY] no retrieve here", ANSWER_TURN])
+        gen = FinalizeRecorder(ReplayGenerator(["[INTERMEDIARY] no retrieve here", ANSWER_TURN]))
         ep = run_episode("q?", cfg, gen, tiny_index)
         assert ep.status == "completed" and ep.rounds_used == 0
-        assert ep.steps[1].finalize
+        assert gen.finalize_flags == [False, True]
 
     def test_empty_query_fallback(self, tiny_index):
         gen = ReplayGenerator(["[INTERMEDIARY] hmm [RETRIEVE]    ", ANSWER_TURN])
@@ -279,15 +290,17 @@ class TestOps:
         # the turn after the last allowed retrieval demands finalization
         # and carries that retrieval's evidence
         gen = AdaptiveRetriever(target_rounds=99)
-        ep = run_episode("q?", PlannerConfig(max_rounds=1, top_k=2), gen, tiny_index)
+        recorder = FinalizeRecorder(gen)
+        run_episode("q?", PlannerConfig(max_rounds=1, top_k=2), recorder, tiny_index)
         assert gen.finalize_contexts == [1]
-        assert [s.finalize for s in ep.steps] == [False, True]
+        assert recorder.finalize_flags == [False, True]
 
     def test_force_finalize_zero_budget(self, tiny_index):
         gen = AdaptiveRetriever(target_rounds=99)
-        ep = run_episode("q?", PlannerConfig(max_rounds=0), gen, tiny_index)
+        recorder = FinalizeRecorder(gen)
+        run_episode("q?", PlannerConfig(max_rounds=0), recorder, tiny_index)
         assert gen.finalize_contexts == [0]
-        assert [s.finalize for s in ep.steps] == [True]
+        assert recorder.finalize_flags == [True]
 
     def test_build_context_mirrors_state(self, tiny_index):
         ep = Episode(question="q")

@@ -59,3 +59,18 @@ def test_failed_json_write_keeps_the_old_file(tmp_path):
     with open(path, "rb") as fh:
         assert fh.read() == before
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_a_failed_write_names_its_path_not_the_file_beside_it(tmp_path):
+    missing = str(tmp_path / "nodir" / "out.jsonl")
+    with pytest.raises(FileNotFoundError) as opened:
+        records.write_jsonl(missing, ROWS)
+    # a directory at the path fails the move onto it, once the file beside it is written
+    directory = tmp_path / "out.json"
+    directory.mkdir()
+    with pytest.raises(IsADirectoryError) as moved:
+        records.write_json(str(directory), {"rows": ROWS})
+    for failure, path in ((opened, missing), (moved, str(directory))):
+        assert (failure.value.filename, failure.value.filename2) == (path, None)
+        assert str(failure.value).endswith(f": {path!r}")
+    assert os.listdir(tmp_path) == ["out.json"]

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planrag.control import ControlToken, control_sequence, parse_trajectory, validate
+from planrag.control import (
+    ControlToken,
+    control_sequence,
+    parse_trajectory,
+    strip_control_tokens,
+    validate,
+)
 from planrag.generator import GeneratorError, ReplayGenerator
 from planrag.metrics import NormalizationMode, normalize_refs
 from planrag.supervision import (
@@ -17,7 +23,6 @@ from planrag.supervision import (
     ProbeOutcome,
     Split,
     SupervisionKind,
-    _strip_control_tokens,
     build_sample,
     classify,
     export_dataset,
@@ -273,7 +278,7 @@ def test_strip_control_tokens_equals_replacing_each_surface(text):
     replaced = text
     for token in ControlToken:
         replaced = replaced.replace(token.surface, " ")
-    assert _strip_control_tokens(text) == " ".join(replaced.split())
+    assert strip_control_tokens(text) == " ".join(replaced.split())
 
 
 # em 1 implies cover_em 1
