@@ -87,12 +87,15 @@ def _check_range(where: str, key: str, value) -> None:
 
 
 def _load_config(path: str | None) -> dict:
-    """The config file's settings, every one checked against its kind and range."""
+    """The config file's settings, every one checked against its kind and range.
+
+    One UTF-8 byte order mark at the start of the file is skipped.
+    """
     if not path:
         return {}
     with open(path, "rb") as fh:
         try:
-            config = json.loads(fh.read().decode("utf-8"))
+            config = json.loads(fh.read().decode("utf-8-sig"))
         except ValueError:  # not UTF-8 or not JSON
             config = None
     if not isinstance(config, dict):

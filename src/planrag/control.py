@@ -79,6 +79,21 @@ def parse_trajectory(text: str) -> Trajectory:
     return Trajectory(tuple(segments), text)
 
 
+def split_head(text: str) -> list:
+    """Text split at its first three control tokens, each token as its ControlToken.
+
+    ``[lead, token, text, token, text, token, rest]``, cut short after the
+    last token the text holds; ``rest`` is everything after the third token,
+    unsplit, so a reader of the first branch never scans the whole text.
+    """
+    # maxsplit by keyword: Python 3.13 deprecates passing it to re.split positionally
+    parts = _TOKEN_RE.split(text, maxsplit=3)
+    # at most three tokens: a loop over them is cheaper than a slice assignment of a map
+    for i in range(1, len(parts), 2):
+        parts[i] = _SURFACE_TO_TOKEN[parts[i]]
+    return parts
+
+
 def strip_control_tokens(text: str) -> str:
     """``text`` without its control-token surfaces, its words joined by single spaces."""
     # surfaces cannot overlap, so one pass removes what replacing each in turn would

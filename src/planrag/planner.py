@@ -18,15 +18,15 @@ from typing import NamedTuple
 from .bm25 import PassageIndex
 from .control import (
     AWAIT_SOLVED,
+    END,
     END_BREACH,
     OPEN,
     TRANSITIONS,
     ControlToken,
     Segment,
     Trajectory,
-    closed_branch,
     parse_trajectory,
-    render_segments,
+    split_head,
 )
 from .generator import (
     DEFAULT_PREAMBLE,
@@ -118,33 +118,38 @@ def read_turn(text: str) -> TurnReading:
     """Classify one emission by the first branch it opens.
 
     Which marker may follow which is read from the grammar's transition
-    table. An answer branch ends the episode even when it is not closed.
+    table, and only the first two markers decide: the text is split at its
+    first three, and is parsed whole only when the turn is malformed, whose
+    consumed segments are all of it. An answer branch ends the episode even
+    when it is not closed.
     """
-    segs = parse_trajectory(text).segments
-    lead = segs[:1] if segs and segs[0].marker is None else ()
-    marked = segs[len(lead) :]
-    if not marked:
-        return TurnReading("plain", segs)
-    first = marked[0]
+    # [lead, marker, text, marker, text, marker, rest], cut short after the last marker
+    parts = split_head(text)
+    lead = (Segment(None, parts[0]),) if parts[0] else ()
+    if len(parts) == 1:
+        return TurnReading("plain", lead)
+    first = Segment(parts[1], parts[2])
     state, breach = TRANSITIONS[OPEN, first.marker]
-    if breach:
-        return TurnReading("malformed", segs, "", False, "", breach)
-    branch = closed_branch(marked)
-    answering = state == AWAIT_SOLVED
-    if branch or answering:
-        consumed = lead + (branch or (first,))
-        truncated = bool(text[len(render_segments(consumed)) :].strip())
-        if answering:
-            return TurnReading("answer", consumed, first.text, branch is not None, "", "",
-                               truncated)
-        return TurnReading("retrieve", consumed, "", False, branch[1].text, "", truncated)
-    # An intermediary branch left open. A next marker that only leaves it open
-    # (the breach of ending the turn here) makes it bare; any other is a breach.
-    nxt = marked[1].marker if len(marked) > 1 else None
-    breach = TRANSITIONS[state, nxt][1] if nxt else END_BREACH[state]
-    if breach != END_BREACH[state]:
-        return TurnReading("malformed", segs, "", False, "", breach)
-    return TurnReading("bare_intermediary", lead + (first,))
+    if not breach:
+        # the second marker, or the end of the turn, closes the branch or not
+        nxt = parts[3] if len(parts) > 3 else None
+        after, breach = TRANSITIONS[state, nxt] if nxt else (state, END_BREACH[state])
+        if not breach:
+            # a closed branch; what follows it is a third marker, or text after Solved
+            if after == END:
+                truncated = len(parts) > 5 or bool(parts[4].strip())
+                return TurnReading("answer", lead + (first, Segment(nxt, "")), first.text,
+                                   True, "", "", truncated)
+            return TurnReading("retrieve", lead + (first, Segment(nxt, parts[4])), "", False,
+                               parts[4], "", len(parts) > 5)
+        if state == AWAIT_SOLVED:
+            return TurnReading("answer", lead + (first,), first.text, False, "", "",
+                               nxt is not None)
+        # An intermediary branch left open. A next marker that only leaves it open
+        # (the breach of ending the turn here) makes it bare; any other is a breach.
+        if breach == END_BREACH[state]:
+            return TurnReading("bare_intermediary", lead + (first,))
+    return TurnReading("malformed", parse_trajectory(text).segments, "", False, "", breach)
 
 
 # --- operations ---------------------------------------------------------------

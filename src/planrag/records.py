@@ -7,9 +7,11 @@ in which each id is unique.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import json
 import os
+from itertools import chain
 from typing import IO, Any, Iterable, Iterator
 
 # field kind -> how a message names it; ``float`` also takes an integer, ``list``
@@ -24,10 +26,12 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
     """(line number, parsed value) for each non-blank line.
 
     The value is None for a line that is not JSON, and the line's raw bytes for
-    one that is not UTF-8; neither fits a record shape.
+    one that is not UTF-8; neither fits a record shape. One UTF-8 byte order
+    mark at the start of the file is skipped, as RFC 8259 lets a parser do.
     """
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
+        first = fh.readline().removeprefix(codecs.BOM_UTF8)
+        for lineno, raw in enumerate(chain((first,), fh), 1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError:

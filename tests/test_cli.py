@@ -1,5 +1,6 @@
 """End-to-end CLI behavior with replay backends in a temp workspace."""
 
+import codecs
 import json
 import os
 import random
@@ -76,6 +77,22 @@ def workspace(tmp_path):
     }
     assert main(["index", "--corpus", paths["corpus"], "--out", paths["index"]]) == 0
     return paths
+
+
+def test_a_byte_order_mark_at_the_start_of_an_input_file_is_skipped(workspace, tmp_path):
+    config = json.dumps({"budget": 1}).encode()
+    outputs = []
+    for mark in (b"", codecs.BOM_UTF8):
+        (tmp_path / "config.json").write_bytes(mark + config)
+        (tmp_path / "dev.jsonl").write_bytes(mark + Path(workspace["dataset"]).read_bytes())
+        out_dir = tmp_path / f"out{len(mark)}"
+        code = main(["run", "--dataset", str(tmp_path / "dev.jsonl"), "--scripts",
+                     workspace["scripts"], "--index", workspace["index"], "--out-dir",
+                     str(out_dir), "--config", str(tmp_path / "config.json")])
+        assert code == 0
+        assert json.loads((out_dir / "report.json").read_text())["run"]["budget"] == 1
+        outputs.append((out_dir / "transcripts.jsonl").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 class TestIndexCmd:

@@ -3,12 +3,21 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planrag import cli
 from planrag.bm25 import save_index
-from planrag.control import validate
+from planrag.control import (
+    AWAIT_SOLVED,
+    END_BREACH,
+    OPEN,
+    TRANSITIONS,
+    closed_branch,
+    parse_trajectory,
+    render_segments,
+    validate,
+)
 from planrag.generator import (
     GenerationContext,
     GeneratorEmission,
@@ -21,6 +30,7 @@ from planrag.planner import (
     FallbackPolicy,
     MissingIndexError,
     PlannerConfig,
+    TurnReading,
     batch_run,
     build_context,
     episode_record,
@@ -422,6 +432,56 @@ TURN_PIECES = [
     "[ANS", "WER]", "[SOL", "VED]", "[RETR", "[", "]", "[]", "paris", " eiffel tower", "é", "日本",
 ]
 TURNS = st.one_of(st.text(max_size=20), st.lists(st.sampled_from(TURN_PIECES), max_size=8).map("".join))
+
+
+def whole_turn_reading(text: str) -> TurnReading:
+    """The oracle of read_turn: the turn parsed whole, the rest found by rendering the consumed prefix."""
+    segs = parse_trajectory(text).segments
+    lead = segs[:1] if segs and segs[0].marker is None else ()
+    marked = segs[len(lead) :]
+    if not marked:
+        return TurnReading("plain", segs)
+    first = marked[0]
+    state, breach = TRANSITIONS[OPEN, first.marker]
+    if breach:
+        return TurnReading("malformed", segs, "", False, "", breach)
+    branch = closed_branch(marked)
+    answering = state == AWAIT_SOLVED
+    if branch or answering:
+        consumed = lead + (branch or (first,))
+        truncated = bool(text[len(render_segments(consumed)) :].strip())
+        if answering:
+            return TurnReading("answer", consumed, first.text, branch is not None, "", "",
+                               truncated)
+        return TurnReading("retrieve", consumed, "", False, branch[1].text, "", truncated)
+    nxt = marked[1].marker if len(marked) > 1 else None
+    breach = TRANSITIONS[state, nxt][1] if nxt else END_BREACH[state]
+    if breach != END_BREACH[state]:
+        return TurnReading("malformed", segs, "", False, "", breach)
+    return TurnReading("bare_intermediary", lead + (first,))
+
+
+@given(text=TURNS)
+@example(text="lead [ANSWER] x [SOLVED]")
+@example(text="\n[INTERMEDIARY] a [RETRIEVE] q")
+@example(text="[INTERMEDIARY] a [INTERMEDIARY] b")
+@example(text="[INTERMEDIARY] a [RETRIEVE] q")
+@example(text="[INTERMEDIARY] a [ANSWER] x")
+@example(text="[INTERMEDIARY] a [SOLVED] x")
+@example(text="[ANSWER] x [INTERMEDIARY] a")
+@example(text="[ANSWER] x [RETRIEVE] q")
+@example(text="[ANSWER] x [ANSWER] y")
+@example(text="[ANSWER] x [SOLVED] y")
+@example(text="[INTERMEDIARY] a [RETRIEVE] q [ANSWER] x [SOLVED]")
+@example(text="[INTERMEDIARY] a [RETRIEVE] q \n[RETRIEVE] r")
+@example(text="[ANSWER] x [SOLVED][SOLVED]")
+@example(text="[ANSWER] x [SOLVED]   ")
+# a surface split in two pieces, joined back and kept apart
+@example(text="[INTERMEDIARY] a [RETR" + "IEVE] q")
+@example(text="[INTERMEDIARY] a [RETR IEVE] q")
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_read_turn_equals_the_whole_turn_reading(text):
+    assert read_turn(text) == whole_turn_reading(text)
 
 
 @given(

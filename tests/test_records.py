@@ -1,5 +1,6 @@
-"""Output files: written whole or not at all, with unchanged bytes."""
+"""Record files: inputs read line by line, outputs written whole or not at all, with unchanged bytes."""
 
+import codecs
 import json
 import os
 
@@ -74,3 +75,15 @@ def test_a_failed_write_names_its_path_not_the_file_beside_it(tmp_path):
         assert (failure.value.filename, failure.value.filename2) == (path, None)
         assert str(failure.value).endswith(f": {path!r}")
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_a_byte_order_mark_is_skipped_at_the_start_of_the_file_only(tmp_path):
+    bom = codecs.BOM_UTF8
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(bom + b'{"id": "a"}\n' + bom + b'{"id": "b"}\n')
+    # a mark past the first line is no whitespace to JSON, so that line is not JSON
+    assert list(records.iter_jsonl(str(path))) == [(1, {"id": "a"}), (2, None)]
+    path.write_bytes(bom + bom + b'{"id": "a"}\n')
+    assert list(records.iter_jsonl(str(path))) == [(1, None)]
+    path.write_bytes(bom)
+    assert list(records.iter_jsonl(str(path))) == []
