@@ -1,4 +1,4 @@
-"""Control-token grammar: streaming detection, trajectory parsing and validation.
+"""Control-token grammar: streaming detection, trajectory parsing, turn reading, validation.
 
 A generation trajectory alternates literal control tokens with free text.
 The accepted shape is ``([INTERMEDIARY] text [RETRIEVE] query)* [ANSWER] text
@@ -77,21 +77,6 @@ def parse_trajectory(text: str) -> Trajectory:
     segments = [Segment(None, parts[0])] if parts[0] else []
     segments += map(Segment, map(_SURFACE_TO_TOKEN.__getitem__, parts[1::2]), parts[2::2])
     return Trajectory(tuple(segments), text)
-
-
-def split_head(text: str) -> list:
-    """Text split at its first three control tokens, each token as its ControlToken.
-
-    ``[lead, token, text, token, text, token, rest]``, cut short after the
-    last token the text holds; ``rest`` is everything after the third token,
-    unsplit, so a reader of the first branch never scans the whole text.
-    """
-    # maxsplit by keyword: Python 3.13 deprecates passing it to re.split positionally
-    parts = _TOKEN_RE.split(text, maxsplit=3)
-    # at most three tokens: a loop over them is cheaper than a slice assignment of a map
-    for i in range(1, len(parts), 2):
-        parts[i] = _SURFACE_TO_TOKEN[parts[i]]
-    return parts
 
 
 def strip_control_tokens(text: str) -> str:
@@ -208,24 +193,56 @@ END_BREACH: dict[str, str | None] = {
 }
 
 
-def closed_branch(segments: tuple[Segment, ...]) -> tuple[Segment, Segment] | None:
-    """The first two segments as one complete branch, or None if they are not one.
+class TurnReading(NamedTuple):
+    # built positionally, which is faster than by keyword
+    kind: str  # answer | retrieve | bare_intermediary | plain | malformed
+    consumed: tuple[Segment, ...]
+    answer: str = ""
+    has_solved: bool = False
+    query: str = ""
+    reason: str = ""
+    truncated: bool = False
 
-    A branch opens with a marker the open state accepts and closes with the
-    marker that leads back to it (a retrieval query, kept) or to the end (the
-    text after Solved, dropped).
+
+def read_turn(text: str) -> TurnReading:
+    """Classify one emission by the first branch it opens.
+
+    Only the first two markers decide, by the transition table. An answer
+    branch is taken even when it is not closed. ``consumed`` ends where the
+    first branch does: a retrieval with its query kept, an answer with the
+    text after Solved dropped. ``truncated`` marks a closed branch with more
+    than whitespace after it, or an open answer followed by another marker.
+    A malformed turn consumes all of its text, so only that is parsed whole.
     """
-    if len(segments) < 2 or segments[0].marker is None:
-        return None
-    closer = segments[1]
-    state, breach = TRANSITIONS[OPEN, segments[0].marker]
+    # [lead, marker, text, marker, text, marker, rest], cut short after the last marker;
+    # rest is unsplit, so the first branch is read without scanning the whole turn.
+    # maxsplit by keyword: Python 3.13 deprecates passing it to re.split positionally
+    parts = _TOKEN_RE.split(text, maxsplit=3)
+    lead = (Segment(None, parts[0]),) if parts[0] else ()
+    if len(parts) == 1:
+        return TurnReading("plain", lead)
+    first = Segment(_SURFACE_TO_TOKEN[parts[1]], parts[2])
+    state, breach = TRANSITIONS[OPEN, first.marker]
     if not breach:
-        state, breach = TRANSITIONS[state, closer.marker]
-    if breach:
-        return None
-    if state == END:
-        closer = Segment(closer.marker, "")
-    return segments[0], closer
+        # the second marker, or the end of the turn, closes the branch or not
+        nxt = _SURFACE_TO_TOKEN[parts[3]] if len(parts) > 3 else None
+        after, breach = TRANSITIONS[state, nxt] if nxt else (state, END_BREACH[state])
+        if not breach:
+            # a closed branch; what follows it is a third marker, or text after Solved
+            if after == END:
+                truncated = len(parts) > 5 or bool(parts[4].strip())
+                return TurnReading("answer", lead + (first, Segment(nxt, "")), first.text,
+                                   True, "", "", truncated)
+            return TurnReading("retrieve", lead + (first, Segment(nxt, parts[4])), "", False,
+                               parts[4], "", len(parts) > 5)
+        if state == AWAIT_SOLVED:
+            return TurnReading("answer", lead + (first,), first.text, False, "", "",
+                               nxt is not None)
+        # An intermediary branch left open. A next marker that only leaves it open
+        # (the breach of ending the turn here) makes it bare; any other is a breach.
+        if breach == END_BREACH[state]:
+            return TurnReading("bare_intermediary", lead + (first,))
+    return TurnReading("malformed", parse_trajectory(text).segments, "", False, "", breach)
 
 
 def last_answer(t: Trajectory) -> str | None:

@@ -13,7 +13,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .bm25 import RetrievedPassage
-from .control import Segment, closed_branch, parse_trajectory, render_segments
+from .control import Segment, read_turn, render_segments
+from .control import parse_trajectory  # not called here: perfbench/tracing.py wraps this name
 
 if TYPE_CHECKING:  # pragma: no cover
     import ssl
@@ -87,17 +88,16 @@ def render_prompt(ctx: GenerationContext) -> str:
 
 
 def truncate_at_branch(text: str) -> str:
-    """Cut a turn at the first boundary past a complete branch.
+    """Cut a turn where ``read_turn``'s reading of it ends, once its first branch closes.
 
-    An answer branch is complete at [SOLVED]; an intermediary branch is
-    complete at the end of the retrieval query, i.e. the next control token.
-    Text with no complete branch is returned unchanged.
+    An answer branch closes at [SOLVED], and the text after it is dropped; an
+    intermediary branch closes at the end of its retrieval query, i.e. the next
+    control token. A turn whose first branch does not close, or has only
+    whitespace after it, is returned unchanged.
     """
-    segs = parse_trajectory(text).segments
-    for i in range(len(segs) - 1):
-        branch = closed_branch(segs[i : i + 2])
-        if branch:
-            return render_segments(segs[:i] + branch)
+    reading = read_turn(text)
+    if reading.truncated and (reading.kind == "retrieve" or reading.has_solved):
+        return render_segments(reading.consumed)
     return text
 
 

@@ -13,21 +13,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 from .bm25 import PassageIndex
-from .control import (
-    AWAIT_SOLVED,
-    END,
-    END_BREACH,
-    OPEN,
-    TRANSITIONS,
-    ControlToken,
-    Segment,
-    Trajectory,
-    parse_trajectory,
-    split_head,
-)
+from .control import ControlToken, Segment, Trajectory, read_turn
+from .control import parse_trajectory  # not called here: perfbench/tracing.py wraps this name
 from .generator import (
     DEFAULT_PREAMBLE,
     EvidenceBlock,
@@ -98,58 +87,6 @@ class Episode:
 
     def control_names(self) -> list[str]:
         return [_NAMES[s.marker] for s in self.segments if s.marker is not None]
-
-
-# --- turn interpretation ------------------------------------------------------
-
-
-class TurnReading(NamedTuple):
-    # built positionally, which is faster than by keyword
-    kind: str  # answer | retrieve | bare_intermediary | plain | malformed
-    consumed: tuple[Segment, ...]
-    answer: str = ""
-    has_solved: bool = False
-    query: str = ""
-    reason: str = ""
-    truncated: bool = False
-
-
-def read_turn(text: str) -> TurnReading:
-    """Classify one emission by the first branch it opens.
-
-    Which marker may follow which is read from the grammar's transition
-    table, and only the first two markers decide: the text is split at its
-    first three, and is parsed whole only when the turn is malformed, whose
-    consumed segments are all of it. An answer branch ends the episode even
-    when it is not closed.
-    """
-    # [lead, marker, text, marker, text, marker, rest], cut short after the last marker
-    parts = split_head(text)
-    lead = (Segment(None, parts[0]),) if parts[0] else ()
-    if len(parts) == 1:
-        return TurnReading("plain", lead)
-    first = Segment(parts[1], parts[2])
-    state, breach = TRANSITIONS[OPEN, first.marker]
-    if not breach:
-        # the second marker, or the end of the turn, closes the branch or not
-        nxt = parts[3] if len(parts) > 3 else None
-        after, breach = TRANSITIONS[state, nxt] if nxt else (state, END_BREACH[state])
-        if not breach:
-            # a closed branch; what follows it is a third marker, or text after Solved
-            if after == END:
-                truncated = len(parts) > 5 or bool(parts[4].strip())
-                return TurnReading("answer", lead + (first, Segment(nxt, "")), first.text,
-                                   True, "", "", truncated)
-            return TurnReading("retrieve", lead + (first, Segment(nxt, parts[4])), "", False,
-                               parts[4], "", len(parts) > 5)
-        if state == AWAIT_SOLVED:
-            return TurnReading("answer", lead + (first,), first.text, False, "", "",
-                               nxt is not None)
-        # An intermediary branch left open. A next marker that only leaves it open
-        # (the breach of ending the turn here) makes it bare; any other is a breach.
-        if breach == END_BREACH[state]:
-            return TurnReading("bare_intermediary", lead + (first,))
-    return TurnReading("malformed", parse_trajectory(text).segments, "", False, "", breach)
 
 
 # --- operations ---------------------------------------------------------------

@@ -82,3 +82,37 @@ def test_importing_a_module_loads_only_the_modules_it_uses(module, submodules):
     # the package itself imports none of its modules
     loaded = loaded_after_importing(module)
     assert sorted(name for name in loaded if name.startswith("planrag.")) == submodules
+
+
+# the grammar's states, tables and token pattern: control.py reads turns and validates
+# trajectories by them, and every other module asks control.py for its verdict
+GRAMMAR_INTERNALS = {
+    "TRANSITIONS", "END_BREACH", "OPEN", "AWAIT_RETRIEVE", "AWAIT_SOLVED", "END", "_TOKEN_RE",
+}
+
+
+def names_used(source: str) -> set[str]:
+    """Every name ``source`` imports, reads or writes, or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_only_control_names_the_grammar_internals():
+    named = {
+        path.name: sorted(GRAMMAR_INTERNALS & names_used(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "planrag").glob("*.py"))
+        if path.name != "control.py"
+    }
+    assert {name: used for name, used in named.items() if used} == {}
+
+
+def test_the_grammar_guard_sees_imports_names_and_attributes():
+    source = "from .control import OPEN as o\nx.END\nstate = AWAIT_SOLVED\n"
+    assert {"OPEN", "END", "AWAIT_SOLVED"} <= names_used(source)

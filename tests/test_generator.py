@@ -28,7 +28,7 @@ from planrag.generator import (
     render_user_prompt,
     truncate_at_branch,
 )
-from planrag.planner import PlannerConfig, batch_run, run_episode
+from planrag.planner import PlannerConfig, batch_run, episode_record, run_episode
 
 CTX = GenerationContext(system_preamble="preamble", question="who?")
 
@@ -107,6 +107,10 @@ class TestRenderPrompt:
         assert len(set(prompts)) == len(prompts)
 
 
+# a malformed first branch with a complete branch after it
+MALFORMED_TURN = "[SOLVED] oops [INTERMEDIARY] a [RETRIEVE] q [ANSWER] more junk"
+
+
 class TestTruncation:
     def test_answer_branch_cut_after_solved(self):
         text = "[ANSWER] x [SOLVED] trailing [INTERMEDIARY] junk"
@@ -123,6 +127,24 @@ class TestTruncation:
     def test_first_completion_wins(self):
         text = "[INTERMEDIARY] a [RETRIEVE] q [ANSWER] x [SOLVED]"
         assert truncate_at_branch(text) == "[INTERMEDIARY] a [RETRIEVE] q "
+
+    @pytest.mark.parametrize("text", [
+        MALFORMED_TURN,
+        "[INTERMEDIARY] a [ANSWER] x [SOLVED] junk",
+        "[ANSWER] x [INTERMEDIARY] a [RETRIEVE] q [ANSWER]",
+    ])
+    def test_first_branch_not_closed_unchanged(self, text):
+        # a complete branch later in the turn does not move the cut
+        assert truncate_at_branch(text) == text
+
+    def test_only_whitespace_after_solved_unchanged(self):
+        text = "[ANSWER] x [SOLVED] \n "
+        assert truncate_at_branch(text) == text
+
+    def test_lead_text_kept(self):
+        assert truncate_at_branch("lead [ANSWER] x [SOLVED] y") == "lead [ANSWER] x [SOLVED]"
+        text = "lead [INTERMEDIARY] a [RETRIEVE] q [ANSWER]"
+        assert truncate_at_branch(text) == "lead [INTERMEDIARY] a [RETRIEVE] q "
 
 
 def transport_script(responses):
@@ -196,6 +218,13 @@ class TestHttpGenerator:
         emission = HttpChatGenerator(settings(), transport).emit_turn(CTX)
         assert emission.text == "[ANSWER] hi [SOLVED]"
         assert emission.stop_reason is StopReason.CONTROL_BOUNDARY
+
+    def test_a_malformed_turn_reads_as_under_replay(self):
+        turns = [MALFORMED_TURN, "[ANSWER] paris [SOLVED]"]
+        transport = transport_script([(200, chat_body(t)) for t in turns])
+        chat = run_episode("Where?", PlannerConfig(), HttpChatGenerator(settings(), transport))
+        replay = run_episode("Where?", PlannerConfig(), ReplayGenerator(turns))
+        assert episode_record(chat, "q1") == episode_record(replay, "q1")
 
     def test_malformed_body_is_semantic(self):
         transport = transport_script([(200, {"nope": True})])

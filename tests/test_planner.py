@@ -10,11 +10,14 @@ from planrag import cli
 from planrag.bm25 import save_index
 from planrag.control import (
     AWAIT_SOLVED,
+    END,
     END_BREACH,
     OPEN,
     TRANSITIONS,
-    closed_branch,
+    Segment,
+    TurnReading,
     parse_trajectory,
+    read_turn,
     render_segments,
     validate,
 )
@@ -24,18 +27,17 @@ from planrag.generator import (
     GeneratorError,
     ReplayGenerator,
     render_user_prompt,
+    truncate_at_branch,
 )
 from planrag.planner import (
     Episode,
     FallbackPolicy,
     MissingIndexError,
     PlannerConfig,
-    TurnReading,
     batch_run,
     build_context,
     episode_record,
     handle_retrieve,
-    read_turn,
     run_episode,
 )
 
@@ -434,6 +436,26 @@ TURN_PIECES = [
 TURNS = st.one_of(st.text(max_size=20), st.lists(st.sampled_from(TURN_PIECES), max_size=8).map("".join))
 
 
+def closed_branch(segments: tuple) -> tuple | None:
+    """The first two segments as one complete branch, or None if they are not one.
+
+    The oracle's own copy of the rule: a branch opens with a marker the open
+    state accepts and closes with the marker that leads back to it (a
+    retrieval query, kept) or to the end (the text after Solved, dropped).
+    """
+    if len(segments) < 2 or segments[0].marker is None:
+        return None
+    closer = segments[1]
+    state, breach = TRANSITIONS[OPEN, segments[0].marker]
+    if not breach:
+        state, breach = TRANSITIONS[state, closer.marker]
+    if breach:
+        return None
+    if state == END:
+        closer = Segment(closer.marker, "")
+    return segments[0], closer
+
+
 def whole_turn_reading(text: str) -> TurnReading:
     """The oracle of read_turn: the turn parsed whole, the rest found by rendering the consumed prefix."""
     segs = parse_trajectory(text).segments
@@ -482,6 +504,22 @@ def whole_turn_reading(text: str) -> TurnReading:
 @settings(max_examples=500, derandomize=True, deadline=None)
 def test_read_turn_equals_the_whole_turn_reading(text):
     assert read_turn(text) == whole_turn_reading(text)
+
+
+@given(text=TURNS)
+@example(text="[SOLVED] oops [INTERMEDIARY] a [RETRIEVE] q [ANSWER] more junk")
+@example(text="lead [ANSWER] x [SOLVED] y")
+@example(text="[ANSWER] x [SOLVED]   ")
+@example(text="[ANSWER] x [INTERMEDIARY] a [RETRIEVE] q [ANSWER]")
+@example(text="\n[INTERMEDIARY] a [RETRIEVE] q [ANSWER] x")
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_the_chat_cut_ends_where_the_reading_does(text):
+    cut, reading = truncate_at_branch(text), read_turn(text)
+    closed = reading.kind == "retrieve" or reading.has_solved
+    assert text.startswith(cut)
+    assert (cut != text) == (closed and reading.truncated)
+    if cut != text:
+        assert read_turn(cut) == reading._replace(truncated=False)
 
 
 @given(

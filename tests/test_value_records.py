@@ -15,6 +15,7 @@ from planrag.control import (
     TextRun,
     TokenEvent,
     parse_trajectory,
+    read_turn,
     scan_stream,
     validate,
 )
@@ -27,7 +28,6 @@ from planrag.metrics import (
     rouge,
     score_row,
 )
-from planrag.planner import read_turn
 from planrag.reward import prepare, total_reward
 from planrag.supervision import probe_retrieval
 
