@@ -14,7 +14,7 @@ import sys
 import weakref
 from array import array
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import accumulate, chain, repeat
 from typing import Iterable, NamedTuple
 
@@ -152,9 +152,12 @@ class PassageIndex:
     k1: float
     b: float
     path: str | None = None
+    # term -> its position in terms, when the caller has built it (load_index does, to
+    # check that the terms are unique)
+    slots: InitVar[dict[str, int] | None] = None
 
-    def __post_init__(self) -> None:
-        self._slots = {t: i for i, t in enumerate(self.terms)}
+    def __post_init__(self, slots: dict[str, int] | None) -> None:
+        self._slots = dict(zip(self.terms, range(len(self.terms)))) if slots is None else slots
         # one int object per ordinal, the key in every posting dict: search looks
         # an ordinal from one posting up in the others, and a key of the same
         # object matches without a value comparison
@@ -600,16 +603,19 @@ def load_index(path: str) -> PassageIndex:
         _need(0 <= k1 < math.inf and 0 <= b <= 1, path, "needs k1 >= 0 and b in [0, 1]")
         offsets, ordinals, tfs, norms, fields, text_size = _read_arrays(path, fh, header)
         ids, terms, avg = header.get("ids"), header.get("terms"), header.get("avg_doc_length")
-        _need(type(ids) is list and len(ids) > 0 and all(type(i) is str for i in ids)
-              and len(set(ids)) == len(ids), path, "needs a non-empty list of unique string ids")
-        _need(len(fields) == 2 * len(ids) + 1 and fields[0] == 0 and fields[-1] == text_size
-              and all(map(operator.le, fields, fields[1:])), path,
+        # each check of every element is one pass in C: a set of the types, a sort of
+        # an already sorted list, and the term -> slot dict that search looks terms up in
+        _need(type(ids) is list and set(map(type, ids)) == {str} and len(set(ids)) == len(ids),
+              path, "needs a non-empty list of unique string ids")
+        bounds = fields.tolist()
+        _need(len(bounds) == 2 * len(ids) + 1 and bounds[0] == 0 and bounds[-1] == text_size
+              and bounds == sorted(bounds), path,
               "needs two field offsets per passage and one more, rising from 0 to the text length")
         _need(type(avg) in (int, float) and 0 <= avg < math.inf, path,
               "needs avg_doc_length >= 0")
         _need(
-            type(terms) is list and all(type(t) is str for t in terms)
-            and len(set(terms)) == len(terms),
+            type(terms) is list and set(map(type, terms)) <= {str}
+            and len(slots := dict(zip(terms, range(len(terms))))) == len(terms),
             path, "needs a list of unique string terms",
         )
         _need(
@@ -621,7 +627,7 @@ def load_index(path: str) -> PassageIndex:
         _need(len(norms) == len(ids) and all(0 <= norm < math.inf for norm in norms), path,
               "needs one finite norm >= 0 per passage")
         return PassageIndex(ids, fields, _text_reader(fh), terms, offsets, ordinals, tfs, norms,
-                            avg, k1, b, path)
+                            avg, k1, b, path, slots)
 
 
 def _need(ok: bool, path: str, what: str) -> None:

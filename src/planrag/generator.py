@@ -133,6 +133,11 @@ class GeneratorSettings:
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 0.5
 TIMEOUT_S = 60.0
+# a reply body larger than this is refused, and not asked for again: a completion of
+# max_tokens tokens is a few kilobytes, and the deadline alone bounds only the time
+MAX_REPLY_BYTES = 1 << 20
+# a reply without a Content-Length is read this many bytes at a time
+_READ_CHUNK = 1 << 16
 
 
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
@@ -211,10 +216,11 @@ def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
     connection is made with the time left as its timeout, and every send and
     every read of the reply after it waits at most the time left, so past the
     deadline the request raises TimeoutError however the backend paces its
-    bytes. A body that is not JSON reads as ``{}``. The connection is closed on
-    every path, so nothing is kept between requests. ``http.client`` is
-    imported here, not with the module, so that the commands that never ask a
-    backend do not load it.
+    bytes. A body that is not JSON reads as ``{}``; one larger than
+    MAX_REPLY_BYTES raises GeneratorError (_read_body). The connection is
+    closed on every path, so nothing is kept between requests.
+    ``http.client`` is imported here, not with the module, so that the
+    commands that never ask a backend do not load it.
     """
     import http.client
 
@@ -235,7 +241,7 @@ def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
         conn.sock = _DeadlineSocket(sock, deadline)
         conn.request("POST", path, json.dumps(payload, allow_nan=False).encode(), headers)
         with conn.getresponse() as resp:
-            raw = resp.read()
+            raw = _read_body(resp)
     finally:
         conn.close()
         if sock is not None:
@@ -245,6 +251,26 @@ def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
     except ValueError:
         body = {}
     return resp.status, body
+
+
+def _read_body(resp) -> bytes:
+    """The body of an ``http.client`` reply, holding at most MAX_REPLY_BYTES of it.
+
+    A Content-Length past the bound is refused before any of the body is read,
+    and a body cut short of its Content-Length raises IncompleteRead. A body
+    without one is read in chunks, and refused at the first chunk past the
+    bound. The refusal is a GeneratorError.
+    """
+    if resp.length is not None:  # the Content-Length: read() reads that many bytes or raises
+        if resp.length <= MAX_REPLY_BYTES:
+            return resp.read()
+    else:
+        body = bytearray()
+        while len(body) <= MAX_REPLY_BYTES and (chunk := resp.read(_READ_CHUNK)):
+            body += chunk
+        if len(body) <= MAX_REPLY_BYTES:
+            return bytes(body)
+    raise GeneratorError(f"backend reply is larger than {MAX_REPLY_BYTES} bytes")
 
 
 def _retry_reason(exc: Exception) -> str | None:
@@ -270,8 +296,8 @@ class HttpChatGenerator:
 
     Only transport-level failures (connection errors, timeouts, replies cut
     short, 5xx) are retried; a semantic backend rejection (4xx, malformed
-    body), a failed certificate check and any other exception of the
-    transport never are.
+    body, a reply past MAX_REPLY_BYTES), a failed certificate check and any
+    other exception of the transport never are.
     """
 
     def __init__(self, settings: GeneratorSettings, transport: Transport | None = None):
@@ -305,6 +331,8 @@ class HttpChatGenerator:
                 status, body = self.transport(
                     self.settings.endpoint, self._headers(), payload, TIMEOUT_S
                 )
+            except GeneratorError:  # the transport refused the reply: its text is the failure
+                raise
             except Exception as exc:
                 reason = _retry_reason(exc)
                 if reason is None:  # not a failure to reach the backend

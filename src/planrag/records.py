@@ -20,6 +20,9 @@ _KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list o
 Kind = type | tuple[str, ...]
 # json.dumps(record, ensure_ascii=False) builds this encoder again for every call
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
+# json.loads(s) is this decoder's decode(s), which matches a whitespace regex before and
+# after the value; a stripped line has no whitespace at either end to match
+_DECODE = json.JSONDecoder().raw_decode
 
 
 def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
@@ -40,8 +43,10 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+                record, end = _DECODE(line)
+                if end != len(line):  # data after the value, which json.loads rejects too
+                    record = None
+            except json.JSONDecodeError:  # also a line that starts with a byte order mark
                 record = None  # not an object, so it fits no record shape
             yield lineno, record
 

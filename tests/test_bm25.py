@@ -525,14 +525,27 @@ def _set(name, position, value):
     return edit
 
 
-def _set_id(position, value):
+def _set_in_header(key, value, position=None):
+    # header[key] = value, or header[key][position] = value
     def edit(header, arrays):
-        header["ids"][position] = value
+        if position is None:
+            header[key] = value
+        else:
+            header[key][position] = value
     return edit
 
 
 def _field_past_the_next(header, arrays):
     arrays["fields"][1] = arrays["fields"][2] + 1
+
+
+def _repeat_a_term(header, arrays):
+    header["terms"][1] = header["terms"][0]
+
+
+def _offsets_past_the_postings(header, arrays):
+    # the last term's slice ends one past the postings: still rising, but not at their count
+    arrays["offsets"][-1] += 1
 
 
 def _not_utf8_at(ordinal):
@@ -688,18 +701,50 @@ class TestPersistence:
              _tf_array_posting),
             (lambda path: rewrite_index(path, lambda header, arrays: arrays["norms"].pop()),
              "norm", None),
-            (lambda path: rewrite_index(path, _set_id(1, "p0000")), "unique string ids", None),
-            (lambda path: rewrite_index(path, _set_id(0, 5)), "unique string ids", None),
+            (lambda path: rewrite_index(path, _set_in_header("ids", "p0000", 1)),
+             "unique string ids", None),
+            (lambda path: rewrite_index(path, _set_in_header("ids", 5, 0)), "unique string ids",
+             None),
             (lambda path: rewrite_index(path, _field_past_the_next), "field offsets", None),
             (lambda path: rewrite_index(path, lambda header, arrays: arrays["text"].pop()),
              "text length", None),
             (lambda path: rewrite_index(path, _not_utf8_at(3)), "passage 3 is not UTF-8",
              lambda index: index.passages[3]),
+            (lambda path: rewrite_index(path, _repeat_a_term), "unique string terms", None),
+            (lambda path: rewrite_index(path, _set_in_header("terms", 7, 0)),
+             "unique string terms", None),
+            (lambda path: rewrite_index(path, _set_in_header("ids", [])), "unique string ids",
+             None),
+            (lambda path: rewrite_index(path, _set("norms", 5, -0.5)), "finite norm >= 0", None),
+            (lambda path: rewrite_index(path, _set("norms", 5, math.nan)), "finite norm >= 0",
+             None),
+            (lambda path: rewrite_index(path, _set("norms", 5, math.inf)), "finite norm >= 0",
+             None),
+            (lambda path: rewrite_index(path, _set_in_header("avg_doc_length", -1.0)),
+             "avg_doc_length >= 0", None),
+            (lambda path: rewrite_index(path, _set_in_header("k1", "1.2")), "numeric k1 and b",
+             None),
+            (lambda path: rewrite_index(path, _set_in_header("b", None)), "numeric k1 and b",
+             None),
+            (lambda path: rewrite_index(path, _set_in_header("k1", -0.5)), "k1 >= 0 and b in",
+             None),
+            (lambda path: rewrite_index(path, _set_in_header("k1", math.inf)),
+             "k1 >= 0 and b in", None),
+            (lambda path: rewrite_index(path, _set_in_header("b", 1.5)), "k1 >= 0 and b in",
+             None),
+            (lambda path: rewrite_index(path, _set("fields", 0, 1)), "rising from 0 to the text",
+             None),
+            (lambda path: rewrite_index(path, _offsets_past_the_postings),
+             "rising from 0 to the posting count", None),
         ],
         ids=["truncated_header", "truncated_arrays", "offsets_not_rising",
              "ordinal_past_doc_count", "tf_below_1", "ordinal_past_doc_count_in_tf_array",
              "tf_below_1_in_tf_array", "norms_count", "id_repeated",
-             "id_not_string", "fields_not_rising", "fields_past_text", "passage_not_utf8"],
+             "id_not_string", "fields_not_rising", "fields_past_text", "passage_not_utf8",
+             "term_repeated", "term_not_string", "ids_empty", "norm_negative", "norm_nan",
+             "norm_infinite", "avg_doc_length_negative", "k1_not_numeric", "b_not_numeric",
+             "k1_negative", "k1_infinite", "b_above_1", "fields_not_from_0",
+             "offsets_past_the_postings"],
     )
     def test_corrupt_file(self, tmp_path, corrupt, message, first_use):
         # 12 passages, so ordinal 12 is one past the last

@@ -537,6 +537,39 @@ class TestHttpTransport:
         )
         assert len(server.seen) == 3
 
+    # 2 MiB, twice the bound, sent at once; the client hangs up after the bound
+    LARGE = 2 << 20
+
+    @pytest.mark.parametrize("head", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % LARGE,
+        b"HTTP/1.0 200 OK\r\n\r\n",  # no Content-Length: the body ends with the connection
+    ], ids=["content_length", "to_eof"])
+    def test_a_reply_past_the_byte_bound_fails_its_episode_unretried(self, trickler, no_leaks,
+                                                                      head):
+        assert generator.MAX_REPLY_BYTES < self.LARGE
+        url = trickler((head + b"x" * self.LARGE, b""), pace=0)
+        calls = []
+
+        def transport(*args):
+            calls.append(args[0])
+            return generator._http_transport(*args)
+
+        gen = HttpChatGenerator(GeneratorSettings(endpoint=url, model="m"), transport)
+        [ep] = batch_run(["q"], PlannerConfig(), lambda i: gen, None, 1)
+        assert (ep.status, ep.failure) == (
+            "generator_failure", f"backend reply is larger than {generator.MAX_REPLY_BYTES} bytes")
+        assert calls == [url]
+
+    def test_a_content_length_past_the_bound_is_refused_before_the_body(self, trickler,
+                                                                         no_leaks):
+        # the body would take 100 s to arrive, so only the head can be read in time
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (generator.MAX_REPLY_BYTES + 1)
+        url = trickler((head, b"x" * 1000), pace=0.1)
+        start = time.monotonic()
+        with pytest.raises(GeneratorError, match="^backend reply is larger than"):
+            generator._http_transport(url, {}, {"a": 1}, 5.0)
+        assert time.monotonic() - start < 1.0
+
     def test_refused_port_is_retried(self, no_leaks):
         with socket.socket() as unused:  # bound but not listening, so a connect is refused
             unused.bind(("127.0.0.1", 0))

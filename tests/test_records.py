@@ -3,8 +3,12 @@
 import codecs
 import json
 import os
+import tempfile
+from itertools import chain
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planrag import records
 
@@ -87,3 +91,56 @@ def test_a_byte_order_mark_is_skipped_at_the_start_of_the_file_only(tmp_path):
     assert list(records.iter_jsonl(str(path))) == [(1, None)]
     path.write_bytes(bom)
     assert list(records.iter_jsonl(str(path))) == []
+
+
+def _read_with_loads(path):
+    """iter_jsonl as it was when it parsed each stripped line with json.loads."""
+    with open(path, "rb") as fh:
+        first = fh.readline().removeprefix(codecs.BOM_UTF8)
+        for lineno, raw in enumerate(chain((first,), fh), 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                yield lineno, raw
+                continue
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                record = None
+            yield lineno, record
+
+
+# JSON and Unicode whitespace, and the byte order mark, which is neither
+_SPACES = st.text(st.sampled_from(" \t\r\x0b\x0c\x1c\x85\xa0\u2028\u3000\ufeff"), max_size=3)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=6,
+).map(json.dumps)  # NaN and Infinity as json.dumps writes them
+_AFTER = st.sampled_from(["", "", " 1", "{}", " {}", "x", ",", "]", "\xa0]"])
+# a value or any text, between spaces and with or without data after it; a lone
+# surrogate in the text, encoded, and the fixed byte strings are not UTF-8
+_LINES = st.one_of(
+    st.tuples(_SPACES, _VALUES | st.text(max_size=6), _AFTER, _SPACES).map(
+        lambda parts: "".join(parts).encode("utf-8", "surrogatepass")),
+    st.sampled_from([b"\xff", b"\xc3", b'{"id": "\xe9"}', b"\xed\xa0\x80"]),
+)
+
+
+@given(st.booleans(), st.lists(_LINES, max_size=6))
+@example(True, [b"\x0b{\"id\": 1}\xc2\xa0", "\u3000[1]\u3000".encode(), b"", b"  "])
+@example(False, [b'{"id": 1} x', b'{"id": 1} {"id": 2}', b"1 2", b"[] []"])
+@example(True, [codecs.BOM_UTF8 + b'{"id": 1}', b'{"a": NaN}', b"Infinity", b"-Infinity"])
+@example(False, [b'"text"', b"[1, 2]", b"3", b"null", b"\xff{}", b"\n"])
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_each_line_parses_as_json_loads_parses_it(bom, lines):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "rows.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(codecs.BOM_UTF8 * bom + b"\n".join(lines))
+        # repr, so that NaN compares equal and 1 differs from 1.0 and True
+        got = [(n, repr(v)) for n, v in records.iter_jsonl(path)]
+        assert got == [(n, repr(v)) for n, v in _read_with_loads(path)]
