@@ -593,7 +593,7 @@ def load_index(path: str) -> PassageIndex:
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
-        except ValueError as exc:  # not UTF-8 or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or nested too deep
             raise ValueError(f"{path}: not a readable index file") from exc
         version = header.get("format_version") if type(header) is dict else type(header).__name__
         _need(version == FORMAT_VERSION, path, f"expected format_version {FORMAT_VERSION}, "

@@ -11,7 +11,7 @@ import re
 import sys
 
 from . import bm25, records
-from .control import parse_trajectory
+from .control import parse_trajectory  # not called here: perfbench/tracing.py wraps this name
 from .generator import (
     GeneratorError,
     GeneratorSettings,
@@ -96,7 +96,7 @@ def _load_config(path: str | None) -> dict:
     with open(path, "rb") as fh:
         try:
             config = json.loads(fh.read().decode("utf-8-sig"))
-        except ValueError:  # not UTF-8 or not JSON
+        except (ValueError, RecursionError):  # not UTF-8, not JSON or nested too deep
             config = None
     if not isinstance(config, dict):
         raise CliError(f"{path}: config must be a flat JSON object")
@@ -425,9 +425,9 @@ def cmd_supervise(args, settings) -> int:
 def cmd_reward(args, settings) -> int:
     kinds = tuple(k.value for k in SupervisionKind)
     sample_fields = {"question": str, "kind": kinds, "target": str, "references": list}
-    # sample id -> the references and target that prepare takes
+    # sample id -> the references and target text that prepare takes
     sample_by_id = {
-        rec["id"]: (rec.get("references", []), parse_trajectory(rec.get("target", "")))
+        rec["id"]: (rec.get("references", []), rec.get("target", ""))
         for rec in records.read_jsonl(args.samples, "sample", {}, sample_fields)
     }
     prepared = {}  # sample id -> its PreparedSample, or the text of why it scores nothing
@@ -451,7 +451,7 @@ def cmd_reward(args, settings) -> int:
             entries.append({"id": qid, "error": ready})
             errors += 1
             continue
-        r_ans, r_ctrl, total = total_reward(parse_trajectory(rec["text"]), ready)
+        r_ans, r_ctrl, total = total_reward(rec["text"], ready)
         entries.append({"id": qid, "r_ans": r_ans, "r_ctrl": r_ctrl, "total": total})
     records.write_jsonl(args.out, entries)
     print(f"wrote {len(entries)} reward records ({errors} errors)")

@@ -33,9 +33,10 @@ class ControlToken(Enum):
 _SURFACE_TO_TOKEN = {t.value: t for t in ControlToken}
 # a marker's surface by dict lookup, which is cheaper than the property; None renders as ""
 _SURFACE = {t: t.value for t in ControlToken} | {None: ""}
-# global reads for the per-segment loops: ControlToken.ANSWER goes through Enum's
-# class attribute lookup, about 0.1 us each time
-_RETRIEVE, _ANSWER = ControlToken.RETRIEVE, ControlToken.ANSWER
+# a global read for validate's per-marker loop: ControlToken.RETRIEVE goes through
+# Enum's class attribute lookup, about 0.1 us each time
+_RETRIEVE = ControlToken.RETRIEVE
+_ANSWER_SURFACE = ControlToken.ANSWER.value
 # No surface form is a prefix or substring of another, so a plain alternation
 # scan is unambiguous; longest-match ordering is kept anyway. The group makes
 # re.split keep each token between the texts around it.
@@ -245,23 +246,28 @@ def read_turn(text: str) -> TurnReading:
     return TurnReading("malformed", parse_trajectory(text).segments, "", False, "", breach)
 
 
-def last_answer(t: Trajectory) -> str | None:
+def last_answer(text: str) -> str | None:
     """Text of the last answer segment; None when no answer was emitted."""
-    for marker, text in reversed(t.segments):
-        if marker is _ANSWER:
-            return text
-    return None
+    # Every surface starts with "[" and ends with "]" and has neither inside, so no
+    # two occurrences overlap: each "[ANSWER]" in a text is a marker, and its segment
+    # runs to the next marker.
+    start = text.rfind(_ANSWER_SURFACE)
+    if start < 0:
+        return None
+    start += len(_ANSWER_SURFACE)
+    nxt = _TOKEN_RE.search(text, start)
+    return text[start : nxt.start()] if nxt else text[start:]
 
 
 # --- validation --------------------------------------------------------------
 
 
 class ValidationReport(NamedTuple):
-    """The grammar's verdict on a trajectory, and what the walk that reached it saw.
+    """The grammar's verdict on a text, and what the walk that reached it saw.
 
-    ``markers`` are the trajectory's control tokens in order, as
-    ``control_sequence`` gives them, so that a caller that validates needs no
-    second pass over the segments to compare control sequences.
+    ``markers`` are the text's control tokens in order, as ``control_sequence``
+    gives them, so that a caller that validates needs no second pass over the
+    text to compare control sequences.
     """
 
     valid: bool
@@ -270,37 +276,36 @@ class ValidationReport(NamedTuple):
     markers: tuple[ControlToken, ...]
 
 
-def control_sequence(t: Trajectory) -> list[ControlToken]:
+def control_sequence(text: str) -> list[ControlToken]:
     """Markers in order, text dropped."""
-    return [seg.marker for seg in t.segments if seg.marker is not None]
+    return list(map(_SURFACE_TO_TOKEN.__getitem__, _TOKEN_RE.findall(text)))
 
 
-def validate(t: Trajectory, max_rounds: int) -> ValidationReport:
-    """Check t against ((INTERMEDIARY text RETRIEVE query)* ANSWER text SOLVED).
+def validate(text: str, max_rounds: int) -> ValidationReport:
+    """Check text against ((INTERMEDIARY text RETRIEVE query)* ANSWER text SOLVED).
 
     Also flags empty retrieval queries, a retrieve count above max_rounds and
     stray plain text outside the grammar. Whitespace-only leading/trailing
-    text is tolerated. One walk over the segments gives the verdict, the
-    retrieve count and the markers in order.
+    text is tolerated. One split of the text and one walk over its markers
+    give the verdict, the retrieve count and the markers in order.
     """
+    # [leading text, token, its text, token, its text, ...]
+    parts = _TOKEN_RE.split(text)
     violations: list[str] = []
-    markers: list[ControlToken] = []
+    if parts[0].strip():
+        violations.append("plain text before first control token")
+    markers = tuple(map(_SURFACE_TO_TOKEN.__getitem__, parts[1::2]))
     retrieve_count = 0
     state = OPEN
-    for marker, text in t.segments:
-        if marker is None:
-            if text.strip():
-                violations.append("plain text before first control token")
-            continue
-        markers.append(marker)
+    for marker, body in zip(markers, parts[2::2]):
         if marker is _RETRIEVE and state != END:
             retrieve_count += 1
-            if not text.strip():
+            if not body.strip():
                 violations.append("Retrieve with empty query")
         state, breach = TRANSITIONS[state, marker]
         if breach:
             violations.append(breach)
-        elif state == END and text.strip():
+        elif state == END and body.strip():
             violations.append("text after Solved")
     if END_BREACH[state]:
         violations.append(END_BREACH[state])
@@ -309,4 +314,4 @@ def validate(t: Trajectory, max_rounds: int) -> ValidationReport:
             f"retrieve count {retrieve_count} exceeds max rounds {max_rounds}"
         )
     # positional: keyword arguments make a NamedTuple's __new__ take about twice as long
-    return ValidationReport(not violations, tuple(violations), retrieve_count, tuple(markers))
+    return ValidationReport(not violations, tuple(violations), retrieve_count, markers)

@@ -28,9 +28,11 @@ _DECODE = json.JSONDecoder().raw_decode
 def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
     """(line number, parsed value) for each non-blank line.
 
-    The value is None for a line that is not JSON, and the line's raw bytes for
-    one that is not UTF-8; neither fits a record shape. One UTF-8 byte order
-    mark at the start of the file is skipped, as RFC 8259 lets a parser do.
+    The value is None for a line that is not JSON or that the decoder refuses
+    (nested too deep, or an integer too long to convert), and the line's raw
+    bytes for one that is not UTF-8; neither fits a record shape. One UTF-8
+    byte order mark at the start of the file is skipped, as RFC 8259 lets a
+    parser do.
     """
     with open(path, "rb") as fh:
         first = fh.readline().removeprefix(codecs.BOM_UTF8)
@@ -46,8 +48,11 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
                 record, end = _DECODE(line)
                 if end != len(line):  # data after the value, which json.loads rejects too
                     record = None
-            except json.JSONDecodeError:  # also a line that starts with a byte order mark
-                record = None  # not an object, so it fits no record shape
+            except (ValueError, RecursionError):
+                # JSONDecodeError, also for a line that starts with a byte order mark; a plain
+                # ValueError for an integer past int's digit limit; RecursionError for arrays
+                # or objects nested past the recursion limit. None fits no record shape.
+                record = None
             yield lineno, record
 
 

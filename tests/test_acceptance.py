@@ -80,7 +80,7 @@ def test_criterion_1_grammar_oracle():
         for kinds in itertools.product("IRAS", repeat=length):
             kinds = "".join(kinds)
             text = "".join(letter[k].surface + filler[k] for k in kinds)
-            got = validate(parse_trajectory(text), 8).valid
+            got = validate(text, 8).valid
             want = re.fullmatch(r"(IR)*AS", kinds) is not None
             assert got == want, f"disagreement on {kinds!r}"
             checked += 1
@@ -588,11 +588,11 @@ def test_criterion_9_reward_algebra():
         qid="s",
     )
     prepared = prepare(sample.references, sample.target, 3)
-    perfect = total_reward(parse_trajectory(sample.target.source), prepared)
+    perfect = total_reward(sample.target, prepared)
     assert perfect.total == pytest.approx(1.5)
     assert perfect.total == perfect.r_ans + perfect.r_ctrl
 
-    invalid = total_reward(parse_trajectory("[SOLVED]"), prepared)
+    invalid = total_reward("[SOLVED]", prepared)
     assert invalid.r_ctrl == -0.5
 
     rng = random.Random(4242)
@@ -602,7 +602,7 @@ def test_criterion_9_reward_algebra():
     ]
     for _ in range(2000):
         text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
-        breakdown = total_reward(parse_trajectory(text), prepared)
+        breakdown = total_reward(text, prepared)
         assert breakdown.total == breakdown.r_ans + breakdown.r_ctrl
         assert -0.5 <= breakdown.total <= 1.5 + 1e-12
     ok(9, "reward is exactly additive, 1.5 on the perfect rollout, -0.5 control "

@@ -787,9 +787,9 @@ class TestRewardCmd:
     def test_each_sample_is_validated_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting_validate(t, max_rounds):
-            calls.append(t.source)
-            return validate(t, max_rounds)
+        def counting_validate(text, max_rounds):
+            calls.append(text)
+            return validate(text, max_rounds)
 
         monkeypatch.setattr("planrag.reward.validate", counting_validate)
         samples = self.make_samples(tmp_path)
@@ -838,6 +838,55 @@ class TestRewardCmd:
         assert main(["reward", "--rollouts", str(rollouts), "--samples", samples,
                      "--out", str(out)]) == 0
         assert out.read_text() == ""
+
+
+def test_supervise_and_reward_read_their_texts_without_building_a_trajectory(
+        tmp_path, monkeypatch, capsys):
+    questions = write_jsonl(tmp_path / "questions.jsonl", SUPERVISE_QUESTIONS + [
+        {"id": "s5", "question": "skipped question", "answers": ["oslo"]}])
+    # a probe answer in control tokens is read from its last answer segment
+    scripts = [dict(SUPERVISE_SCRIPTS[0], probe_turns=["[ANSWER] paris [SOLVED]", "paris",
+                                                       "paris"]),
+               *SUPERVISE_SCRIPTS[1:], {"id": "s5", "probe_turns": [], "teacher_turns": []}]
+    scripts = write_jsonl(tmp_path / "probes.jsonl", scripts)
+    texts = ["[ANSWER] paris [SOLVED]", "[SOLVED]", "lead [ANSWER] rome [SOLVED]",
+             "[INTERMEDIARY] a [RETRIEVE] where [ANSWER] vienna [SOLVED] after"]
+
+    def supervise_then_reward(name):
+        out_dir = tmp_path / name
+        supervised = main(["supervise", "--questions", questions, "--scripts", scripts,
+                           "--attempts", "2", "--out-dir", str(out_dir)])
+        supervise_io = capsys.readouterr()
+        samples = [json.loads(line) for line in (out_dir / "sft.jsonl").read_text().splitlines()]
+        rollouts = write_jsonl(out_dir / "rollouts.jsonl", [
+            {"id": qid, "text": text} for qid in ("s1", "s2", "s3", "s4", "s5") for text in
+            texts + [sample["target"] for sample in samples if sample["id"] == qid]])
+        rewarded = main(["reward", "--rollouts", rollouts, "--samples",
+                         str(out_dir / "sft.jsonl"), "--out", str(out_dir / "rewards.jsonl")])
+        reward_io = capsys.readouterr()
+        return [supervised, supervise_io, rewarded, reward_io] + [
+            (out_dir / f).read_bytes() for f in ("sft.jsonl", "sft.jsonl.summary.json",
+                                                 "rewards.jsonl")]
+
+    expected = supervise_then_reward("parsed")
+    assert expected[0] == 0 and expected[2] == 1  # s5 is skipped, so its rollouts score nothing
+    assert expected[1].err == "skipping s5: replay script exhausted after 0 turns\n"
+
+    def refuse(text):
+        raise AssertionError("scoring parsed a Trajectory")
+
+    for module in ("planrag.cli", "planrag.supervision", "planrag.control"):
+        monkeypatch.setattr(f"{module}.parse_trajectory", refuse)
+    calls = []
+
+    def counting_validate(text, max_rounds):
+        calls.append(text)
+        return validate(text, max_rounds)
+
+    monkeypatch.setattr("planrag.reward.validate", counting_validate)
+    assert supervise_then_reward("text") == expected
+    # four samples, each validated once for its target and once per rollout of its id
+    assert len(calls) == 4 + 4 * (len(texts) + 1)
 
 
 class TestScoreCmd:

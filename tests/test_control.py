@@ -5,18 +5,24 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planrag.control import (
+    END,
+    END_BREACH,
+    OPEN,
+    TRANSITIONS,
     ControlToken,
     ScannerState,
     Segment,
     TextRun,
     TokenEvent,
     Trajectory,
+    ValidationReport,
     coalesce_events,
     control_sequence,
+    last_answer,
     parse_trajectory,
     render_segments,
     scan_stream,
@@ -199,41 +205,41 @@ def sequence_text(kinds: str) -> str:
 
 class TestValidate:
     def test_direct_answer(self):
-        report = validate(parse_trajectory("[ANSWER] Paris [SOLVED]"), 3)
+        report = validate("[ANSWER] Paris [SOLVED]", 3)
         assert report.valid and report.retrieve_count == 0
 
     def test_two_rounds(self):
         text = sequence_text("IRIRAS")
-        report = validate(parse_trajectory(text), 3)
+        report = validate(text, 3)
         assert report.valid and report.retrieve_count == 2
 
     def test_solved_alone(self):
-        report = validate(parse_trajectory("[SOLVED]"), 3)
+        report = validate("[SOLVED]", 3)
         assert not report.valid
         assert "Solved without Answer" in report.violations
 
     def test_empty_query_flagged(self):
-        report = validate(parse_trajectory("[INTERMEDIARY] x [RETRIEVE]   [ANSWER] y [SOLVED]"), 3)
+        report = validate("[INTERMEDIARY] x [RETRIEVE]   [ANSWER] y [SOLVED]", 3)
         assert not report.valid
         assert "Retrieve with empty query" in report.violations
 
     def test_budget_breach(self):
-        report = validate(parse_trajectory(sequence_text("IRIRAS")), 1)
+        report = validate(sequence_text("IRIRAS"), 1)
         assert not report.valid
         assert report.retrieve_count == 2
 
     def test_plain_text_trajectory_invalid(self):
-        assert not validate(parse_trajectory("just words"), 3).valid
+        assert not validate("just words", 3).valid
 
     def test_whitespace_tolerated(self):
-        assert validate(parse_trajectory("  [ANSWER] x [SOLVED] \n"), 3).valid
+        assert validate("  [ANSWER] x [SOLVED] \n", 3).valid
 
     def test_oracle_agreement_short(self):
         # full-depth enumeration lives in the acceptance suite
         for length in range(0, 6):
             for kinds in itertools.product("IRAS", repeat=length):
                 kinds = "".join(kinds)
-                got = validate(parse_trajectory(sequence_text(kinds)), 8).valid
+                got = validate(sequence_text(kinds), 8).valid
                 assert got == oracle_valid(kinds), kinds
 
     def test_retrieve_count_monotone_under_prefixing(self):
@@ -241,26 +247,92 @@ class TestValidate:
         previous = -1
         for rounds in range(0, 6):
             text = "[INTERMEDIARY] a [RETRIEVE] q " * rounds + tail
-            report = validate(parse_trajectory(text), 10)
+            report = validate(text, 10)
             assert report.valid
             assert report.retrieve_count == rounds > previous or rounds == 0
             previous = report.retrieve_count
 
 
+# the readers as they walked a parsed trajectory's segments, before they read the text
+def segment_validate(t: Trajectory, max_rounds: int) -> ValidationReport:
+    violations, markers = [], []
+    retrieve_count = 0
+    state = OPEN
+    for marker, text in t.segments:
+        if marker is None:
+            if text.strip():
+                violations.append("plain text before first control token")
+            continue
+        markers.append(marker)
+        if marker is R and state != END:
+            retrieve_count += 1
+            if not text.strip():
+                violations.append("Retrieve with empty query")
+        state, breach = TRANSITIONS[state, marker]
+        if breach:
+            violations.append(breach)
+        elif state == END and text.strip():
+            violations.append("text after Solved")
+    if END_BREACH[state]:
+        violations.append(END_BREACH[state])
+    if retrieve_count > max_rounds:
+        violations.append(f"retrieve count {retrieve_count} exceeds max rounds {max_rounds}")
+    return ValidationReport(not violations, tuple(violations), retrieve_count, tuple(markers))
+
+
+def segment_last_answer(t: Trajectory) -> str | None:
+    for marker, text in reversed(t.segments):
+        if marker is A:
+            return text
+    return None
+
+
+def segment_control_sequence(t: Trajectory) -> list[ControlToken]:
+    return [seg.marker for seg in t.segments if seg.marker is not None]
+
+
+# whole and partial surfaces, words, and ASCII and Unicode whitespace
+READER_TEXT = st.lists(
+    st.sampled_from(SURFACES + ["[ANS", "SOLVED]", "[RETRIE", "VE]", "[", "]", "paris", "x",
+                                " ", "\n", "\t", "\xa0", "\u2028", "\u3000"])
+    | st.text(max_size=4),
+    max_size=14,
+).map("".join)
+
+
+@given(READER_TEXT, st.integers(0, 4))
+@example("lead [ANSWER] x [SOLVED]", 3)
+@example("[INTERMEDIARY] a [RETRIEVE] \u3000 [ANSWER] x [SOLVED] y", 0)
+@example("[ANSWER] a [SOLVED][ANSWER] b [ANS", 2)
+@settings(max_examples=500, derandomize=True)
+def test_text_readers_agree_with_the_segment_walk(text, max_rounds):
+    t = parse_trajectory(text)
+    assert validate(text, max_rounds) == segment_validate(t, max_rounds)
+    assert last_answer(text) == segment_last_answer(t)
+    assert control_sequence(text) == segment_control_sequence(t)
+
+
+def test_validate_reads_the_source_of_a_trajectory_built_from_segments():
+    # a plain segment after a marker, as the planner's fallback message is, joins that
+    # marker's text in the source
+    t = Trajectory.from_segments([Segment(I, " a "), Segment(R, " q\n"), Segment(None, "note\n"),
+                                  Segment(A, " x "), Segment(S, "")])
+    assert not segment_validate(t, 3).valid
+    assert validate(t.source, 3).valid
+
+
 class TestControlSequence:
     def test_projection(self):
-        t = parse_trajectory(sequence_text("IRIRAS"))
-        assert control_sequence(t) == [I, R, I, R, A, S]
+        assert control_sequence(sequence_text("IRIRAS")) == [I, R, I, R, A, S]
 
     def test_direct(self):
-        assert control_sequence(parse_trajectory("[ANSWER] x [SOLVED]")) == [A, S]
+        assert control_sequence("[ANSWER] x [SOLVED]") == [A, S]
 
     def test_empty(self):
-        assert control_sequence(parse_trajectory("")) == []
+        assert control_sequence("") == []
 
     def test_text_dropped(self):
-        t = parse_trajectory("lead [ANSWER] body [SOLVED]")
-        assert control_sequence(t) == [A, S]
+        assert control_sequence("lead [ANSWER] body [SOLVED]") == [A, S]
 
 
 def test_render_segments_is_concatenation():

@@ -1,7 +1,8 @@
 """Seeded mutations of every input file kind, each run through cli.main in-process.
 
 A mutated input may be accepted or refused, but never with a traceback: every
-run returns 0 or 1, and a refusal is exactly one ``error:`` line on stderr.
+run returns 0 or 1, and a refusal is exactly one ``error:`` line on stderr. A
+value that the JSON decoder refuses is refused with the name of its file.
 ``run`` and ``reward`` also exit 1 without an ``error:`` line when some episode
 or rollout failed, which they record in their outputs.
 """
@@ -72,6 +73,8 @@ COMMANDS = {
                                   "--scripts", f["scripts"], "--out-dir", out],
     "scripts": lambda f, m, out: ["run", "--dataset", f["dataset"], "--index", f["index"],
                                   "--scripts", m, "--out-dir", out],
+    "questions": lambda f, m, out: ["supervise", "--questions", m, "--index", f["index"],
+                                    "--scripts", f["probes"], "--attempts", "2", "--out-dir", out],
     "probes": lambda f, m, out: ["supervise", "--questions", f["questions"], "--index",
                                  f["index"], "--scripts", m, "--attempts", "2", "--out-dir", out],
     "config": lambda f, m, out: ["run", "--dataset", f["dataset"], "--index", f["index"],
@@ -127,6 +130,48 @@ def _swap(data: bytes, rng: random.Random) -> bytes:
         value = rng.choice(_SWAPS)
     lines[i] = json.dumps(value).encode()
     return b"\n".join(lines)
+
+
+# well-formed JSON that the decoder refuses: arrays nested past the recursion limit,
+# and an integer past int's digit limit
+_REFUSED = {"deep_nesting": b"[" * 100_000 + b"]" * 100_000, "huge_integer": b"9" * 5_000}
+_MARK = "refused value goes here"
+
+
+def _refuse_first_value(data: bytes, value: bytes) -> bytes:
+    """The first value of the first line, a JSON object, replaced with ``value``.
+
+    The index file's first line is its header, so the rest of it is left as it was.
+    """
+    first, sep, rest = data.partition(b"\n")
+    record = json.loads(first)
+    record[next(iter(record))] = _MARK
+    return json.dumps(record).encode().replace(json.dumps(_MARK).encode(), value) + sep + rest
+
+
+@pytest.mark.parametrize("refused", list(_REFUSED))
+@pytest.mark.parametrize("kind", list(COMMANDS))
+def test_a_value_the_decoder_refuses_is_named_in_one_error(inputs, tmp_path, capsys, kind,
+                                                           refused):
+    with open(inputs[kind], "rb") as fh:
+        valid = fh.read()
+    mutant = tmp_path / "mutant"
+    mutant.write_bytes(_refuse_first_value(valid, _REFUSED[refused]))
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(COMMANDS[kind](inputs, str(mutant), str(out)))
+    err = capsys.readouterr().err
+    assert code == 1
+    if kind == "rollouts":
+        # the first rollout has its own error entry, and the others are still scored
+        assert err == ""
+        with open(out / "r.jsonl") as fh:
+            entries = [json.loads(line) for line in fh]
+        assert entries[0] == {"line": 1, "error": "malformed rollout record"}
+        assert len(entries) == valid.count(b"\n") and all("total" in e for e in entries[1:])
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(mutant) in err
 
 
 @pytest.mark.parametrize("kind", list(COMMANDS))

@@ -208,7 +208,7 @@ class TestRunEpisode:
     def test_completed_clean_episode_validates(self, tiny_index):
         gen = ReplayGenerator([RETRIEVE_TURN, ANSWER_TURN])
         ep = run_episode("q?", PlannerConfig(max_rounds=3), gen, tiny_index)
-        report = validate(ep.transcript, 3)
+        report = validate(ep.transcript.source, 3)
         assert report.valid and report.retrieve_count == 1
 
     def test_evidence_count_equals_rounds(self, tiny_index):

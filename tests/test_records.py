@@ -93,6 +93,20 @@ def test_a_byte_order_mark_is_skipped_at_the_start_of_the_file_only(tmp_path):
     assert list(records.iter_jsonl(str(path))) == []
 
 
+# well-formed JSON the decoder refuses: arrays nested past the recursion limit (a
+# RecursionError) and an integer past int's digit limit (a plain ValueError)
+_REFUSED = {"deep_nesting": "[" * 100_000 + "]" * 100_000, "huge_integer": "9" * 5_000}
+
+
+@pytest.mark.parametrize("value", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_a_line_the_decoder_refuses_is_read_as_not_json(tmp_path, value):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "a"}\n{"id": "b", "v": ' + value + '}\n{"id": "c"}\n')
+    assert list(records.iter_jsonl(str(path))) == [(1, {"id": "a"}), (2, None), (3, {"id": "c"})]
+    with pytest.raises(ValueError, match=r"rows\.jsonl:2: row record must be a JSON object"):
+        records.read_jsonl(str(path), "row", {}, {})
+
+
 def _read_with_loads(path):
     """iter_jsonl as it was when it parsed each stripped line with json.loads."""
     with open(path, "rb") as fh:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planrag.control import control_sequence, parse_trajectory, validate
+from planrag.control import control_sequence, validate
 from planrag.metrics import bleu, bleu_reference
 from planrag.reward import (
     CONTROL_MATCH_BONUS,
@@ -39,13 +39,13 @@ def alpha_sample(gold="the gold answer"):
 
 def reward(rollout, sample):
     """The reward of a rollout text against a supervision sample, at budget 3."""
-    return total_reward(parse_trajectory(rollout), prepare(sample.references, sample.target, 3))
+    return total_reward(rollout, prepare(sample.references, sample.target, 3))
 
 
 def answer_fidelity(rollout_answer, reference):
     """r_ans of an answer against a reference, in a rollout of the target's controls."""
-    prepared = prepare([reference], parse_trajectory("[ANSWER] x [SOLVED]"), 3)
-    return total_reward(parse_trajectory(f"[ANSWER] {rollout_answer} [SOLVED]"), prepared).r_ans
+    prepared = prepare([reference], "[ANSWER] x [SOLVED]", 3)
+    return total_reward(f"[ANSWER] {rollout_answer} [SOLVED]", prepared).r_ans
 
 
 def control_accuracy(rollout, target, max_rounds):
@@ -71,37 +71,37 @@ class TestAnswerFidelity:
 
 
 class TestControlAccuracy:
-    target = parse_trajectory("[ANSWER] x [SOLVED]")
+    target = "[ANSWER] x [SOLVED]"
 
     def test_exact_match_bonus(self):
-        rollout = parse_trajectory("[ANSWER] whatever [SOLVED]")
+        rollout = "[ANSWER] whatever [SOLVED]"
         assert control_accuracy(rollout, self.target, 3) == 0.5
 
     def test_valid_but_different_sequence(self):
-        rollout = parse_trajectory("[INTERMEDIARY] a [RETRIEVE] q [ANSWER] x [SOLVED]")
+        rollout = "[INTERMEDIARY] a [RETRIEVE] q [ANSWER] x [SOLVED]"
         assert control_accuracy(rollout, self.target, 3) == 0.0
 
     def test_invalid_rollout_penalized(self):
-        assert control_accuracy(parse_trajectory("[SOLVED]"), self.target, 3) == -0.5
+        assert control_accuracy("[SOLVED]", self.target, 3) == -0.5
 
     def test_budget_breach_counts_as_invalid(self):
-        rollout = parse_trajectory(
+        rollout = (
             "[INTERMEDIARY] a [RETRIEVE] q " * 5 + "[ANSWER] x [SOLVED]"
         )
         assert control_accuracy(rollout, self.target, 3) == -0.5
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError, match="target trajectory does not satisfy the grammar"):
-            control_accuracy(self.target, parse_trajectory("[SOLVED]"), 3)
+            control_accuracy(self.target, "[SOLVED]", 3)
 
     def test_depends_only_on_controls(self):
-        a = parse_trajectory("[ANSWER] completely different text [SOLVED]")
-        b = parse_trajectory("[ANSWER] x [SOLVED]")
+        a = "[ANSWER] completely different text [SOLVED]"
+        b = "[ANSWER] x [SOLVED]"
         assert control_accuracy(a, self.target, 3) == control_accuracy(b, self.target, 3)
 
     def test_rollout_is_checked_at_the_budget_of_its_prepared_target(self):
-        two = parse_trajectory("[INTERMEDIARY] a [RETRIEVE] q [INTERMEDIARY] b [RETRIEVE] r "
-                               "[ANSWER] x [SOLVED]")
+        two = ("[INTERMEDIARY] a [RETRIEVE] q [INTERMEDIARY] b [RETRIEVE] r "
+               "[ANSWER] x [SOLVED]")
         assert control_accuracy(two, self.target, 1) == INVALID_PENALTY
         assert control_accuracy(two, two, 3) == CONTROL_MATCH_BONUS
         # a target is checked at the budget its rollouts are scored at
@@ -111,17 +111,17 @@ class TestControlAccuracy:
 
 class TestFinalAnswerText:
     def test_last_answer_segment(self):
-        t = parse_trajectory("[ANSWER] first [SOLVED][ANSWER] second [SOLVED]")
+        t = "[ANSWER] first [SOLVED][ANSWER] second [SOLVED]"
         assert final_answer_text(t) == "second"
 
     def test_no_answer(self):
-        assert final_answer_text(parse_trajectory("[INTERMEDIARY] a")) == ""
+        assert final_answer_text("[INTERMEDIARY] a") == ""
 
 
 class TestTotalReward:
     def test_perfect_rollout(self):
         sample = alpha_sample()
-        breakdown = reward(sample.target.source, sample)
+        breakdown = reward(sample.target, sample)
         assert breakdown.r_ans == pytest.approx(1.0)
         assert breakdown.r_ctrl == 0.5
         assert breakdown.total == pytest.approx(1.5)
@@ -143,7 +143,7 @@ class TestTotalReward:
     def test_additivity_exact(self):
         sample = alpha_sample()
         for text in (
-            sample.target.source,
+            sample.target,
             "[ANSWER] partial gold [SOLVED]",
             "[SOLVED]",
             "plain text",
@@ -244,8 +244,7 @@ def oracle_reward(text, reference, target, max_rounds):
 @example("[ANSWER] gold answer [SOLVED]", "gold gold answer answer", 0, 0)  # by the prediction
 def test_reward_is_bitwise_the_oracle(text, reference, target_rounds, spare_rounds):
     target, max_rounds = TARGETS[target_rounds], target_rounds + spare_rounds
-    rollout = parse_trajectory(text)
-    got = total_reward(rollout, prepare([reference], parse_trajectory(target), max_rounds))
+    got = total_reward(text, prepare([reference], target, max_rounds))
     assert (got.r_ans, got.r_ctrl) == oracle_reward(text, reference, target, max_rounds)
     assert got.total == got.r_ans + got.r_ctrl
-    assert list(validate(rollout, max_rounds).markers) == control_sequence(rollout)
+    assert list(validate(text, max_rounds).markers) == control_sequence(text)

@@ -154,7 +154,7 @@ class TestBuildSample:
         sample = build_sample(
             "q?", ["42"], outcome(HIT, HIT), outcome(HIT, with_retrieval=True), qid="1",
         )
-        assert sample.target.source == "[ANSWER] 42 [SOLVED]"
+        assert sample.target == "[ANSWER] 42 [SOLVED]"
         assert control_sequence(sample.target) == [A, S]
 
     def test_beta_target(self):
@@ -166,7 +166,7 @@ class TestBuildSample:
         assert seq[-2:] == [A, S]
         assert validate(sample.target, 3).valid
         # the intermediary reflects the probe's own covering attempt
-        assert COVER.answer in sample.target.source
+        assert COVER.answer in sample.target
 
     def test_theta_target(self):
         sample = build_sample(
@@ -184,7 +184,7 @@ class TestBuildSample:
         assert seq == [I, R, I, R, A, S]
         assert seq.count(R) >= 2
         assert validate(sample.target, 3).valid
-        queries = [s.text.strip() for s in sample.target.segments if s.marker is R]
+        queries = [s.text.strip() for s in parse_trajectory(sample.target).segments if s.marker is R]
         assert queries == ["who is X", "a sharper query"]
 
     def test_gamma_requires_teacher_query(self):
@@ -253,7 +253,7 @@ class TestExport:
         export_dataset(self.build_four(), Split.SFT, str(path))
         for line in path.read_text().splitlines():
             rec = json.loads(line)
-            assert validate(parse_trajectory(rec["target"]), 3).valid
+            assert validate(rec["target"], 3).valid
 
 
 # probe answers and references may carry whole or split control-token surfaces
@@ -312,4 +312,4 @@ def test_sample_kind_follows_from_probes(question, refs, parametric, retrieval, 
         question, refs, p, r, teacher_query if kind is SupervisionKind.GAMMA else None
     )
     assert sample.kind is kind
-    assert validate(sample.target, 2).valid, sample.target.source
+    assert validate(sample.target, 2).valid, sample.target

@@ -44,7 +44,7 @@ def _records():
     block = EvidenceBlock(query="Lovelace", results=[hit])
     context = GenerationContext("preamble", "When was Ada born?", (block,), trajectory.segments)
     emission = ReplayGenerator(["[ANSWER] 1815 [SOLVED]"]).emit_turn(context)
-    prepared = prepare(["1815"], trajectory, 3)
+    prepared = prepare(["1815"], TARGET, 3)
     outcome = probe_retrieval("Ada Lovelace", refs, ReplayGenerator(["1815"]), index)
     events, state = scan_stream("[ANSWER] 1815 [SOL")
     text_run, token_event = (next(e for e in events if isinstance(e, kind))
@@ -54,7 +54,7 @@ def _records():
         ("RetrievedPassage", hit, True),
         ("Segment", trajectory.segments[0], True),
         ("Trajectory", trajectory, True),
-        ("ValidationReport", validate(trajectory, 3), True),
+        ("ValidationReport", validate(TARGET, 3), True),
         ("TurnReading", read_turn(TARGET), True),
         ("EvidenceBlock", block, False),  # its results are a list
         ("GenerationContext", context, False),  # through its evidence blocks
@@ -63,7 +63,7 @@ def _records():
         ("RougeScores", rouge("born 1815", ["1815"]), True),
         ("MetricRow", score_row("demo", ["1815"], [["1815"]]), True),
         ("BleuReference", bleu_reference("born in 1815"), False),  # its counts are Counters
-        ("RewardBreakdown", total_reward(trajectory, prepared), True),
+        ("RewardBreakdown", total_reward(TARGET, prepared), True),
         ("PreparedSample", prepared, False),  # through its reference's Counters
         ("ProbeAttempt", outcome.attempts[0], True),
         ("ProbeOutcome", outcome, True),
