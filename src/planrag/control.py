@@ -60,11 +60,6 @@ class Trajectory(NamedTuple):
     def render(self) -> str:
         return render_segments(self.segments)
 
-    @classmethod
-    def from_segments(cls, segments: list[Segment] | tuple[Segment, ...]) -> "Trajectory":
-        segs = tuple(segments)
-        return cls(segments=segs, source=render_segments(segs))
-
 
 def render_segments(segments: tuple[Segment, ...] | list[Segment]) -> str:
     surface = _SURFACE
@@ -197,7 +192,7 @@ END_BREACH: dict[str, str | None] = {
 class TurnReading(NamedTuple):
     # built positionally, which is faster than by keyword
     kind: str  # answer | retrieve | bare_intermediary | plain | malformed
-    consumed: tuple[Segment, ...]
+    consumed: str  # the prefix of the turn that the reading takes
     answer: str = ""
     has_solved: bool = False
     query: str = ""
@@ -213,17 +208,15 @@ def read_turn(text: str) -> TurnReading:
     first branch does: a retrieval with its query kept, an answer with the
     text after Solved dropped. ``truncated`` marks a closed branch with more
     than whitespace after it, or an open answer followed by another marker.
-    A malformed turn consumes all of its text, so only that is parsed whole.
+    A plain or malformed turn consumes all of its text.
     """
     # [lead, marker, text, marker, text, marker, rest], cut short after the last marker;
     # rest is unsplit, so the first branch is read without scanning the whole turn.
     # maxsplit by keyword: Python 3.13 deprecates passing it to re.split positionally
     parts = _TOKEN_RE.split(text, maxsplit=3)
-    lead = (Segment(None, parts[0]),) if parts[0] else ()
     if len(parts) == 1:
-        return TurnReading("plain", lead)
-    first = Segment(_SURFACE_TO_TOKEN[parts[1]], parts[2])
-    state, breach = TRANSITIONS[OPEN, first.marker]
+        return TurnReading("plain", text)
+    state, breach = TRANSITIONS[OPEN, _SURFACE_TO_TOKEN[parts[1]]]
     if not breach:
         # the second marker, or the end of the turn, closes the branch or not
         nxt = _SURFACE_TO_TOKEN[parts[3]] if len(parts) > 3 else None
@@ -232,18 +225,18 @@ def read_turn(text: str) -> TurnReading:
             # a closed branch; what follows it is a third marker, or text after Solved
             if after == END:
                 truncated = len(parts) > 5 or bool(parts[4].strip())
-                return TurnReading("answer", lead + (first, Segment(nxt, "")), first.text,
-                                   True, "", "", truncated)
-            return TurnReading("retrieve", lead + (first, Segment(nxt, parts[4])), "", False,
-                               parts[4], "", len(parts) > 5)
+                return TurnReading("answer", "".join(parts[:4]), parts[2], True, "", "",
+                                   truncated)
+            return TurnReading("retrieve", "".join(parts[:5]), "", False, parts[4], "",
+                               len(parts) > 5)
         if state == AWAIT_SOLVED:
-            return TurnReading("answer", lead + (first,), first.text, False, "", "",
+            return TurnReading("answer", "".join(parts[:3]), parts[2], False, "", "",
                                nxt is not None)
         # An intermediary branch left open. A next marker that only leaves it open
         # (the breach of ending the turn here) makes it bare; any other is a breach.
         if breach == END_BREACH[state]:
-            return TurnReading("bare_intermediary", lead + (first,))
-    return TurnReading("malformed", parse_trajectory(text).segments, "", False, "", breach)
+            return TurnReading("bare_intermediary", "".join(parts[:3]))
+    return TurnReading("malformed", text, "", False, "", breach)
 
 
 def last_answer(text: str) -> str | None:

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .bm25 import RetrievedPassage
-from .control import Segment, read_turn, render_segments
+from .control import read_turn
 from .control import parse_trajectory  # not called here: perfbench/tracing.py wraps this name
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,7 +56,7 @@ class GenerationContext(NamedTuple):
     system_preamble: str
     question: str
     evidence_blocks: tuple[EvidenceBlock, ...] = ()
-    prior_segments: tuple[Segment, ...] = ()
+    transcript: str = ""
     finalize_required: bool = False
 
 
@@ -77,7 +77,7 @@ def render_user_prompt(ctx: GenerationContext) -> str:
         for k, (p, _, _) in enumerate(block.results, 1):
             lines.append(f"[{k}] {_escape_line(p.title)}: {_escape_line(p.text)}")
     lines.append("Transcript:")
-    lines.append(render_segments(ctx.prior_segments))
+    lines.append(ctx.transcript)
     if ctx.finalize_required:
         lines.append(FINALIZE_INSTRUCTION)
     return "\n".join(lines)
@@ -97,7 +97,7 @@ def truncate_at_branch(text: str) -> str:
     """
     reading = read_turn(text)
     if reading.truncated and (reading.kind == "retrieve" or reading.has_solved):
-        return render_segments(reading.consumed)
+        return reading.consumed
     return text
 
 
@@ -248,7 +248,7 @@ def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
             sock.close()
     try:
         body = json.loads(raw)
-    except ValueError:
+    except (ValueError, RecursionError):  # not JSON or nested too deep
         body = {}
     return resp.status, body
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .bm25 import PassageIndex
-from .control import ControlToken, Segment, Trajectory, read_turn
+from .control import ControlToken, control_sequence, read_turn
 from .control import parse_trajectory  # not called here: perfbench/tracing.py wraps this name
 from .generator import (
     DEFAULT_PREAMBLE,
@@ -66,11 +66,11 @@ class PlanStep:
 
 @dataclass
 class Episode:
-    """One question's loop: evidence log, accepted segments, steps and outcome."""
+    """One question's loop: evidence log, transcript text, steps and outcome."""
 
     question: str
     memory: list[EvidenceBlock] = field(default_factory=list)
-    segments: list[Segment] = field(default_factory=list)
+    transcript: str = ""
     steps: list[PlanStep] = field(default_factory=list)
     final_answer: str = ""
     # completed | malformed | budget_zero_retrieve | generator_failure | missing_index
@@ -81,12 +81,8 @@ class Episode:
     def rounds_used(self) -> int:
         return len(self.memory)
 
-    @property
-    def transcript(self) -> Trajectory:
-        return Trajectory.from_segments(self.segments)
-
     def control_names(self) -> list[str]:
-        return [_NAMES[s.marker] for s in self.segments if s.marker is not None]
+        return [_NAMES[marker] for marker in control_sequence(self.transcript)]
 
 
 # --- operations ---------------------------------------------------------------
@@ -96,7 +92,7 @@ def build_context(ep: Episode, finalize_required: bool) -> GenerationContext:
     # the context shares the episode's evidence blocks, whose result lists are never
     # changed once logged, so a turn copies no passage list
     return GenerationContext(
-        DEFAULT_PREAMBLE, ep.question, tuple(ep.memory), tuple(ep.segments), finalize_required
+        DEFAULT_PREAMBLE, ep.question, tuple(ep.memory), ep.transcript, finalize_required
     )
 
 
@@ -149,7 +145,7 @@ def run_episode(
         query = reading.query.strip()
 
         if reading.kind == "answer":
-            ep.segments.extend(reading.consumed)
+            ep.transcript += reading.consumed
             if not reading.has_solved:
                 step.note = "answer without Solved at end of turn"
             elif reading.truncated:
@@ -164,11 +160,10 @@ def run_episode(
             return ep
 
         if reading.kind == "retrieve" and not finalize and query:
-            consumed = list(reading.consumed)
-            if consumed and not consumed[-1].text.endswith("\n"):
-                last = consumed[-1]
-                consumed[-1] = Segment(last.marker, last.text + "\n")
-            ep.segments.extend(consumed)
+            # a kept turn ends in "\n", as the fallback message does, and no surface holds
+            # one, so no marker forms across two turns when control_names reads the text
+            consumed = reading.consumed
+            ep.transcript += consumed if consumed.endswith("\n") else consumed + "\n"
             handle_retrieve(ep, query, idx, cfg)
             if reading.truncated:
                 step.note = "turn truncated after retrieval query"
@@ -196,8 +191,7 @@ def run_episode(
             return ep
         else:
             repair_used = True
-        ep.segments.extend(reading.consumed)
-        ep.segments.append(Segment(None, "\n" + FALLBACK_MESSAGE + "\n"))
+        ep.transcript += reading.consumed + "\n" + FALLBACK_MESSAGE + "\n"
 
 
 def batch_run(
@@ -260,6 +254,6 @@ def episode_record(episode: Episode, qid: str) -> dict:
             for r in episode.memory
         ],
         "final_answer": episode.final_answer,
-        "transcript": episode.transcript.source,
+        "transcript": episode.transcript,
         "notes": [s.note for s in episode.steps if s.note],
     }

@@ -13,13 +13,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .bm25 import PassageIndex, RetrievedPassage
-from .control import (
-    ControlToken,
-    Segment,
-    control_sequence,
-    last_answer,
-    strip_control_tokens,
-)
+from .control import control_sequence, last_answer, strip_control_tokens
 from .control import parse_trajectory  # not called here: perfbench/tracing.py wraps this name
 from .generator import EvidenceBlock, GenerationContext
 from .metrics import References, cover_em, exact_match, normalize
@@ -134,7 +128,7 @@ def teacher_followup_query(
 ) -> str:
     """Ask the teacher for a sharper follow-up query given the partial answer."""
     ctx = GenerationContext(TEACHER_PREAMBLE, question, (EvidenceBlock(question, hits),),
-                            (Segment(ControlToken.INTERMEDIARY, " " + intermediary),))
+                            f"[INTERMEDIARY] {intermediary}")
     query = teacher.emit_turn(ctx).text.strip()
     if not strip_control_tokens(query):
         raise EmptyTeacherQueryError("teacher returned an empty follow-up query")

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior with replay backends in a temp workspace."""
 
 import codecs
+import hashlib
 import json
 import os
 import random
@@ -543,6 +544,103 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert {"run/transcripts.jsonl", "run/report.json", "run/report.txt", "sweep/sweep.json",
             "sweep/b3/transcripts.jsonl", "sweep/b3/report.json", "sweep/b3/report.txt"} <= names
     assert outputs[0] == outputs[1]
+
+
+# one question per case the planner records: every status and every note, and a
+# retrieval query that ends in part of a surface whose rest starts the next turn
+PINNED_SCRIPTS = {
+    "clean": ["[INTERMEDIARY] check [RETRIEVE] Eiffel Tower", "[ANSWER] Paris [SOLVED]"],
+    "no_solved": ["[ANSWER] Berlin"],
+    "open_answer_cut": ["[ANSWER] Paris [INTERMEDIARY] more"],
+    "after_solved": ["lead [ANSWER] 1871 [SOLVED] and some chatter"],
+    "after_query": ["[INTERMEDIARY] look [RETRIEVE] capital of Germany [ANSWER] Bonn [SOLVED]",
+                    "[ANSWER] Berlin [SOLVED]"],
+    "bare": ["[INTERMEDIARY] thinking only", "[ANSWER] Paris [SOLVED]"],
+    # under --fallback finalize, the retrieval after the bare turn is refused
+    "forced": ["[INTERMEDIARY] thinking only", "[INTERMEDIARY] x [RETRIEVE] Eiffel Tower",
+               "[ANSWER] Paris [SOLVED]"],
+    "plain": ["just text\n", "[ANSWER] Paris [SOLVED]"],
+    "empty_query": ["[INTERMEDIARY] hmm [RETRIEVE]   ", "[ANSWER] Paris [SOLVED]"],
+    "malformed": ["[SOLVED] oops", "[RETRIEVE] again"],
+    "budget": ["[INTERMEDIARY] a [RETRIEVE] german empire", "[INTERMEDIARY] b [RETRIEVE] 1871",
+               "[INTERMEDIARY] c [RETRIEVE] proclaimed", "[ANSWER] 1871 [SOLVED]"],
+    "split_surface": ["[INTERMEDIARY] split [RETRIEVE] Louvre Paris [ANSW",
+                      "ER] Paris [SOLVED]", "[ANSWER] Paris [SOLVED]"],
+    "exhausted": ["[INTERMEDIARY] x [RETRIEVE] Louvre museum"],
+}
+PINNED_ANSWERS = {"no_solved": "Berlin", "after_query": "Berlin", "budget": "1871",
+                  "after_solved": "1871", "malformed": "Rome"}
+# sha256 of each output, as written before the planner kept its transcript as text
+PINNED_DIGESTS = {
+    "finalize/report.json": "79c606f6b5d2255a7432547bc589d3f3fb418553e150eeff2a352c4c143a21c3",
+    "finalize/transcripts.jsonl": "f94ba5ac5050faeab767dd556449983e2584c6d37447ead22fc9b81728a873a3",
+    "no_index/report.json": "661c77f80fe627ec214a617c83caba3c240e4650ce9775f15b29b6efcb712f80",
+    "no_index/transcripts.jsonl": "0e1179fc86bfa130745e954e834216dad9229ab4d82be5e338135165f356e687",
+    "rewards.jsonl": "83804e23fce502662635b14483af86f2c2eabc70150d45a80bc4d6a2625eb93d",
+    "run/report.json": "8e4d39e8149496cb82158c8989379a29bdf08d2c99227ec4b67eb0dc8c3486b4",
+    "run/transcripts.jsonl": "1d88dedc3aa46e5a368bc464756971eb608cbb901ef3c122cb39eb01b396b490",
+    "sup/sft.jsonl": "3c7687a8255fb011888ff6598026dc925e42737b46383f680047299e07790507",
+    "sup/sft.jsonl.summary.json": "71388bb2d27d2dc214010fd80bd9ab1da7b01cfe29690a36f521552dfbacfd8b",
+    "sweep/b0/report.json": "a87e81cd1e2ac26e0a7796bc909e52922c4596c22009a06e8babd9924a54e6a8",
+    "sweep/b0/transcripts.jsonl": "0c01b2978fde11750868759ed2eab6b55ff14d3247c10c30c29a0dff2f4a37f6",
+    "sweep/b1/report.json": "8e4d39e8149496cb82158c8989379a29bdf08d2c99227ec4b67eb0dc8c3486b4",
+    "sweep/b1/transcripts.jsonl": "1d88dedc3aa46e5a368bc464756971eb608cbb901ef3c122cb39eb01b396b490",
+    "sweep/b2/report.json": "3f9ac8cd12151bfd703360a5014c4dabbb433fde5a8c5dd7732457c691a4ed30",
+    "sweep/b2/transcripts.jsonl": "def49ce1f0fe0f6f39dc46f5ecf7a9fba4cd50bb5523b7d6053fd8b0c49f1c06",
+    "sweep/sweep.json": "70480f1a601dafbc49dc66a4ae6e69e05f0a7c2d76515bc7c1624371636a7fdd",
+}
+
+
+def test_replay_outputs_keep_their_bytes(tmp_path, capsys):
+    ids = list(PINNED_SCRIPTS)
+    dataset = write_jsonl(tmp_path / "dev.jsonl", [
+        {"id": qid, "question": f"question {qid}?", "answers": [PINNED_ANSWERS.get(qid, "Paris")]}
+        for qid in ids])
+    scripts = write_jsonl(tmp_path / "scripts.jsonl",
+                          [{"id": qid, "turns": turns} for qid, turns in PINNED_SCRIPTS.items()])
+    corpus, index = write_jsonl(tmp_path / "corpus.jsonl", CORPUS), str(tmp_path / "index.json")
+    common = ["--dataset", dataset, "--scripts", scripts]
+    with_index = common + ["--index", index]
+    questions = write_jsonl(tmp_path / "questions.jsonl", SUPERVISE_QUESTIONS)
+    probes = write_jsonl(tmp_path / "probes.jsonl", SUPERVISE_SCRIPTS)
+    out = tmp_path / "out"
+    commands = [
+        ["index", "--corpus", corpus, "--out", index],
+        ["run", *with_index, "--budget", "1", "--out-dir", str(out / "run")],
+        ["run", *with_index, "--budget", "1", "--fallback", "finalize",
+         "--out-dir", str(out / "finalize")],
+        ["run", *common, "--out-dir", str(out / "no_index")],
+        ["sweep", *with_index, "--budgets", "2,0,1", "--out-dir", str(out / "sweep")],
+        ["supervise", "--questions", questions, "--scripts", probes, "--index", index,
+         "--attempts", "2", "--out-dir", str(out / "sup")],
+    ]
+    assert [main(argv) for argv in commands] == [0, 1, 1, 1, 1, 0]
+    # rollouts are the run's transcripts, scored against each sample
+    transcripts = read_records(out / "run" / "transcripts.jsonl")
+    rollouts = write_jsonl(tmp_path / "rollouts.jsonl", [
+        {"id": q["id"], "text": rec["transcript"]} for q in SUPERVISE_QUESTIONS
+        for rec in transcripts])
+    assert main(["reward", "--rollouts", rollouts, "--samples", str(out / "sup" / "sft.jsonl"),
+                 "--out", str(out / "rewards.jsonl")]) == 0
+    capsys.readouterr()
+
+    episodes = [rec for path in out.rglob("transcripts.jsonl") for rec in read_records(path)]
+    assert {rec["status"] for rec in episodes} == {
+        "completed", "malformed", "budget_zero_retrieve", "generator_failure", "missing_index"}
+    assert {note for rec in episodes for note in rec["notes"]} == {
+        "answer without Solved at end of turn", "turn truncated after Solved",
+        "turn truncated after retrieval query", "turn was bare intermediary", "turn was plain",
+        "empty retrieval query", "Solved without Answer", "Retrieve without Intermediary",
+        "retrieve emitted after budget exhaustion", "retrieve emitted in zero-budget mode"}
+    # the surface cut at the end of a query does not join the next turn's text
+    [split] = [rec for rec in transcripts if rec["id"] == "split_surface"]
+    assert split["control_sequence"] == ["INTERMEDIARY", "RETRIEVE", "SOLVED", "ANSWER", "SOLVED"]
+    assert "[ANSW\nER]" in split["transcript"]
+
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*")
+                     if p.name.endswith((".json", ".jsonl")) and p.name != "timings.jsonl")
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in written}
+    assert digests == PINNED_DIGESTS
 
 
 def synth_transcripts(tmp_path, name, rounds, answers):

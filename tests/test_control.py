@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from planrag.bm25 import Passage, build_index
 from planrag.control import (
     END,
     END_BREACH,
@@ -28,6 +29,8 @@ from planrag.control import (
     scan_stream,
     validate,
 )
+from planrag.generator import ReplayGenerator
+from planrag.planner import FALLBACK_MESSAGE, PlannerConfig, run_episode
 
 I, R, A, S = (
     ControlToken.INTERMEDIARY,
@@ -132,12 +135,6 @@ class TestParse:
         t = parse_trajectory(text)
         assert t.segments == finditer_parse(text)
         assert t.source == text
-
-    def test_from_segments_renders_source(self):
-        segs = [Segment(A, " hi "), Segment(S, "")]
-        t = Trajectory.from_segments(segs)
-        assert t.source == "[ANSWER] hi [SOLVED]"
-        assert parse_trajectory(t.source).segments == t.segments
 
 
 class TestScanner:
@@ -312,13 +309,15 @@ def test_text_readers_agree_with_the_segment_walk(text, max_rounds):
     assert control_sequence(text) == segment_control_sequence(t)
 
 
-def test_validate_reads_the_source_of_a_trajectory_built_from_segments():
-    # a plain segment after a marker, as the planner's fallback message is, joins that
-    # marker's text in the source
-    t = Trajectory.from_segments([Segment(I, " a "), Segment(R, " q\n"), Segment(None, "note\n"),
-                                  Segment(A, " x "), Segment(S, "")])
-    assert not segment_validate(t, 3).valid
-    assert validate(t.source, 3).valid
+def test_validate_reads_a_planner_transcript_with_its_fallback_message():
+    # a plain turn and the fallback message after it join the query of the marker
+    # before them in the planner's transcript text
+    index = build_index([Passage("p1", "T", "some text")])
+    turns = ["[INTERMEDIARY] a [RETRIEVE] q", "note", "[ANSWER] x [SOLVED]"]
+    ep = run_episode("q?", PlannerConfig(), ReplayGenerator(turns), index)
+    assert ep.transcript == (
+        f"[INTERMEDIARY] a [RETRIEVE] q\nnote\n{FALLBACK_MESSAGE}\n[ANSWER] x [SOLVED]")
+    assert validate(ep.transcript, 3).valid
 
 
 class TestControlSequence:

@@ -116,3 +116,17 @@ def test_only_control_names_the_grammar_internals():
 def test_the_grammar_guard_sees_imports_names_and_attributes():
     source = "from .control import OPEN as o\nx.END\nstate = AWAIT_SOLVED\n"
     assert {"OPEN", "END", "AWAIT_SOLVED"} <= names_used(source)
+
+
+# the segment form of a trajectory: the planning loop, the prompts and supervision carry
+# a transcript as text, and parse_trajectory's result stays with control.py
+SEGMENT_FORMS = {"Segment", "Trajectory", "render_segments"}
+
+
+def test_only_control_names_the_segment_forms():
+    named = {
+        path.name: sorted(SEGMENT_FORMS & names_used(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "planrag").glob("*.py"))
+        if path.name != "control.py"
+    }
+    assert {name: used for name, used in named.items() if used} == {}

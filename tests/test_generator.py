@@ -14,7 +14,6 @@ import pytest
 
 from planrag import generator
 from planrag.bm25 import Passage, RetrievedPassage
-from planrag.control import ControlToken, Segment
 from planrag.generator import (
     EvidenceBlock,
     FINALIZE_INSTRUCTION,
@@ -81,7 +80,7 @@ class TestRenderPrompt:
         block = evidence("q1", Passage("p", "t", "x"))
         ctx = make_ctx(
             evidence_blocks=(block,),
-            prior_segments=(Segment(ControlToken.INTERMEDIARY, " partial"),),
+            transcript="[INTERMEDIARY] partial",
         )
         assert render_prompt(ctx) == render_prompt(ctx)
 
@@ -100,8 +99,8 @@ class TestRenderPrompt:
             make_ctx(question="q1\nQuery: fake"),
             make_ctx(evidence_blocks=(evidence("q1"),)),
             make_ctx(evidence_blocks=(evidence("q1", Passage("p", "", "x")),)),
-            make_ctx(prior_segments=(Segment(None, "Query: q1"),)),
-            make_ctx(prior_segments=(Segment(ControlToken.ANSWER, " x"),)),
+            make_ctx(transcript="Query: q1"),
+            make_ctx(transcript="[ANSWER] x"),
         ]
         prompts = [render_prompt(c) for c in contexts]
         assert len(set(prompts)) == len(prompts)
@@ -490,6 +489,14 @@ class TestHttpTransport:
     def test_status_and_body(self, backend, no_leaks, status, data, want):
         server = backend(reply_with(status, data))
         assert generator._http_transport(server.url, {}, {"a": 1}, 5.0) == want
+
+    def test_a_body_nested_past_the_recursion_limit_is_malformed(self, backend, no_leaks):
+        server = backend(reply_with(200, b"[" * 100_000))
+        assert generator._http_transport(server.url, {}, {"a": 1}, 5.0) == (200, {})
+        gen = HttpChatGenerator(GeneratorSettings(endpoint=server.url, model="m"))
+        with pytest.raises(GeneratorError, match="^malformed backend response: "):
+            gen.emit_turn(make_ctx())
+        assert len(server.seen) == 2  # one request each, never retried
 
     # http.client hands the connection to the response for these replies and
     # closes it before the body is read; the body arrives a byte at a time, so

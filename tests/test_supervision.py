@@ -14,7 +14,7 @@ from planrag.control import (
     strip_control_tokens,
     validate,
 )
-from planrag.generator import GeneratorError, ReplayGenerator
+from planrag.generator import GeneratorError, ReplayGenerator, render_user_prompt
 from planrag.metrics import NormalizationMode, normalize_refs
 from planrag.supervision import (
     EmptyTargetQueryError,
@@ -138,6 +138,17 @@ class TestTeacher:
         teacher = ReplayGenerator(["who headlined the upcoming halftime show"])
         query = teacher_followup_query("q?", "a partial answer", [], teacher)
         assert query == "who headlined the upcoming halftime show"
+
+    def test_prompt_holds_the_partial_answer_as_an_intermediary(self):
+        prompts = []
+
+        class Recorder(ReplayGenerator):
+            def emit_turn(self, ctx):
+                prompts.append(render_user_prompt(ctx))
+                return super().emit_turn(ctx)
+
+        teacher_followup_query("q?", "a partial answer", [], Recorder(["next query"]))
+        assert prompts == ["Question: q?\nQuery: q?\nTranscript:\n[INTERMEDIARY] a partial answer"]
 
     def test_empty_query(self):
         for reply in ("   ", "[RETRIEVE] [SOLVED]"):

@@ -42,7 +42,7 @@ def _records():
     trajectory = parse_trajectory(TARGET)
     refs = normalize_refs(["1815"], NormalizationMode.SQUAD_STYLE)
     block = EvidenceBlock(query="Lovelace", results=[hit])
-    context = GenerationContext("preamble", "When was Ada born?", (block,), trajectory.segments)
+    context = GenerationContext("preamble", "When was Ada born?", (block,), TARGET)
     emission = ReplayGenerator(["[ANSWER] 1815 [SOLVED]"]).emit_turn(context)
     prepared = prepare(["1815"], TARGET, 3)
     outcome = probe_retrieval("Ada Lovelace", refs, ReplayGenerator(["1815"]), index)
@@ -112,8 +112,8 @@ def test_records_keep_their_defaults_and_properties():
     assert passage._replace(text="y") == ("p1", "T", "y")
     assert scan_stream("")[1] == ScannerState("")
     context = GenerationContext(system_preamble="s", question="q")
-    assert (context.evidence_blocks, context.prior_segments, context.finalize_required) == (
-        (), (), False)
+    assert (context.evidence_blocks, context.transcript, context.finalize_required) == (
+        (), "", False)
     assert Segment(ControlToken.ANSWER, " a").marker is ControlToken.ANSWER
     outcome = {name: record for name, record, _ in RECORDS}["ProbeOutcome"]
     assert outcome.passages_used == ("p1",)
