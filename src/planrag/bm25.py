@@ -14,7 +14,6 @@ import sys
 import weakref
 from array import array
 from collections.abc import Callable, Sequence
-from dataclasses import InitVar, dataclass
 from itertools import accumulate, chain, repeat
 from typing import Iterable, NamedTuple
 
@@ -56,6 +55,10 @@ _BALANCED_WITHIN = 8192
 _RESCORE_WITHIN = 4
 # relative slack on both sides of every bound test; float rounding is far smaller
 _SLACK = 1e-9
+# the largest k1 that build_index takes and load_index reads: up to it, every norm
+# k1 * (1 - b + b * length / avg) <= k1 * (1 + N) and every term bound idf * tf * (k1 + 1)
+# stay finite for any corpus an array can index (tf < 2**64), so no score overflows
+K1_MAX = 1000
 
 
 class Passage(NamedTuple):
@@ -123,7 +126,6 @@ class _Passages(Sequence):
         return data
 
 
-@dataclass
 class PassageIndex:
     """Inverted index with BM25 statistics over an immutable passage corpus.
 
@@ -132,7 +134,10 @@ class PassageIndex:
     hi)`` returns bytes lo:hi of that text. Term i of ``terms`` has its postings
     at ordinals[offsets[i]:offsets[i + 1]], with their term frequencies at the
     same places in tfs. The integer arrays are in the narrowest unsigned
-    typecode that holds them, as save_index writes them.
+    typecode that holds them, as save_index writes them. ``norms`` is a "d"
+    array, ordinal -> k1 * (1 - b + b * length / avg_doc_length). ``slots``
+    maps each term to its position in terms, when the caller has built it
+    (load_index does, to check that the terms are unique).
 
     A built index holds the text in memory. A loaded one holds the postings,
     norms and field offsets, and the passages decoded so far; it reads each
@@ -140,30 +145,20 @@ class PassageIndex:
     ``path`` for the checks done on first use (see load_index).
     """
 
-    ids: list[str]
-    fields: array
-    read_text: Callable[[int, int], bytes]
-    terms: list[str]
-    offsets: array
-    ordinals: array
-    tfs: array
-    norms: array  # "d", ordinal -> k1 * (1 - b + b * length / avg_doc_length)
-    avg_doc_length: float
-    k1: float
-    b: float
-    path: str | None = None
-    # term -> its position in terms, when the caller has built it (load_index does, to
-    # check that the terms are unique)
-    slots: InitVar[dict[str, int] | None] = None
-
-    def __post_init__(self, slots: dict[str, int] | None) -> None:
-        self._slots = dict(zip(self.terms, range(len(self.terms)))) if slots is None else slots
+    def __init__(self, ids: list[str], fields: array, read_text: Callable[[int, int], bytes],
+                 terms: list[str], offsets: array, ordinals: array, tfs: array, norms: array,
+                 avg_doc_length: float, k1: float, b: float, path: str | None = None,
+                 slots: dict[str, int] | None = None) -> None:
+        self.ids, self.fields, self.read_text, self.terms = ids, fields, read_text, terms
+        self.offsets, self.ordinals, self.tfs, self.norms = offsets, ordinals, tfs, norms
+        self.avg_doc_length, self.k1, self.b, self.path = avg_doc_length, k1, b, path
+        self._slots = dict(zip(terms, range(len(terms)))) if slots is None else slots
         # one int object per ordinal, the key in every posting dict: search looks
         # an ordinal from one posting up in the others, and a key of the same
         # object matches without a value comparison
-        self._keys = list(range(len(self.ids)))
+        self._keys = list(range(len(ids)))
         self._built: dict[str, tuple[dict[int, float] | array, float]] = {}
-        self.passages = _Passages(self.ids, self.fields, self.read_text, self.path)
+        self.passages = _Passages(ids, fields, read_text, path)
 
     def posting(self, term: str) -> tuple[dict[int, float] | array, float] | None:
         """The term's postings and its idf, or None for a term no passage holds.
@@ -300,7 +295,7 @@ class PassageIndex:
         """Exact scores of the candidates left after pruning, which hold the top k.
 
         Three phases after the "continue" accumulator strategy (Moffat & Zobel,
-        TOIS 1996). build_index checks k1 >= 0 and 0 <= b <= 1, so every norm
+        TOIS 1996). build_index checks 0 <= k1 <= K1_MAX and 0 <= b <= 1, so every norm
         is >= 0 and a term adds to a score at least 0 and at most its bound
         ``idf * (k1 + 1)``.
 
@@ -477,8 +472,8 @@ def build_index(
     corpus: Iterable[Passage], k1: float = 1.2, b: float = 0.75
 ) -> PassageIndex:
     """Index a passage stream. Deterministic for a fixed input order."""
-    if not (0 <= k1 < math.inf and 0 <= b <= 1):
-        raise ValueError(f"BM25 needs finite k1 >= 0 and b in [0, 1], got k1={k1}, b={b}")
+    if not (0 <= k1 <= K1_MAX and 0 <= b <= 1):
+        raise ValueError(f"BM25 needs k1 in [0, {K1_MAX}] and b in [0, 1], got k1={k1}, b={b}")
     passages: list[Passage] = []
     postings: dict[str, dict[int, int]] = {}
     doc_lengths: list[int] = []
@@ -600,7 +595,7 @@ def load_index(path: str) -> PassageIndex:
               f"got {version}; rebuild it with planrag index")
         k1, b = header.get("k1"), header.get("b")
         _need(type(k1) in (int, float) and type(b) in (int, float), path, "needs numeric k1 and b")
-        _need(0 <= k1 < math.inf and 0 <= b <= 1, path, "needs k1 >= 0 and b in [0, 1]")
+        _need(0 <= k1 <= K1_MAX and 0 <= b <= 1, path, f"needs k1 in [0, {K1_MAX}] and b in [0, 1]")
         offsets, ordinals, tfs, norms, fields, text_size = _read_arrays(path, fh, header)
         ids, terms, avg = header.get("ids"), header.get("terms"), header.get("avg_doc_length")
         # each check of every element is one pass in C: a set of the types, a sort of

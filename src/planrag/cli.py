@@ -56,7 +56,7 @@ SETTINGS: dict[str, tuple[records.Kind, object, tuple[float, float] | None]] = {
     "normalization": (tuple(m.value for m in NormalizationMode), "squad", None),
     "fallback": (tuple(f.value for f in FallbackPolicy), "append", None),
     "split": (tuple(s.value for s in Split), "sft", None),
-    "k1": (float, 1.2, (0, math.inf)),
+    "k1": (float, 1.2, (0, bm25.K1_MAX)),
     "b": (float, 0.75, (0, 1)),
     "scripts": (str, None, None),
     "endpoint": (str, None, None),
@@ -172,16 +172,17 @@ def _score_report(name, predictions, rows, mode, episodes=None) -> tuple[dict, s
         empty = ScoreReport(rows=[], avg_score=None, normalization=mode.value)
         return empty.to_dict(), "Dataset  EM  ROUGE  F1\n(no rows)\n"
     row = score_row(name, predictions, [r["answers"] for r in rows], mode)
-    report = ScoreReport(rows=[row], avg_score=avg_score([row]), normalization=mode.value)
+    stats = presence = None
     if episodes is not None:
-        report.retrieval_stats = {name: retrieval_stats(episodes)}
+        stats = {name: retrieval_stats(episodes)}
         pairs = [(ep, r["answers"]) for ep, r in zip(episodes, rows)]
         at3 = [answer_presence_at_k(ep, refs, 3, mode) for ep, refs in pairs]
         # a hit in the first passage of a round is one in its first three: only those
         # episodes can have presence@1
         at1 = [hit and answer_presence_at_k(ep, refs, 1, mode)
                for (ep, refs), hit in zip(pairs, at3)]
-        report.presence_at_k = {1: sum(at1) / len(episodes), 3: sum(at3) / len(episodes)}
+        presence = {1: sum(at1) / len(episodes), 3: sum(at3) / len(episodes)}
+    report = ScoreReport([row], avg_score([row]), stats, presence, mode.value)
     return report.to_dict(), report.render_table()
 
 

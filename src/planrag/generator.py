@@ -7,8 +7,6 @@ import io
 import json
 import os
 import time
-import urllib.parse
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -18,6 +16,7 @@ from .control import parse_trajectory  # not called here: perfbench/tracing.py w
 
 if TYPE_CHECKING:  # pragma: no cover
     import ssl
+    import urllib.parse
 
 DEFAULT_PREAMBLE = (
     "You answer questions by planning retrieval with control tokens. "
@@ -120,8 +119,7 @@ class ReplayGenerator:
         return GeneratorEmission(text)
 
 
-@dataclass
-class GeneratorSettings:
+class GeneratorSettings(NamedTuple):
     endpoint: str
     model: str
     temperature: float = 0.0
@@ -145,6 +143,10 @@ Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
 
 def split_endpoint(url: str) -> urllib.parse.SplitResult:
     """``url`` split into its parts; ValueError unless it is http:// or https:// with a host."""
+    # imported here, as http.client is in _http_transport: it loads ipaddress, and only a
+    # command given an endpoint needs it
+    import urllib.parse
+
     parts = urllib.parse.urlsplit(url)
     parts.port  # raises ValueError for a port that is not a number from 0 to 65535
     if parts.scheme not in ("http", "https") or not parts.hostname:

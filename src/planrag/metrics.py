@@ -6,7 +6,6 @@ import math
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -295,12 +294,13 @@ def retrieval_stats(episodes: Iterable["Episode"]) -> dict:
     }
 
 
-@dataclass
-class ScoreReport:
+class ScoreReport(NamedTuple):
+    """One report's rows and averages; a stats field left None is written as {}."""
+
     rows: list[MetricRow]
-    avg_score: float
-    retrieval_stats: dict = field(default_factory=dict)
-    presence_at_k: dict = field(default_factory=dict)
+    avg_score: float | None
+    retrieval_stats: dict | None = None
+    presence_at_k: dict | None = None
     normalization: str = NormalizationMode.SQUAD_STYLE.value
 
     def to_dict(self) -> dict:
@@ -316,8 +316,8 @@ class ScoreReport:
                 for r in self.rows
             ],
             "avg_score": self.avg_score,
-            "retrieval_stats": self.retrieval_stats,
-            "presence_at_k": {str(k): v for k, v in sorted(self.presence_at_k.items())},
+            "retrieval_stats": self.retrieval_stats or {},
+            "presence_at_k": {str(k): v for k, v in sorted((self.presence_at_k or {}).items())},
         }
 
     def render_table(self) -> str:

@@ -11,7 +11,6 @@ finalize.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .bm25 import PassageIndex
@@ -44,38 +43,39 @@ class MissingIndexError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class PlannerConfig:
-    max_rounds: int = 3
-    top_k: int = 3
-    fallback_policy: FallbackPolicy = FallbackPolicy.APPEND_FALLBACK_MESSAGE
+    __slots__ = ("max_rounds", "top_k", "fallback_policy")
 
-    def __post_init__(self):
-        if self.max_rounds < 0:
+    def __init__(self, max_rounds: int = 3, top_k: int = 3,
+                 fallback_policy: FallbackPolicy = FallbackPolicy.APPEND_FALLBACK_MESSAGE):
+        if max_rounds < 0:
             raise ValueError("max_rounds must be >= 0")
-        if self.top_k < 1:
+        if top_k < 1:
             raise ValueError("top_k must be >= 1")
+        self.max_rounds, self.top_k, self.fallback_policy = max_rounds, top_k, fallback_policy
 
 
-@dataclass
 class PlanStep:
-    emission: GeneratorEmission
-    note: str | None = None
-    duration_s: float = 0.0
+    __slots__ = ("emission", "note", "duration_s")
+
+    def __init__(self, emission: GeneratorEmission, note: str | None = None,
+                 duration_s: float = 0.0):
+        self.emission, self.note, self.duration_s = emission, note, duration_s
 
 
-@dataclass
 class Episode:
     """One question's loop: evidence log, transcript text, steps and outcome."""
 
-    question: str
-    memory: list[EvidenceBlock] = field(default_factory=list)
-    transcript: str = ""
-    steps: list[PlanStep] = field(default_factory=list)
-    final_answer: str = ""
-    # completed | malformed | budget_zero_retrieve | generator_failure | missing_index
-    status: str = "completed"
-    failure: str | None = None
+    __slots__ = ("question", "memory", "transcript", "steps", "final_answer", "status", "failure")
+
+    def __init__(self, question: str, memory: list[EvidenceBlock] | None = None,
+                 transcript: str = "", steps: list[PlanStep] | None = None,
+                 final_answer: str = "", status: str = "completed", failure: str | None = None):
+        self.question, self.transcript, self.final_answer = question, transcript, final_answer
+        self.memory = [] if memory is None else memory
+        self.steps = [] if steps is None else steps
+        # completed | malformed | budget_zero_retrieve | generator_failure | missing_index
+        self.status, self.failure = status, failure
 
     @property
     def rounds_used(self) -> int:

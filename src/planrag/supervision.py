@@ -8,7 +8,6 @@ mapped to a fixed control-token training target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -67,15 +66,14 @@ class ProbeOutcome(NamedTuple):
         return tuple(h.passage.id for h in self.hits)
 
 
-@dataclass
-class SupervisionSample:
+class SupervisionSample(NamedTuple):
     qid: str
     question: str
     references: list[str]
     kind: SupervisionKind
     target: str  # the control-token text that is exported
-    teacher_query: str | None = None
-    provenance: dict = field(default_factory=dict)
+    teacher_query: str | None
+    provenance: dict
 
 
 def _extract_answer(text: str) -> str:
@@ -195,18 +193,9 @@ def build_sample(
             f"[INTERMEDIARY] {first} [RETRIEVE] {query} "
             f"[INTERMEDIARY] {second} [RETRIEVE] {refined} {answer_tail}"
         )
-    return SupervisionSample(
-        qid=qid,
-        question=question,
-        references=list(refs),
-        kind=kind,
-        target=text,
-        teacher_query=teacher_query if kind is SupervisionKind.GAMMA else None,
-        provenance={
-            "parametric": _outcome_dict(parametric),
-            "retrieval": _outcome_dict(retrieval),
-        },
-    )
+    provenance = {"parametric": _outcome_dict(parametric), "retrieval": _outcome_dict(retrieval)}
+    return SupervisionSample(qid, question, list(refs), kind, text,
+                             teacher_query if kind is SupervisionKind.GAMMA else None, provenance)
 
 
 def sample_record(sample: SupervisionSample, split: Split) -> dict:

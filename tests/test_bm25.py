@@ -1,6 +1,5 @@
 """BM25 index behavior against a brute-force full-scoring oracle."""
 
-import dataclasses
 import errno
 import hashlib
 import io
@@ -152,11 +151,19 @@ class TestBuild:
             build_index([Passage("a", "", "x"), Passage("a", "", "y")])
 
     @pytest.mark.parametrize("k1, b", [(-0.5, 0.75), (1.2, -0.1), (1.2, 2.5), (math.inf, 0.75),
-                                       (math.nan, 0.75), (1.2, math.nan)])
+                                       (1e307, 0.75), (math.nan, 0.75), (1.2, math.nan)])
     def test_parameters_out_of_range(self, k1, b):
         # out of range, a norm can be negative and a term's bound idf * (k1 + 1) fails
         with pytest.raises(ValueError, match="k1"):
             build_index([Passage("a", "", "x")], k1=k1, b=b)
+
+    def test_scores_stay_finite_at_the_largest_k1(self):
+        # at k1 = 1e307 this corpus scored Infinity, and a k1 near the float maximum gave NaN
+        passages = [Passage("p1", "", "a " * 200 + "c"), Passage("p2", "", "b"),
+                    Passage("p3", "", "c")]
+        hits = build_index(passages, k1=bm25.K1_MAX, b=1).search("a c", 3)
+        assert [h.passage.id for h in hits] == ["p1", "p3"]
+        assert all(math.isfinite(h.score) for h in hits)
 
 
 class TestScore:
@@ -487,7 +494,7 @@ class TestSearch:
                 return super().__getitem__(ordinal)
 
         idx = build_index(passages)
-        idx = dataclasses.replace(idx, norms=CountingNorms(idx.norms))
+        idx.norms = CountingNorms(idx.norms)
         assert [r.passage.id for r in idx.search("common", 3)] == ["p000", "p001", "p002"]
         assert len(reads) <= idx.doc_count + 3
 
@@ -584,6 +591,10 @@ def _truncate_header(path):
 def _truncate_arrays(path):
     payload = Path(path).read_bytes()
     Path(path).write_bytes(payload[:-3])
+
+
+# load_index's message for a k1 or b out of range
+K1_AND_B = re.escape(f"k1 in [0, {bm25.K1_MAX}] and b in [0, 1]")
 
 
 class TestPersistence:
@@ -726,12 +737,10 @@ class TestPersistence:
              None),
             (lambda path: rewrite_index(path, _set_in_header("b", None)), "numeric k1 and b",
              None),
-            (lambda path: rewrite_index(path, _set_in_header("k1", -0.5)), "k1 >= 0 and b in",
-             None),
-            (lambda path: rewrite_index(path, _set_in_header("k1", math.inf)),
-             "k1 >= 0 and b in", None),
-            (lambda path: rewrite_index(path, _set_in_header("b", 1.5)), "k1 >= 0 and b in",
-             None),
+            (lambda path: rewrite_index(path, _set_in_header("k1", -0.5)), K1_AND_B, None),
+            (lambda path: rewrite_index(path, _set_in_header("k1", math.inf)), K1_AND_B, None),
+            (lambda path: rewrite_index(path, _set_in_header("k1", 1e307)), K1_AND_B, None),
+            (lambda path: rewrite_index(path, _set_in_header("b", 1.5)), K1_AND_B, None),
             (lambda path: rewrite_index(path, _set("fields", 0, 1)), "rising from 0 to the text",
              None),
             (lambda path: rewrite_index(path, _offsets_past_the_postings),
@@ -743,8 +752,8 @@ class TestPersistence:
              "id_not_string", "fields_not_rising", "fields_past_text", "passage_not_utf8",
              "term_repeated", "term_not_string", "ids_empty", "norm_negative", "norm_nan",
              "norm_infinite", "avg_doc_length_negative", "k1_not_numeric", "b_not_numeric",
-             "k1_negative", "k1_infinite", "b_above_1", "fields_not_from_0",
-             "offsets_past_the_postings"],
+             "k1_negative", "k1_infinite", "k1_above_the_bound", "b_above_1",
+             "fields_not_from_0", "offsets_past_the_postings"],
     )
     def test_corrupt_file(self, tmp_path, corrupt, message, first_use):
         # 12 passages, so ordinal 12 is one past the last

@@ -455,6 +455,18 @@ class TestSweepCmd:
         assert capsys.readouterr().err == "error: --budgets: 1 repeats\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("budgets, message", [(",", "at least one budget is required"),
+                                                  ("1,x", "bad budget list: 1,x")])
+    def test_unreadable_budget_list_runs_no_budget(self, workspace, capsys, budgets, message):
+        out_dir = workspace["root"] / "sweep_unread"
+        code = main(
+            ["sweep", "--dataset", workspace["dataset"], "--scripts", workspace["scripts"],
+             "--index", workspace["index"], "--out-dir", str(out_dir), "--budgets", budgets]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--budgets", "1"]])
     def test_parallelism_below_1_writes_nothing(self, workspace, capsys, command):
         out_dir = workspace["root"] / "par0"
@@ -1109,6 +1121,13 @@ def _transcripts_without_rounds(tmp_path):
             "--subset", "a>=1"]
 
 
+def _transcripts_beyond_dataset(tmp_path):
+    rows = [{"id": i, "rounds_used": 0, "final_answer": "x"} for i in ("q1", "q2", "q9")]
+    path = write_jsonl(tmp_path / "beyond.jsonl", rows)
+    return ["compare", "--a", path, "--b", path, "--dataset", str(tmp_path / "dataset.jsonl"),
+            "--subset", "a>=0"]
+
+
 def _dataset_scalar_line(tmp_path):
     path = tmp_path / "scalar.jsonl"
     path.write_text(json.dumps(DATASET[0]) + "\n5\n")
@@ -1171,11 +1190,16 @@ def _reward_samples(tmp_path, text):
          ["bad_dataset.jsonl:1", "question"]),
         (lambda tmp: _dataset(tmp, {"id": "q1", "question": "", "answers": ["a"]}),
          ["bad_dataset.jsonl", "question"]),
+        (lambda tmp: _dataset(tmp, {"id": "q1", "question": "q?", "answers": []}),
+         ["bad_dataset.jsonl", "q1 needs a non-empty answers list"]),
         (lambda tmp: _dataset(tmp, DATASET[0], DATASET[1], DATASET[0]),
          ["bad_dataset.jsonl:3", "dataset record id q1 repeats line 1"]),
         (_corpus_title_not_string, ["bad_corpus.jsonl:2", "title"]),
         (lambda tmp: _corpus_bytes(tmp, (json.dumps(CORPUS[0]) + "\n").encode() * 2),
          ["bad_corpus.jsonl:2", "corpus record id p1 repeats line 1"]),
+        (lambda tmp: _corpus_bytes(tmp, json.dumps({**CORPUS[0], "text": ""}).encode()),
+         ["bad_corpus.jsonl", "p1 needs non-empty text"]),
+        (_transcripts_beyond_dataset, ["no references for transcript ids: ['q9']"]),
         (lambda tmp: _reward_samples(tmp, '{"question": "q", "target": "[SOLVED]"}\n'),
          ["bad_samples.jsonl:1", "id"]),
         (lambda tmp: _reward_samples(tmp, '{"id": "r1"}\n\n[1, 2]\n'),
@@ -1220,8 +1244,9 @@ def _reward_samples(tmp_path, text):
     ids=["index_old_version", "index_b_out_of_range",
          "transcript_without_rounds",
          "dataset_line_not_object", "dataset_answer_not_string", "dataset_question_not_string",
-         "dataset_question_empty", "dataset_id_repeated", "corpus_title_not_string",
-         "corpus_id_repeated", "sample_without_id", "sample_line_not_object",
+         "dataset_question_empty", "dataset_answers_empty", "dataset_id_repeated",
+         "corpus_title_not_string", "corpus_id_repeated", "corpus_text_empty",
+         "transcript_id_not_in_dataset", "sample_without_id", "sample_line_not_object",
          "prediction_without_id", "prediction_line_not_object", "replay_script_not_object",
          "replay_turns_not_list", "probe_script_not_object", "probe_turns_not_list",
          "sample_kind_not_allowed", "config_budget_null", "config_budget_list",
@@ -1311,7 +1336,8 @@ def _valid_argv(command, root):
 
 
 _BOUNDS = {"budget": ">= 0", "top_k": ">= 1", "parallelism": ">= 1", "attempts": ">= 1",
-           "max_tokens": ">= 1", "k1": ">= 0", "temperature": ">= 0", "b": "in [0, 1]"}
+           "max_tokens": ">= 1", "k1": f"in [0, {bm25.K1_MAX}]", "temperature": ">= 0",
+           "b": "in [0, 1]"}
 _OUT_OF_RANGE = {"budget": -1, "top_k": 0, "parallelism": 0, "attempts": 0, "max_tokens": 0,
                  "k1": -1, "temperature": -1, "b": 2}
 # command -> the number settings it has a flag for; run, sweep and supervise also
@@ -1325,7 +1351,8 @@ _RANGE_CASES = (
     + [(command, "config", key, _OUT_OF_RANGE[key])
        for command in ("run", "sweep", "supervise") for key in ("temperature", "max_tokens")]
     + [("run", "config", "temperature", float("nan")), ("index", "config", "k1", float("inf")),
-       ("index", "config", "k1", 10**400), ("supervise", "config", "top_k", 2**1024),
+       ("index", "config", "k1", 10**400), ("index", "flag", "k1", 1e307),
+       ("index", "config", "k1", bm25.K1_MAX + 0.5), ("supervise", "config", "top_k", 2**1024),
        ("index", "flag", "k1", float("nan")), ("index", "flag", "b", -0.5),
        # every key of a config is checked, also one the command does not read
        ("score", "config", "top_k", 0), ("compare", "config", "parallelism", 0)]

@@ -53,24 +53,41 @@ def test_the_guard_sees_every_import_form():
 
 
 def loaded_after_importing(module: str) -> set[str]:
-    """The modules a fresh interpreter has loaded after ``import <module>``."""
+    """The modules a fresh interpreter has loaded after ``import <module>``.
+
+    The interpreter runs without site (-S), whose .pth files can load modules, such
+    as urllib.parse, before any planrag module.
+    """
     probe = f"import sys, {module}; print(sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     return set(ast.literal_eval(out))
 
 
-def test_importing_the_cli_loads_no_http_transport():
-    # the chat transport imports http.client and ssl when it first sends a request, so the
-    # commands that never ask a backend (index, score, reward, replay runs) do not pay for them
-    assert {"http.client", "ssl"} & loaded_after_importing("planrag.cli") == set()
+# module -> why a fresh ``import planrag.cli`` must not load it
+NOT_LOADED_BY_THE_CLI = {
+    # the chat transport imports these when it first sends a request, so the commands
+    # that never ask a backend (index, score, reward, replay runs) do not pay for them
+    "http.client": "the chat transport's connection",
+    "ssl": "the chat transport's HTTPS context",
+    "concurrent.futures": "batch_run's thread pool, only for parallel runs",
+    # the records are NamedTuples and plain classes; dataclasses loads inspect, and with
+    # it ast, dis and tokenize
+    "dataclasses": "no record is a dataclass",
+    "inspect": "loaded by dataclasses",
+    "urllib.parse": "split_endpoint's parser, only for an endpoint; it loads ipaddress",
+}
 
 
-def test_importing_the_cli_loads_no_thread_pool():
-    # batch_run imports concurrent.futures only to run episodes in parallel; threading is
-    # not checked, as site may load it before any planrag module
-    assert "concurrent.futures" not in loaded_after_importing("planrag.cli")
+@pytest.fixture(scope="module")
+def loaded_by_the_cli():
+    return loaded_after_importing("planrag.cli")
+
+
+@pytest.mark.parametrize("module", NOT_LOADED_BY_THE_CLI)
+def test_importing_the_cli_does_not_load(loaded_by_the_cli, module):
+    assert module not in loaded_by_the_cli, NOT_LOADED_BY_THE_CLI[module]
 
 
 @pytest.mark.parametrize(

@@ -525,6 +525,15 @@ class TestHttpTransport:
             generator._http_transport(url, {}, {"a": 1}, 0.5)
         assert 0.5 <= time.monotonic() - start < 0.5 + self.MARGIN_S
 
+    def test_a_passed_deadline_stops_the_request_before_it_connects(self, no_leaks):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}/v1/chat"
+            with pytest.raises(TimeoutError, match="deadline passed"):
+                generator._http_transport(url, {}, {"a": 1}, 0.0)
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):  # no connection waits to be accepted
+                listener.accept()
+
     def test_each_attempt_has_its_own_deadline(self, trickler, no_leaks, monkeypatch):
         monkeypatch.setattr(generator, "TIMEOUT_S", 0.3)
         url = trickler((self.HEAD, b"x" * 100), pace=0.05)

@@ -298,6 +298,18 @@ class TestOps:
         with pytest.raises(ValueError, match="retrieval query is empty"):
             handle_retrieve(Episode(question="q"), "   ", tiny_index, PlannerConfig())
 
+    @pytest.mark.parametrize("setting, message", [({"max_rounds": -1}, "max_rounds must be >= 0"),
+                                                  ({"top_k": 0}, "top_k must be >= 1")])
+    def test_config_out_of_range(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            PlannerConfig(**setting)
+
+    def test_each_episode_has_its_own_lists(self, tiny_index):
+        first, second = Episode("q"), Episode("q")
+        handle_retrieve(first, "paris", tiny_index, PlannerConfig())
+        assert (first.rounds_used, second.memory, second.steps) == (1, [], [])
+        assert first.steps is not second.steps
+
     def test_force_finalize_at_budget(self, tiny_index):
         # the turn after the last allowed retrieval demands finalization
         # and carries that retrieval's evidence

@@ -165,8 +165,7 @@ class TestTotalReward:
             assert -0.5 <= b.total <= 1.5 + 1e-12
 
     def test_no_references_rejected(self):
-        sample = alpha_sample()
-        sample.references = []
+        sample = alpha_sample()._replace(references=[])
         with pytest.raises(ValueError, match="sample has no reference answers"):
             reward("[ANSWER] x [SOLVED]", sample)
 

@@ -1,13 +1,16 @@
-"""The value records built per turn, search, question or rollout are immutable NamedTuples.
+"""The value records built per turn, search, question, rollout or run are immutable NamedTuples.
 
 Each record below comes from the code that builds it in a run. Assigning a field
 raises, a record hashes exactly when its fields do, and keyword construction and
 comparison with a plain tuple still work.
 """
 
+import argparse
+
 import pytest
 
 from planrag.bm25 import Passage, build_index
+from planrag.cli import SETTINGS, _chat_generator
 from planrag.control import (
     ControlToken,
     ScannerState,
@@ -23,13 +26,17 @@ from planrag.generator import EvidenceBlock, GenerationContext, ReplayGenerator
 from planrag.metrics import (
     MetricRow,
     NormalizationMode,
+    ScoreReport,
+    avg_score,
     bleu_reference,
     normalize_refs,
+    retrieval_stats,
     rouge,
     score_row,
 )
+from planrag.planner import Episode
 from planrag.reward import prepare, total_reward
-from planrag.supervision import probe_retrieval
+from planrag.supervision import build_sample, probe_parametric, probe_retrieval
 
 TARGET = "[INTERMEDIARY] born in [RETRIEVE] Ada Lovelace birth year [ANSWER] 1815 [SOLVED]"
 
@@ -46,6 +53,13 @@ def _records():
     emission = ReplayGenerator(["[ANSWER] 1815 [SOLVED]"]).emit_turn(context)
     prepared = prepare(["1815"], TARGET, 3)
     outcome = probe_retrieval("Ada Lovelace", refs, ReplayGenerator(["1815"]), index)
+    parametric = probe_parametric("Ada Lovelace", refs, ReplayGenerator(["1815"] * 3))
+    sample = build_sample("Ada Lovelace", ["1815"], parametric, outcome, None, qid="q1")
+    settings = argparse.Namespace(**{key: spec[1] for key, spec in SETTINGS.items()})
+    settings.endpoint, settings.model = "http://backend/v1/chat", "m"
+    row = score_row("demo", ["1815"], [["1815"]])
+    report = ScoreReport([row], avg_score([row]), {"demo": retrieval_stats([Episode("q")])},
+                         {1: 0.0, 3: 0.0}, NormalizationMode.SQUAD_STYLE.value)
     events, state = scan_stream("[ANSWER] 1815 [SOL")
     text_run, token_event = (next(e for e in events if isinstance(e, kind))
                              for kind in (TextRun, TokenEvent))
@@ -59,14 +73,17 @@ def _records():
         ("EvidenceBlock", block, False),  # its results are a list
         ("GenerationContext", context, False),  # through its evidence blocks
         ("GeneratorEmission", emission, True),
+        ("GeneratorSettings", _chat_generator(settings, "").settings, True),
         ("References", refs, True),
         ("RougeScores", rouge("born 1815", ["1815"]), True),
         ("MetricRow", score_row("demo", ["1815"], [["1815"]]), True),
+        ("ScoreReport", report, False),  # its rows are a list
         ("BleuReference", bleu_reference("born in 1815"), False),  # its counts are Counters
         ("RewardBreakdown", total_reward(TARGET, prepared), True),
         ("PreparedSample", prepared, False),  # through its reference's Counters
         ("ProbeAttempt", outcome.attempts[0], True),
         ("ProbeOutcome", outcome, True),
+        ("SupervisionSample", sample, False),  # its references are a list
         ("TextRun", text_run, True),
         ("TokenEvent", token_event, True),
         ("ScannerState", state, True),
